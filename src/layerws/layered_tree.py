@@ -14,6 +14,20 @@ reaches layer j after 2^(2^(j-1)) distinct newer accesses, the search cost
 is logarithmic in the key's working-set number.  Insertion and deletion
 run through every layer and cost O(log n).
 
+Moving a key between layers needs the youngest and oldest keys of the
+layers it passes.  Each public operation starts with an empty record of
+these queue ends, two lists indexed by relative layer 1..MAX_LAYERS+1.
+The first lookup of an end scans layer 1 and hops the next_layer links
+down, recording every end it passes; the moves then update the record
+wherever they change an end, so a later lookup is one paid ``_goto``, and
+a neighbour's queue fields are written while that lookup has the cursor on
+it.  This stays inside the one-cursor model: the record holds at most
+2*(MAX_LAYERS+1) keys, O(log log n) words of operation-local memory like
+the search key itself, and it holds keys, not node pointers, so every node
+whose fields are read or written, apart from the node being moved, is
+reached by the cursor through a paid ``_goto``.  Nothing in the record
+outlives the operation.
+
 The tree can also operate as a band inside a larger tree (``base`` label
 offset); labels then run base+1..base+t and the machinery anchors at the
 band's subtree root instead of the global root.  The skip-splay
@@ -27,6 +41,12 @@ from .errors import CapacityError, DuplicateKeyError, MissingKeyError
 from . import layer_ops as ops
 
 MAX_LAYERS = 5
+
+
+def _empty_ends():
+    """An operation's empty record of queue ends: (oldest keys, youngest
+    keys), each indexed by relative layer 1..MAX_LAYERS+1."""
+    return [None] * (MAX_LAYERS + 2), [None] * (MAX_LAYERS + 2)
 
 
 def capacity(j: int) -> int:
@@ -124,78 +144,113 @@ class LayeredTree:
         eng.node = found
         return found
 
-    def _extreme_in_layer(self, j: int, youngest: bool) -> Node:
-        """Youngest/oldest member of layer j, hopping layer to layer."""
-        node = self._scan_first_layer(youngest)
-        level = 1
+    def _extreme_in_layer(self, j: int, youngest: bool, ends) -> Node:
+        """Youngest/oldest member of layer j.
+
+        ``ends`` is the operation's record of queue ends.  A recorded end
+        costs one paid ``_goto``; otherwise the walk starts at the deepest
+        recorded end of the same side above j, or scans layer 1, and hops
+        ``next_layer`` down, recording every end it passes.
+        """
+        known = ends[youngest]
+        level = j
+        while level and known[level] is None:
+            level -= 1
+        if level:
+            node = self._goto(known[level])
+        else:
+            node = self._scan_first_layer(youngest)
+            level = 1
+            known[1] = node.key
         while level < j:
             key = node.next_layer
             assert key is not None, f"missing next-layer link under layer {level}"
             node = self._goto(key)
             level += 1
             assert node.layer - self.base == level, "next-layer link strayed"
+            known[level] = key
         return node
 
     def youngest_in_layer(self, j: int) -> int:
         assert 1 <= j and self.sizes.get(j, 0) > 0, f"layer {j} is empty"
         self.engine.begin_access()
-        return self._extreme_in_layer(j, youngest=True).key
+        return self._extreme_in_layer(j, True, _empty_ends()).key
 
     def oldest_in_layer(self, j: int) -> int:
         assert 1 <= j and self.sizes.get(j, 0) > 0, f"layer {j} is empty"
         self.engine.begin_access()
-        return self._extreme_in_layer(j, youngest=False).key
+        return self._extreme_in_layer(j, False, _empty_ends()).key
 
     # -- implicit queue maintenance -------------------------------------------
 
-    def _queue_remove(self, x: Node, j: int):
+    def _queue_remove(self, x: Node, j: int, ends=None):
         """Unlink ``x`` from layer j's recency queue, repairing neighbours
-        and the boundary pointers held one layer up."""
+        and the boundary pointers held one layer up.  ``ends`` may be None
+        only for an interior or oldest member of layer 1 (a re-front)."""
         xo, xy, xn = x.older, x.younger, x.next_layer
         x.older = x.younger = x.key  # sentinel: not a queue member right now
         if xo is None and xy is None:
+            ends[0][j] = ends[1][j] = None
             if j >= 2 and self.sizes.get(j - 1, 0) > 0:
-                self._extreme_in_layer(j - 1, youngest=True).next_layer = None
-                self._extreme_in_layer(j - 1, youngest=False).next_layer = None
+                self._point_at(j - 1, None, True, ends)
             return
         if xy is None:
             o = self._goto(xo)
             o.younger = None
             o.next_layer = xn
+            ends[1][j] = xo
             if j >= 2:
-                self._extreme_in_layer(j - 1, youngest=True).next_layer = xo
+                self._point_at(j - 1, xo, False, ends)
             return
         if xo is None:
             y = self._goto(xy)
             y.older = None
             y.next_layer = xn
+            if ends is not None:
+                ends[0][j] = xy
             if j >= 2:
-                self._extreme_in_layer(j - 1, youngest=False).next_layer = xy
+                self._extreme_in_layer(j - 1, False, ends).next_layer = xy
             return
         self._goto(xo).younger = xy
         self._goto(xy).older = xo
 
     # -- inter-layer moves ------------------------------------------------------
 
-    def _move_up(self, x: Node):
+    def _file_youngest(self, x: Node, recv: int, ends):
+        """Record ``x`` as the youngest of layer ``recv`` and write that into
+        the queue fields of its new older neighbour while the lookup holds
+        the cursor there.  Returns the (older, next_layer) pair ``x`` takes."""
+        key = x.key
+        if self.sizes.get(recv, 0) == 0:
+            ends[0][recv] = ends[1][recv] = key
+            return None, None
+        y = self._extreme_in_layer(recv, True, ends)
+        ends[1][recv] = key
+        x_next = y.next_layer
+        y.younger = key
+        if y.older is not None:
+            y.next_layer = None
+        return y.key, x_next
+
+    def _point_at(self, m: int, key: int | None, both: bool, ends):
+        """Aim layer m's youngest (and with ``both`` its oldest) next-layer
+        link at ``key``."""
+        self._extreme_in_layer(m, True, ends).next_layer = key
+        if both:
+            self._extreme_in_layer(m, False, ends).next_layer = key
+
+    def _move_up(self, x: Node, ends):
         """Move ``x`` one layer up; it becomes the youngest there."""
         j = x.layer - self.base
         assert j >= 2, "layer 1 has nothing above it"
         recv = j - 1
         was_sole = x.older is None and x.younger is None
-        self._queue_remove(x, j)
-
-        if self.sizes.get(recv, 0) > 0:
-            y = self._extreme_in_layer(recv, youngest=True)
-            y_key, x_next = y.key, y.next_layer
-        else:
-            assert was_sole, "non-trivial layer moving into an empty one"
-            y_key, x_next = None, None
-        above_y_key = above_o_key = None
+        self._queue_remove(x, j, ends)
+        assert was_sole or self.sizes.get(recv, 0) > 0, \
+            "non-trivial layer moving into an empty one"
+        y_key, x_next = self._file_youngest(x, recv, ends)
         if recv >= 2:
-            above_y_key = self._extreme_in_layer(recv - 1, youngest=True).key
-            if y_key is None:
-                above_o_key = self._extreme_in_layer(recv - 1, youngest=False).key
+            self._point_at(recv - 1, x.key, y_key is None, ends)
 
         ops.split(self.engine, x)
         for c in (x.left, x.right):
@@ -211,15 +266,6 @@ class LayeredTree:
         x.older = y_key
         x.younger = None
         x.next_layer = x_next
-        if y_key is not None:
-            y2 = self._goto(y_key)
-            y2.younger = x.key
-            if y2.older is not None:
-                y2.next_layer = None
-        if above_y_key is not None:
-            self._goto(above_y_key).next_layer = x.key
-        if above_o_key is not None:
-            self._goto(above_o_key).next_layer = x.key
         self.sizes[j] -= 1
         self.sizes[recv] = self.sizes.get(recv, 0) + 1
 
@@ -326,24 +372,16 @@ class LayeredTree:
         if p_was_black:
             ops.delete_fixup(eng, fix_parent, fix_right)
 
-    def _move_down(self, x: Node):
+    def _move_down(self, x: Node, ends):
         """Move ``x`` one layer down; it becomes the youngest there."""
         j = x.layer - self.base
         recv = j + 1
         if recv > MAX_LAYERS + 1:
             raise CapacityError(f"no layer below {MAX_LAYERS}")
-        self._queue_remove(x, j)
-
-        if self.sizes.get(recv, 0) > 0:
-            y = self._extreme_in_layer(recv, youngest=True)
-            y_key, x_next = y.key, y.next_layer
-        else:
-            y_key, x_next = None, None
-        jy_key = jo_key = None
+        self._queue_remove(x, j, ends)
+        y_key, x_next = self._file_youngest(x, recv, ends)
         if self.sizes[j] > 1:  # layer j keeps members once x is gone
-            jy_key = self._extreme_in_layer(j, youngest=True).key
-            if y_key is None:
-                jo_key = self._extreme_in_layer(j, youngest=False).key
+            self._point_at(j, x.key, y_key is None, ends)
 
         self._sink_to_boundary(x)
         ops.join_at(self.engine, x)
@@ -351,15 +389,6 @@ class LayeredTree:
         x.older = y_key
         x.younger = None
         x.next_layer = x_next
-        if y_key is not None:
-            y2 = self._goto(y_key)
-            y2.younger = x.key
-            if y2.older is not None:
-                y2.next_layer = None
-        if jy_key is not None:
-            self._goto(jy_key).next_layer = x.key
-        if jo_key is not None:
-            self._goto(jo_key).next_layer = x.key
         self.sizes[j] -= 1
         self.sizes[recv] = self.sizes.get(recv, 0) + 1
 
@@ -367,13 +396,13 @@ class LayeredTree:
         self.engine.begin_access()
         node = self.engine.descend_to(key)
         assert node is not None
-        self._move_up(node)
+        self._move_up(node, _empty_ends())
 
     def move_down(self, key: int):
         self.engine.begin_access()
         node = self.engine.descend_to(key)
         assert node is not None
-        self._move_down(node)
+        self._move_down(node, _empty_ends())
 
     # -- recency re-front for a hit already in layer 1 ---------------------------
 
@@ -392,10 +421,9 @@ class LayeredTree:
 
     # -- restoring the size schedule ----------------------------------------------
 
-    def _push_down(self, deficit: int):
+    def _push_down(self, deficit: int, ends):
         for m in range(1, deficit):
-            victim = self._extreme_in_layer(m, youngest=False)
-            self._move_down(victim)
+            self._move_down(self._extreme_in_layer(m, False, ends), ends)
 
     # -- public operations -----------------------------------------------------------
 
@@ -416,9 +444,10 @@ class LayeredTree:
         if j == 1:
             self._refront(node)
         else:
+            ends = _empty_ends()
             for _ in range(j - 1):
-                self._move_up(node)
-            self._push_down(j)
+                self._move_up(node, ends)
+            self._push_down(j, ends)
         return j
 
     def insert(self, key: int):
@@ -461,14 +490,11 @@ class LayeredTree:
         eng.arrive(node)
         self.sizes[temp] = 1
         self.size += 1
-        self._extreme_in_layer(t_old, youngest=True).next_layer = key
-        self._extreme_in_layer(t_old, youngest=False).next_layer = key
-
-        eng.ascend_to_subtree_root(self.base)
-        eng.descend_to(key)
+        # not a queue member yet: the first move up files it in the layer above
+        ends = _empty_ends()
         for _ in range(temp - 1):
-            self._move_up(node)
-        self._push_down(deficit)
+            self._move_up(node, ends)
+        self._push_down(deficit, ends)
         assert self.sizes[temp] == 0
         del self.sizes[temp]
 
@@ -486,8 +512,9 @@ class LayeredTree:
         temp = t + 1
         self.last_touched = temp
         self.sizes[temp] = 0
+        ends = _empty_ends()
         for _ in range(t - j + 1):
-            self._move_down(node)
+            self._move_down(node, ends)
         assert node.left is None and node.right is None, "evictee must be a leaf"
         eng.replace_subtree(node, None)
         eng.charge(1)
@@ -501,11 +528,9 @@ class LayeredTree:
             eng.node = None
             return
         if self.sizes.get(t, 0) > 0:
-            self._extreme_in_layer(t, youngest=True).next_layer = None
-            self._extreme_in_layer(t, youngest=False).next_layer = None
+            self._point_at(t, None, True, ends)
         for m in range(j, t):
-            victim = self._extreme_in_layer(m + 1, youngest=True)
-            self._move_up(victim)
+            self._move_up(self._extreme_in_layer(m + 1, True, ends), ends)
         if self.last_size > 1:
             self._set_header(t, self.last_size - 1)
         else:

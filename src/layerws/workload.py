@@ -1,7 +1,8 @@
 """Trace generation and the canonical trace file format.
 
 A trace is a list of (kind, key) operations.  The text form is one
-operation per line, ``S``/``I``/``D`` followed by a decimal key, newline
+operation per line, ``S``/``I``/``D`` followed by a decimal key (an
+optional ``-`` and ASCII digits, within the signed 64-bit range), newline
 separated; ``#`` starts a comment.  Parsing and serialization round-trip
 exactly.
 
@@ -20,7 +21,8 @@ Generator families (deterministic for a given seed):
 from __future__ import annotations
 
 import random
-from bisect import insort
+import re
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .errors import TraceError
@@ -29,6 +31,8 @@ SEARCH = "S"
 INSERT = "I"
 DELETE = "D"
 _KINDS = (SEARCH, INSERT, DELETE)
+_KEY_MIN, _KEY_MAX = -(1 << 63), (1 << 63) - 1
+_KEY_PATTERN = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -57,12 +61,16 @@ def parse(text: str) -> list[TraceOp]:
         if len(parts) != 2:
             raise TraceError(f"expected '<S|I|D> <key>', got {raw!r}", lineno, 1)
         kind, key_text = parts
+        kind_at = raw.index(kind)
         if kind not in _KINDS:
-            raise TraceError(f"unknown op {kind!r}", lineno, raw.index(kind) + 1)
-        try:
-            key = int(key_text, 10)
-        except ValueError:
-            raise TraceError(f"bad key {key_text!r}", lineno, raw.index(key_text) + 1) from None
+            raise TraceError(f"unknown op {kind!r}", lineno, kind_at + 1)
+        key_col = raw.index(key_text, kind_at + len(kind)) + 1
+        if _KEY_PATTERN.fullmatch(key_text) is None:
+            raise TraceError(f"bad key {key_text!r}: want an optional '-' and decimal digits",
+                             lineno, key_col)
+        key = int(key_text)
+        if not _KEY_MIN <= key <= _KEY_MAX:
+            raise TraceError(f"key {key_text} outside the signed 64-bit range", lineno, key_col)
         ops.append(TraceOp(kind, key))
     return ops
 
@@ -143,7 +151,12 @@ def _gen_uniform(spec: GeneratorSpec) -> list[TraceOp]:
 
 def _gen_zipf_recency(spec: GeneratorSpec) -> list[TraceOp]:
     """Searches pick the r-th most recently touched key with probability
-    proportional to r^-theta."""
+    proportional to r^-theta.
+
+    Recency is kept as touch stamps: key k starts with stamp k (ascending
+    inserts), each search restamps its key past every stamp so far, and a
+    Fenwick tree over live stamps finds the r-th youngest in O(log n).
+    """
     rng = random.Random(spec.seed)
     ops = _preamble(spec)
     n = spec.universe
@@ -151,26 +164,33 @@ def _gen_zipf_recency(spec: GeneratorSpec) -> list[TraceOp]:
     for r in range(1, n + 1):
         weights.append(weights[-1] + r ** -spec.theta)
     total = weights[-1]
-    recency = list(range(n, 0, -1))  # youngest first after ascending inserts
-    index = {k: i for i, k in enumerate(recency)}
-    remaining = spec.ops - len(ops)
-    for _ in range(max(0, remaining)):
-        x = rng.random() * total
-        lo, hi = 1, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if weights[mid] >= x:
-                hi = mid
-            else:
-                lo = mid + 1
-        key = recency[lo - 1]
+    searches = max(0, spec.ops - len(ops))
+    size = n + searches
+    key_at = list(range(size + 1))  # stamp -> key; stamps 1..n are the inserts
+    # Fenwick counts of live stamps: node i covers stamps (i - lowbit(i), i]
+    live = [0] + [max(0, min(i, n) - i + (i & -i)) for i in range(1, size + 1)]
+    top = 1 << (size.bit_length() - 1)
+    for stamp in range(n + 1, size + 1):
+        rank = bisect_left(weights, rng.random() * total, 1, n)
+        # the rank-th youngest is the (n + 1 - rank)-th smallest live stamp
+        want, pos, step = n + 1 - rank, 0, top
+        while step:
+            nxt = pos + step
+            if nxt <= size and live[nxt] < want:
+                pos = nxt
+                want -= live[nxt]
+            step >>= 1
+        old = pos + 1
+        key = key_at[old]
         ops.append(TraceOp(SEARCH, key))
-        pos = index[key]
-        if pos:
-            recency.pop(pos)
-            recency.insert(0, key)
-            for i, k in enumerate(recency[: pos + 1]):
-                index[k] = i
+        key_at[stamp] = key
+        while old <= size:
+            live[old] -= 1
+            old += old & -old
+        i = stamp
+        while i <= size:
+            live[i] += 1
+            i += i & -i
     return ops
 
 

@@ -2,10 +2,13 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+                                 precondition, rule)
 
 from layerws import (CapacityError, DuplicateKeyError, LayeredTree,
                      MissingKeyError, ReferenceStructure, capacity,
                      validate_tree)
+from layerws.engine import Engine
 from layerws.harness import lockstep_replay
 from layerws.workload import TraceOp
 
@@ -287,3 +290,79 @@ def small_traces(draw):
 def test_lockstep_equivalence_property(trace):
     stats = lockstep_replay(trace, structural_every=1)
     assert not stats.violations, [str(v) for _, v in stats.violations][:5]
+
+
+# -- layer-count edges ------------------------------------------------------------------
+
+class LayerEdgeMachine(RuleBasedStateMachine):
+    """Walk the key count within 3 of a layer-count edge: 4 keys (layer 2
+    opens above them), 20 (layer 3) or 276 (layer 4).  Opening and closing
+    a layer is where an operation's record of queue ends could go stale."""
+
+    SPAN = 3
+
+    @initialize(edge=st.sampled_from([4, 20, 276]), data=st.data())
+    def preload(self, edge, data):
+        self.edge = edge
+        self.tree = LayeredTree()
+        self.ref = ReferenceStructure()
+        universe = data.draw(st.permutations(range(2 * edge + 8)))
+        cut = max(1, edge - 1)
+        self.present = set(universe[:cut])
+        self.absent = set(universe[cut:])
+        for key in universe[:cut]:
+            self.tree.insert(key)
+            self.ref.insert(key)
+
+    @precondition(lambda self: len(self.present) < self.edge + self.SPAN)
+    @rule(data=st.data())
+    def insert(self, data):
+        key = data.draw(st.sampled_from(sorted(self.absent)))
+        self.tree.insert(key)
+        self.ref.insert(key)
+        self.absent.discard(key)
+        self.present.add(key)
+
+    @precondition(lambda self: len(self.present) > max(1, self.edge - self.SPAN))
+    @rule(data=st.data())
+    def delete(self, data):
+        key = data.draw(st.sampled_from(sorted(self.present)))
+        self.tree.delete(key)
+        self.ref.delete(key)
+        self.present.discard(key)
+        self.absent.add(key)
+
+    @rule(data=st.data(), hit=st.booleans())
+    def search(self, data, hit):
+        key = data.draw(st.sampled_from(sorted(self.present if hit else self.absent)))
+        assert self.tree.search(key) == self.ref.search(key)
+
+    @invariant()
+    def agrees_with_reference(self):
+        assert self.tree.layer_snapshot() == self.ref.snapshot()
+        assert_clean(self.tree, f"{len(self.present)} keys around edge {self.edge}")
+
+
+TestLayerEdges = LayerEdgeMachine.TestCase
+TestLayerEdges.settings = settings(max_examples=30, stateful_step_count=40, deadline=None)
+
+
+# -- operation-local state ----------------------------------------------------------------
+
+def test_operations_leave_no_state_behind():
+    """Queue-end records live only inside an operation: a skip-splay tree
+    holds tens of thousands of bands, so per-tree state costs memory."""
+    rng = random.Random(9)
+    tree = LayeredTree()
+    keys = rng.sample(range(1000), 300)
+    for k in keys:
+        tree.insert(k)
+    for _ in range(300):
+        tree.search(rng.choice(keys))
+    for k in keys[:150]:
+        tree.delete(k)
+    tree.move_down(tree.youngest_in_layer(1))
+    tree.move_up(tree.youngest_in_layer(2))
+    tree.oldest_in_layer(3)
+    assert vars(tree).keys() == vars(LayeredTree()).keys()
+    assert Engine.__slots__ == ("root", "node", "visits")

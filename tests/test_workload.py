@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +30,25 @@ def test_parse_error_reports_position():
     assert err.value.line == 2
     with pytest.raises(TraceError):
         parse("I\n")
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("I 1_000\n", 1, 3),
+    ("S 1\nS +5\n", 2, 3),
+    ("I 9223372036854775808\n", 1, 3),
+    ("I -9223372036854775809\n", 1, 3),
+    ("\tD \u0663\n", 1, 4),  # a non-ASCII digit
+    ("S S\n", 1, 3),
+])
+def test_parse_rejects_keys_outside_the_grammar(text, line, column):
+    with pytest.raises(TraceError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_parse_accepts_the_signed_64_bit_range_ends():
+    assert parse(f"I {2**63 - 1}\nI {-2**63}\nS 007\n") == [
+        TraceOp("I", 2**63 - 1), TraceOp("I", -2**63), TraceOp("S", 7)]
 
 
 trace_strategy = st.lists(
@@ -110,3 +131,50 @@ def test_generator_spec_validation():
         GeneratorSpec("uniform", universe=0, ops=5)
     with pytest.raises(ValueError):
         GeneratorSpec("zipf_recency", universe=10, ops=5, theta=0.0)
+
+
+def _zipf_recency_by_list(spec):
+    """The list-reindexing zipf generator, kept as the reference for the
+    Fenwick-tree version: O(rank) work per search."""
+    rng = random.Random(spec.seed)
+    ops = [TraceOp("I", k) for k in range(1, spec.universe + 1)]
+    n = spec.universe
+    weights = [0.0]
+    for r in range(1, n + 1):
+        weights.append(weights[-1] + r ** -spec.theta)
+    total = weights[-1]
+    recency = list(range(n, 0, -1))  # youngest first after ascending inserts
+    index = {k: i for i, k in enumerate(recency)}
+    remaining = spec.ops - len(ops)
+    for _ in range(max(0, remaining)):
+        x = rng.random() * total
+        lo, hi = 1, n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if weights[mid] >= x:
+                hi = mid
+            else:
+                lo = mid + 1
+        key = recency[lo - 1]
+        ops.append(TraceOp("S", key))
+        pos = index[key]
+        if pos:
+            recency.pop(pos)
+            recency.insert(0, key)
+            for i, k in enumerate(recency[: pos + 1]):
+                index[k] = i
+    return ops[: spec.ops]
+
+
+@pytest.mark.parametrize("n", [100, 10_000])
+@pytest.mark.parametrize("theta", [1.0, 2.0])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_zipf_recency_matches_list_reference(seed, theta, n):
+    spec = GeneratorSpec("zipf_recency", universe=n, ops=n + 3000, seed=seed, theta=theta)
+    assert generate(spec) == _zipf_recency_by_list(spec)
+
+
+def test_zipf_recency_single_key_and_no_searches():
+    for spec in (GeneratorSpec("zipf_recency", universe=1, ops=5, seed=4),
+                 GeneratorSpec("zipf_recency", universe=7, ops=3, seed=4)):
+        assert generate(spec) == _zipf_recency_by_list(spec)
