@@ -13,15 +13,16 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice, zip_longest
 
 from .baseline import RedBlackBaseline
 from .constants import load_constants
 from .engine import Node
 from .errors import DivergenceError, IncompatibleTraceError
-from .layered_tree import LayeredTree
+from .layered_tree import MAX_LAYERS, LayeredTree
 from .reference import ReferenceStructure, UnifiedBoundTracker, lg
 from .skip_splay import SkipSplayTree
-from .validate import Violation, validate_band, validate_tree
+from .validate import Violation, check_red_black, validate_tree
 from .workload import DELETE, INSERT, SEARCH, GeneratorSpec, TraceOp, generate
 
 STRUCTURES = ("lws", "ws_reference", "skip_splay", "skip_splay_doubled",
@@ -79,8 +80,7 @@ def _verify_baseline(tree: RedBlackBaseline) -> list[Violation]:
         prev = node.key
     root = tree.engine.root
     if root is not None:
-        from .validate import _check_subtree_rb
-        _check_subtree_rb(root, 1, out)
+        check_red_black(root, out)
     return out
 
 
@@ -99,15 +99,57 @@ def _verify_reference(ref: ReferenceStructure) -> list[Violation]:
     return out
 
 
-def compare_layers(lws_snapshot: dict, ref_snapshot: dict):
+def compare_layers(tree: LayeredTree, ref: ReferenceStructure):
     """Raise DivergenceError naming the first layer whose key set or
-    recency order differs."""
-    for j in sorted(set(lws_snapshot) | set(ref_snapshot)):
-        a = lws_snapshot.get(j, [])
-        b = ref_snapshot.get(j, [])
-        if a != b:
-            raise DivergenceError(
-                f"layer {j} diverged: tree holds {a[:10]}, reference holds {b[:10]}")
+    recency order differs.
+
+    One walk of the tree maps each key to its node (labels beyond the layer
+    count are not the tree's, as in ``layer_snapshot``).  Every reference
+    queue is then checked link by link: each key's node carries the queue's
+    label, its younger link names the previous key and its older link the
+    next.  A tree key left over after every queue has passed is one the
+    reference lacks.  Together this pins every layer's members and order.
+    Snapshots are built only to word the error.
+    """
+    t = tree.layer_count or MAX_LAYERS + 1
+    nodes: dict[int, Node] = {}
+    stack = [tree.engine.root] if tree.engine.root is not None else []
+    pop, push = stack.pop, stack.append
+    while stack:
+        n = pop()
+        if n.layer > t:
+            continue  # pruned with its subtree, as the snapshot does
+        nodes[n.key] = n
+        if n.left is not None:
+            push(n.left)
+        if n.right is not None:
+            push(n.right)
+    for j, q in enumerate(ref.level_queues, start=1):
+        younger = None
+        for key, older in zip_longest(q, islice(q, 1, None)):
+            node = nodes.pop(key, None)
+            if node is None:
+                raise _divergence(tree, ref, j, f"key {key}, missing from the tree")
+            if node.layer != j or node.younger != younger or node.older != older:
+                raise _divergence(
+                    tree, ref, j,
+                    f"key {key}, labeled {node.layer} with younger={node.younger} "
+                    f"older={node.older} (expected younger={younger} older={older})")
+            younger = key
+    if nodes:
+        extra = min(nodes.values(), key=lambda n: n.layer)
+        raise _divergence(tree, ref, extra.layer, f"key {extra.key}, absent from the reference")
+
+
+def _divergence(tree: LayeredTree, ref: ReferenceStructure, j: int,
+                where: str) -> DivergenceError:
+    want = ref.snapshot().get(j, [])
+    try:
+        held = tree.layer_snapshot().get(j, [])[:10]
+    except AssertionError as exc:
+        held = f"a broken queue ({exc})"
+    return DivergenceError(
+        f"layer {j} diverged at {where}: tree holds {held}, reference holds {want[:10]}")
 
 
 class _LwsDriver:
@@ -140,7 +182,7 @@ class _LwsDriver:
         return eng.visits - before, layer
 
     def compare(self):
-        compare_layers(self.tree.layer_snapshot(), self.shadow.snapshot())
+        compare_layers(self.tree, self.shadow)
 
     def size(self):
         return self.tree.size
@@ -149,7 +191,11 @@ class _LwsDriver:
         return validate_tree(self.tree) + _verify_reference(self.shadow)
 
     def final_layers(self):
-        return {str(j): order for j, order in sorted(self.tree.layer_snapshot().items())}
+        try:
+            snapshot = self.tree.layer_snapshot()
+        except AssertionError:
+            return None  # a broken queue has no order to report
+        return {str(j): order for j, order in sorted(snapshot.items())}
 
 
 class _ReferenceDriver:

@@ -9,10 +9,15 @@ fields stored in the nodes.
 
 A search that finds its key in layer j costs O(2^j) cursor visits: the key
 is moved up to layer 1 and the oldest resident of each layer 1..j-1 is
-pushed down one layer to restore the size schedule.  Because a key only
-reaches layer j after 2^(2^(j-1)) distinct newer accesses, the search cost
-is logarithmic in the key's working-set number.  Insertion and deletion
-run through every layer and cost O(log n).
+pushed down one layer to restore the size schedule.  On a stream of
+searches and inserts every key of layers 1..j-1 is newer than every key of
+layer j, so a key only reaches layer j after 2^(2^(j-1)) distinct newer
+accesses and the search cost is logarithmic in the key's working-set
+number.  Deletes break that order: a delete refills the drained layer with
+the youngest key of the layer below and files it as the youngest of its
+new layer, so afterwards a search can find a key in layer j >= 2 with fewer
+than 2^(2^(j-1)) distinct newer accesses.  Insertion and deletion run
+through every layer and cost O(log n).
 
 Moving a key between layers needs the youngest and oldest keys of the
 layers it passes.  Each public operation starts with an empty record of

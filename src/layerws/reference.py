@@ -173,7 +173,8 @@ class UnifiedBoundTracker:
     """min over y of lg(working_set(y) + rank_distance(x, y)).
 
     Small when ``x`` sits rank-close to something touched recently.  The
-    query scans all present keys; use the history-replaying
+    query scans outward from ``x``'s rank and stops as soon as the rank
+    distance alone reaches the best value found; use the history-replaying
     ``naive_unified_bound`` as an independent cross-check.
     """
 
@@ -202,17 +203,27 @@ class UnifiedBoundTracker:
         return abs(bisect_left(self.sorted_keys, a) - bisect_left(self.sorted_keys, b))
 
     def unified_bound(self, key) -> float:
-        """Brute-force minimum over every present key."""
-        assert self.sorted_keys, "unified bound needs a non-empty key set"
-        x_rank = bisect_left(self.sorted_keys, key)
+        """Exact minimum by a ring scan outward from ``key``'s rank.
+
+        Ring d holds the present keys at ranks x_rank - d and x_rank + d
+        (x_rank = len(keys) for a key above the maximum, so ring 0 may be
+        empty).  Working-set numbers are never negative, so every key in
+        ring d or beyond scores at least d: the scan stops at the first
+        ring with d >= best, or when both ends of the key list are passed.
+        """
+        keys = self.sorted_keys
+        assert keys, "unified bound needs a non-empty key set"
+        n = len(keys)
+        x_rank = bisect_left(keys, key)
         wsn = self.ws.working_set_number
-        best = None
-        for rank, y in enumerate(self.sorted_keys):
-            v = wsn(y) + abs(rank - x_rank)
-            if best is None or v < best:
-                best = v
-                if best == 0:
-                    break
+        best = math.inf
+        d = 0
+        while d < best and (x_rank + d < n or x_rank - d >= 0):
+            if x_rank + d < n:
+                best = min(best, wsn(keys[x_rank + d]) + d)
+            if d and x_rank - d >= 0:
+                best = min(best, wsn(keys[x_rank - d]) + d)
+            d += 1
         return lg(best)
 
     def naive_unified_bound(self, key) -> float:

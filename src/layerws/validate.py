@@ -31,43 +31,87 @@ class Violation:
         return f"{self.kind}[{self.witness}]: {self.message}"
 
 
-def _check_subtree_rb(root: Node, lab: int, out: list[Violation]) -> int:
-    """Red-black validity of one layer-subtree; returns its black height."""
-    if root.red:
-        out.append(Violation("rb-root-red", root.key, "layer-subtree root is red"))
+class _LayerScan:
+    """What the pre-order walk gathers about one layer of a band."""
 
-    def walk(n) -> int:
-        if n is None or n.layer != lab:
-            return 0
-        lbh = walk(n.left)
-        rbh = walk(n.right)
+    __slots__ = ("count", "roots", "oldest", "youngest", "carriers")
+
+    def __init__(self):
+        self.count = 0
+        self.roots: list[Node] = []     # layer-subtree roots, in walk order
+        self.oldest: list[Node] = []    # members without an older link
+        self.youngest: list[Node] = []  # members without a younger link
+        self.carriers: list[Node] = []  # members holding a next_layer key
+
+
+def _black_heights(order: list[Node], fault) -> dict[Node, int]:
+    """Black height of every node of ``order`` within its layer-subtree.
+
+    ``order`` holds whole layer-subtrees in a pre-order that pushes left
+    before right, so read in reverse it is the left-first post-order: every
+    child comes before its parent.  Red-black faults go to
+    ``fault(node, violation)`` in that order.
+    """
+    bh: dict[Node, int] = {}
+    for n in reversed(order):
+        lab = n.layer
+        left, right = n.left, n.right
+        lbh = bh[left] if left is not None and left.layer == lab else 0
+        rbh = bh[right] if right is not None and right.layer == lab else 0
         if lbh != rbh:
-            out.append(Violation(
-                "rb-black-height", n.key,
-                f"black heights {lbh} vs {rbh} below key {n.key}"))
+            fault(n, Violation("rb-black-height", n.key,
+                               f"black heights {lbh} vs {rbh} below key {n.key}"))
         if n.red:
-            for c in (n.left, n.right):
+            for c in (left, right):
                 if c is not None and c.layer == lab and c.red:
-                    out.append(Violation(
-                        "rb-red-red", n.key, f"red {n.key} has red child {c.key}"))
-            return lbh
-        return lbh + 1
+                    fault(n, Violation("rb-red-red", n.key,
+                                       f"red {n.key} has red child {c.key}"))
+            bh[n] = lbh
+        else:
+            bh[n] = lbh + 1
+    return bh
 
-    return walk(root)
+
+def _root_color(sub: Node, out: list[Violation]):
+    if sub.red:
+        out.append(Violation("rb-root-red", sub.key, "layer-subtree root is red"))
+
+
+def _subtree_order(root: Node) -> list[Node]:
+    """Pre-order of the layer-subtree at ``root``, left pushed before right."""
+    lab = root.layer
+    order = []
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        order.append(n)
+        for c in (n.left, n.right):
+            if c is not None and c.layer == lab:
+                stack.append(c)
+    return order
+
+
+def check_red_black(root: Node, out: list[Violation]) -> int:
+    """Red-black validity of the layer-subtree at ``root``; returns its
+    black height."""
+    _root_color(root, out)
+    return _black_heights(_subtree_order(root), lambda n, v: out.append(v))[root]
 
 
 def validate_band(root: Node | None, base: int, t: int, last_size: int,
                   expect_node_header: bool = False,
-                  rb_upto: int | None = None,
                   complete: bool = False,
                   check_queues: bool = True) -> list[Violation]:
     """Validate the band of labels base+1..base+t rooted at ``root``.
 
-    ``rb_upto`` limits the red-black and queue checks to layers <= that
-    index (operations only touch a prefix of the layers); None checks all.
     ``complete`` means no deeper band may hang below this one (a plain
     standalone tree); inside a composition deeper bands are fine and are
     validated separately.
+
+    One pre-order walk checks order, labels, depth and header placement
+    and gathers, per layer, the counts, layer-subtree roots and queue ends;
+    black heights then come from one reverse pass over the walk, and each
+    recency queue is followed once from its oldest member.
     """
     out: list[Violation] = []
     if root is None:
@@ -77,21 +121,21 @@ def validate_band(root: Node | None, base: int, t: int, last_size: int,
     if t < 1 or t > MAX_LAYERS:
         out.append(Violation("header", "t", f"layer count {t} outside 1..{MAX_LAYERS}"))
         return out
-    if rb_upto is None:
-        rb_upto = t
 
     if root.layer != base + 1:
         out.append(Violation("layer-shape", root.key,
                              f"band root has label {root.layer}, wanted {base + 1}"))
 
-    members: dict[int, dict[int, Node]] = {m: {} for m in range(1, t + 1)}
-    subtree_roots: dict[int, list[Node]] = {m: [] for m in range(1, t + 1)}
+    scans = [_LayerScan() for _ in range(t + 1)]
+    nodes: dict[int, Node] = {}  # key -> node, for following the queues
+    order: list[Node] = []
     limits = [0] + [DEPTH_LIMITS[min(m, MAX_LAYERS + 1)] for m in range(1, t + 1)]
     inf = float("inf")
     # pre-order walk carrying (node, depth, key interval); prune below the band
     stack = [(root, 0, -inf, inf)]
+    pop, push, visit = stack.pop, stack.append, order.append
     while stack:
-        n, depth, lo, hi = stack.pop()
+        n, depth, lo, hi = pop()
         rel = n.layer - base
         if rel > t:
             if complete:
@@ -115,17 +159,27 @@ def validate_band(root: Node | None, base: int, t: int, last_size: int,
                                  f"depth {depth} exceeds limit for layer {rel}"))
         if n.header is not None and n is not root:
             out.append(Violation("header", key, "header fields away from the root"))
-        members[rel][key] = n
+        visit(n)
+        scan = scans[rel]
+        scan.count += 1
         if p is None or p.layer != n.layer:
-            subtree_roots[rel].append(n)
+            scan.roots.append(n)
+        if check_queues:
+            nodes[key] = n
+            if n.older is None:
+                scan.oldest.append(n)
+            if n.younger is None:
+                scan.youngest.append(n)
+            if n.next_layer is not None:
+                scan.carriers.append(n)
         if n.left is not None:
-            stack.append((n.left, depth + 1, lo, key))
+            push((n.left, depth + 1, lo, key))
         if n.right is not None:
-            stack.append((n.right, depth + 1, key, hi))
+            push((n.right, depth + 1, key, hi))
 
     # sizes
     for m in range(1, t + 1):
-        got = len(members[m])
+        got = scans[m].count
         if m < t and got != capacity(m):
             out.append(Violation("layer-size", m,
                                  f"layer {m} holds {got}, schedule wants {capacity(m)}"))
@@ -136,7 +190,8 @@ def validate_band(root: Node | None, base: int, t: int, last_size: int,
             out.append(Violation("header", "last_size",
                                  f"deepest layer holds {got}, header says {last_size}"))
 
-    if len(subtree_roots[1]) != 1 or (subtree_roots[1] and subtree_roots[1][0] is not root):
+    first_roots = scans[1].roots
+    if len(first_roots) != 1 or first_roots[0] is not root:
         out.append(Violation("layer-shape", 1, "first layer is not a single subtree at the root"))
 
     # header residency
@@ -151,43 +206,45 @@ def validate_band(root: Node | None, base: int, t: int, last_size: int,
                 out.append(Violation("header", "last_size",
                                      f"root header says {root.header.last_size}, tracker says {last_size}"))
 
-    # red-black validity, scoped
-    for m in range(1, min(rb_upto, t) + 1):
-        for sub in subtree_roots[m]:
-            _check_subtree_rb(sub, base + m, out)
+    # red-black validity, reported per layer-subtree in left-first post-order
+    faults: dict[Node, list[Violation]] = {}
+    _black_heights(order, lambda n, v: faults.setdefault(n, []).append(v))
+    for m in range(1, t + 1):
+        for sub in scans[m].roots:
+            _root_color(sub, out)
+            if faults:
+                for n in reversed(_subtree_order(sub)):
+                    out.extend(faults.get(n, ()))
 
-    # recency queues, scoped
     if check_queues:
-        for m in range(1, min(rb_upto, t) + 1):
-            _check_queue(members, m, t, out)
+        for m in range(1, t + 1):
+            _check_queue(m, scans[m], scans[m + 1] if m < t else None,
+                         nodes, base + m, out)
     return out
 
 
-def _check_queue(members: dict[int, dict[int, Node]], m: int, t: int,
-                 out: list[Violation]):
-    nodes = members[m]
-    if not nodes:
+def _check_queue(m: int, scan: _LayerScan, below: _LayerScan | None,
+                 nodes: dict[int, Node], lab: int, out: list[Violation]):
+    if not scan.count:
         return
-    heads = [n for n in nodes.values() if n.older is None]
-    tails = [n for n in nodes.values() if n.younger is None]
-    if len(heads) != 1 or len(tails) != 1:
+    if len(scan.oldest) != 1 or len(scan.youngest) != 1:
         out.append(Violation("queue-chain", m,
-                             f"layer {m} has {len(heads)} oldest and {len(tails)} youngest"))
+                             f"layer {m} has {len(scan.oldest)} oldest and {len(scan.youngest)} youngest"))
         return
-    oldest, youngest = heads[0], tails[0]
+    oldest, youngest = scan.oldest[0], scan.youngest[0]
     # walk oldest -> youngest
-    seen = []
+    seen = 0
     n = oldest
     while n is not None:
-        seen.append(n.key)
-        if len(seen) > len(nodes):
+        seen += 1
+        if seen > scan.count:
             out.append(Violation("queue-chain", m, f"layer {m} queue cycles"))
             return
         nxt = n.younger
         if nxt is None:
             break
         peer = nodes.get(nxt)
-        if peer is None:
+        if peer is None or peer.layer != lab:
             out.append(Violation("queue-chain", m,
                                  f"younger link of {n.key} leaves the layer ({nxt})"))
             return
@@ -196,19 +253,16 @@ def _check_queue(members: dict[int, dict[int, Node]], m: int, t: int,
                                  f"older/younger disagree between {n.key} and {peer.key}"))
             return
         n = peer
-    if len(seen) != len(nodes):
+    if seen != scan.count:
         out.append(Violation("queue-chain", m,
-                             f"layer {m} queue covers {len(seen)} of {len(nodes)}"))
+                             f"layer {m} queue covers {seen} of {scan.count}"))
         return
     if n is not youngest:
         out.append(Violation("queue-chain", m, f"layer {m} queue tail mismatch"))
         return
-    below = members.get(m + 1, {}) if m < t else {}
-    if below:
-        b_old = [x for x in below.values() if x.older is None]
-        b_young = [x for x in below.values() if x.younger is None]
-        want_old = b_old[0].key if len(b_old) == 1 else None
-        want_young = b_young[0].key if len(b_young) == 1 else None
+    if below is not None and below.count:
+        want_old = below.oldest[0].key if len(below.oldest) == 1 else None
+        want_young = below.youngest[0].key if len(below.youngest) == 1 else None
         if oldest.next_layer != want_old:
             out.append(Violation("queue-nextlayer", oldest.key,
                                  f"oldest of layer {m} names {oldest.next_layer}, below's oldest is {want_old}"))
@@ -222,21 +276,18 @@ def _check_queue(members: dict[int, dict[int, Node]], m: int, t: int,
         if youngest.next_layer is not None:
             out.append(Violation("queue-nextlayer", youngest.key,
                                  f"youngest of layer {m} names {youngest.next_layer} but nothing is below"))
-    for n in nodes.values():
+    for n in scan.carriers:
         if n is oldest or n is youngest:
             continue
-        if n.next_layer is not None:
-            out.append(Violation("queue-nextlayer", n.key,
-                                 f"interior member {n.key} carries a next-layer key"))
+        out.append(Violation("queue-nextlayer", n.key,
+                             f"interior member {n.key} carries a next-layer key"))
 
 
-def validate_tree(tree: LayeredTree, rb_upto: int | None = None,
-                  check_queues: bool = True) -> list[Violation]:
+def validate_tree(tree: LayeredTree, check_queues: bool = True) -> list[Violation]:
     """Full invariant sweep of one layered tree."""
     return validate_band(
         tree.engine.root, tree.base, tree.layer_count, tree.last_size,
         expect_node_header=tree.node_header,
-        rb_upto=rb_upto,
         complete=True,
         check_queues=check_queues,
     )

@@ -6,11 +6,11 @@ import sys
 
 import pytest
 
-from layerws import LayeredTree
+from layerws import LayeredTree, ReferenceStructure
 from layerws.cli import main
-from layerws.errors import IncompatibleTraceError
-from layerws.harness import (RunConfig, corrupt_color, corrupt_header,
-                             corrupt_layer, corrupt_next_layer,
+from layerws.errors import DivergenceError, IncompatibleTraceError
+from layerws.harness import (RunConfig, compare_layers, corrupt_color,
+                             corrupt_header, corrupt_layer, corrupt_next_layer,
                              corrupt_queue_swap, lockstep_replay, run,
                              verify_structure)
 from layerws.workload import GeneratorSpec, TraceOp, parse
@@ -176,6 +176,56 @@ def test_next_layer_corruption_detected():
     corrupt_next_layer(tree, youngest, 999)
     found = verify_structure(tree)
     assert any(v.kind == "queue-nextlayer" for v in found)
+
+
+def test_compare_layers_accepts_lockstep_pair():
+    tree, ref = LayeredTree(), ReferenceStructure()
+    for k in range(1, 41):
+        tree.insert(k)
+        ref.insert(k)
+        compare_layers(tree, ref)
+    for k in (3, 38, 17, 3):
+        assert tree.search(k) == ref.search(k)
+        compare_layers(tree, ref)
+    for k in (20, 1, 40):
+        tree.delete(k)
+        ref.delete(k)
+        compare_layers(tree, ref)
+
+
+def test_broken_queue_is_a_divergence_not_a_crash():
+    tree, ref = LayeredTree(), ReferenceStructure()
+    for k in range(1, 41):
+        tree.insert(k)
+        ref.insert(k)
+    corrupt_queue_swap(tree, tree.layer_snapshot()[2][3])
+    with pytest.raises(AssertionError):
+        tree.layer_snapshot()
+    with pytest.raises(DivergenceError, match="layer 2 diverged"):
+        compare_layers(tree, ref)
+
+
+def test_run_reports_broken_queue_as_divergence(tmp_path, monkeypatch, capsys):
+    original = LayeredTree.search
+
+    def crooked(self, key, fresh=True):
+        layer = original(self, key, fresh)
+        if key == 1:
+            corrupt_queue_swap(self, 30)
+        return layer
+
+    monkeypatch.setattr(LayeredTree, "search", crooked)
+    trace = "".join(f"I {k}\n" for k in range(1, 41)) + "S 40\nS 1\nS 2\n"
+    result = run(RunConfig(structure="lws", trace=parse(trace), verify_every=1))
+    assert result.exit_code == 1
+    assert result.summary["ops"] == 42
+    assert "diverged" in result.summary["divergence"]
+
+    code = main(["--structure", "lws", "--trace", write_trace(tmp_path, trace),
+                 "--verify-every", "1", "--json", str(tmp_path / "d.json")])
+    assert code == 1
+    assert "divergence" in json.loads((tmp_path / "d.json").read_text())
+    capsys.readouterr()
 
 
 # -- command line ---------------------------------------------------------------------

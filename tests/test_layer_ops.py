@@ -8,13 +8,13 @@ import pytest
 from layerws import layer_ops as ops
 from layerws.baseline import RedBlackBaseline
 from layerws.engine import Engine, Node
-from layerws.validate import Violation, _check_subtree_rb
+from layerws.validate import Violation, check_red_black
 
 
 def rb_violations(root):
     out: list[Violation] = []
     if root is not None:
-        _check_subtree_rb(root, root.layer, out)
+        check_red_black(root, out)
     return out
 
 

@@ -1,7 +1,9 @@
 import math
 import random
+from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layerws import (DuplicateKeyError, MissingKeyError, ReferenceStructure,
                      UnifiedBoundTracker, WorkingSetTracker, lg)
@@ -172,3 +174,88 @@ def test_incremental_matches_naive_on_random_trace():
         probe = present[rng.randrange(len(present))]
         assert t.unified_bound(probe) == pytest.approx(t.naive_unified_bound(probe), abs=1e-12), \
             f"op {i} probe {probe}"
+
+
+# -- ring scan edges ------------------------------------------------------------------------
+
+def brute_unified_bound(t, key):
+    """Minimum over every present key, the definition read literally."""
+    keys = t.sorted_keys
+    x_rank = bisect_left(keys, key)
+    return lg(min(t.ws.working_set_number(y) + abs(r - x_rank)
+                  for r, y in enumerate(keys)))
+
+
+def assert_ring_matches(t, key):
+    got = t.unified_bound(key)
+    assert got == brute_unified_bound(t, key) == t.naive_unified_bound(key), key
+
+
+def spread_tracker():
+    t = UnifiedBoundTracker()
+    for k in (10, 20, 30, 40, 50):
+        t.record_insert(k)
+    for k in (50, 30, 10):
+        t.record_access(k)
+    return t
+
+
+def test_ring_scan_key_above_maximum():
+    t = spread_tracker()
+    assert bisect_left(t.sorted_keys, 99) == len(t.sorted_keys)
+    assert_ring_matches(t, 99)
+    assert_ring_matches(t, 51)
+
+
+def test_ring_scan_key_below_minimum():
+    t = spread_tracker()
+    assert_ring_matches(t, -5)
+    assert_ring_matches(t, 9)
+
+
+def test_ring_scan_absent_key_between_present_keys():
+    t = spread_tracker()
+    for probe in (15, 25, 35, 45):
+        assert_ring_matches(t, probe)
+
+
+def test_ring_scan_one_key_set():
+    t = UnifiedBoundTracker()
+    t.record_insert(7)
+    for probe in (6, 7, 8):
+        assert_ring_matches(t, probe)
+    t.record_insert(3)
+    t.record_delete(7)
+    for probe in (2, 3, 7):
+        assert_ring_matches(t, probe)
+
+
+def test_ring_scan_untouched_universe():
+    t = UnifiedBoundTracker(range(1, 31))
+    for probe in (0, 1, 15, 30, 31):
+        assert_ring_matches(t, probe)
+    t.record_access(12)
+    for probe in (0, 11, 12, 29, 31):
+        assert_ring_matches(t, probe)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("IDS"), st.integers(0, 40)),
+                min_size=1, max_size=60),
+       st.lists(st.integers(-3, 43), min_size=1, max_size=5))
+def test_ring_scan_matches_brute_force_on_random_histories(steps, probes):
+    t = UnifiedBoundTracker()
+    present = set()
+    for kind, k in steps:
+        if kind == "I" and k not in present:
+            t.record_insert(k)
+            present.add(k)
+        elif kind == "D" and k in present and len(present) > 1:
+            t.record_delete(k)
+            present.discard(k)
+        elif kind == "S" and k in present:
+            t.record_access(k)
+    if not present:
+        t.record_insert(steps[0][1])
+    for probe in probes:
+        assert_ring_matches(t, probe)
