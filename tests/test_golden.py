@@ -1,10 +1,17 @@
 """Golden digests of the command's per-operation CSV and JSON summary.
 
 Each cell runs ``layerws --structure lws --verify-every 1`` on a generated
-trace and hashes both output files.  A refactor of the tree, the oracle,
-the trackers or the validators must leave every byte of both files
-unchanged; a change that is meant to alter the output has to say so by
-updating the digests here.
+trace and pins both output files with two digests:
+
+- a *behaviour* digest: the CSV without its ``cost`` column and the JSON
+  without the fields computed from costs (``COST_FIELDS``);
+- a *cost* digest: exactly the parts the behaviour digest leaves out.
+
+Together they cover every byte of both files.  A refactor of the tree, the
+oracle, the trackers or the validators must leave both unchanged; a change
+that only makes operations cheaper or dearer moves the cost digests and
+nothing else; any other change to the output has to say so by updating the
+behaviour digests here.
 """
 
 import hashlib
@@ -13,25 +20,53 @@ import pytest
 
 from layerws.cli import main
 
-# (family, universe, ops, seed) -> (csv sha256, json sha256)
+COST_FIELDS = ("amortized_ratio", "max_cost", "max_cost_over_lgw", "mean_cost")
+
+# (family, universe, ops, seed) -> (behaviour sha256, cost sha256)
 GOLDEN = {
     ("uniform", 300, 1500, 3): (
-        "ed8b285875044eb8102def379290ae1903503124122301ccb3514b0e9066c117",
-        "383acf3bc549e341291e5ddc37b29116b9a6b5eb1f5103bc699e013198b966ad"),
+        "ae41f1c1f5ff23611d963e4d2d08489d45d192bf85d2c6c4d314d55391b7fa7b",
+        "af322a4df6da53d17c982d60a7e851fdb2351e14e46abd9c037af9cf9527dfaa"),
     ("uniform", 40, 1500, 11): (
-        "fbe7582f1b64ae16dd1856278543b48609c82978d17abcd9b0b854a9f59b2771",
-        "818c634f76a824dec06362baebc1b28bcd445238b227308c97afc4510b0b3ab5"),
+        "0ae75ef02c2d90c857cbf681bce9bb342991e72b11594a7eb1cba22d53415f0d",
+        "c103218f7fb4f0a382c4fafc7599cb7ee98dafec73ea35682ddeb6e1f2563b35"),
     ("zipf_recency", 200, 1500, 5): (
-        "fd3ef61764fb090b90d5a15e98e5333bae59f9ea803cfb3fc961279f00a57f4d",
-        "b46b596e98d489f3b113941b1f0cfb4fd5fcb62f955c476de1ddb34701613217"),
+        "5a69a62fecee02a1a6e054c7cad3c53922b3599ee8cd41cad2c51184f76d82ac",
+        "0e2e34c99323848a39d43c52dc24cc69ee82fda9a0baa2ad22be286d2f0e6aaa"),
     ("finger_walk", 250, 1200, 7): (
-        "94d7bc868c98c2fae48ee560ffc8e8eaf0f89f57e48a67c847d00b1bf3d38d11",
-        "055d7b89d02129147b199ae9f84b557cd640c7bb3537a2f095b08a6fcaccc619"),
+        "6897e05eab13142e3f12925a79f0027d8f84ccf7e12af50f8621956d0dadf63a",
+        "247b353e923090a6fd10cdf40cbeb23c00d182fd7320ccf1195ba02e70d3671f"),
 }
 
 
-def _digest(path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _split_csv(text: str) -> tuple[str, str]:
+    """(every row without its cost field, the cost fields one per row)."""
+    rows = [line.split(",") for line in text.split("\n")]
+    col = rows[0].index("cost")
+    behaviour = "\n".join(",".join(r[:col] + r[col + 1:]) for r in rows)
+    cost = "\n".join(r[col] for r in rows if len(r) > col)
+    return behaviour, cost
+
+
+def _split_json(text: str) -> tuple[str, str]:
+    """(the summary with the values of the cost-derived fields cut out,
+    those values one per line).
+
+    The summary is written with ``indent=2``, so every top-level field is
+    one line opening with two spaces and a quote; its key stays in the
+    behaviour part so the two parts still fix every byte's position."""
+    behaviour, cost = [], []
+    for line in text.split("\n"):
+        if line.startswith('  "') and line.split('"')[1] in COST_FIELDS:
+            key, sep, value = line.partition(": ")
+            line = key + sep
+            cost.append(value)
+        behaviour.append(line)
+    return "\n".join(behaviour), "\n".join(cost)
+
+
+def _sha(*parts: str) -> str:
+    return hashlib.sha256("\0".join(parts).encode("ascii")).hexdigest()
 
 
 @pytest.mark.parametrize("cell", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
@@ -43,4 +78,8 @@ def test_cli_outputs_match_golden_digests(cell, tmp_path, capsys):
                  "--csv", str(csv_path), "--json", str(json_path)])
     capsys.readouterr()
     assert code == 0
-    assert (_digest(csv_path), _digest(json_path)) == GOLDEN[cell]
+    csv_behaviour, csv_cost = _split_csv(csv_path.read_bytes().decode("ascii"))
+    json_behaviour, json_cost = _split_json(json_path.read_bytes().decode("ascii"))
+    behaviour, cost = GOLDEN[cell]
+    assert _sha(csv_behaviour, json_behaviour) == behaviour, "behaviour changed"
+    assert _sha(csv_cost, json_cost) == cost, "costs changed"
