@@ -9,14 +9,14 @@ fields stored in the nodes.
 
 A search that finds its key in layer j costs O(2^j) cursor visits: the key
 is moved up to layer 1 and the oldest resident of each layer 1..j-1 is
-pushed down one layer to restore the size schedule.  On a stream of
-searches and inserts every key of layers 1..j-1 is newer than every key of
-layer j, so a key only reaches layer j after 2^(2^(j-1)) distinct newer
-accesses and the search cost is logarithmic in the key's working-set
-number.  Deletes break that order: a delete refills the drained layer with
-the youngest key of the layer below and files it as the youngest of its
-new layer, so afterwards a search can find a key in layer j >= 2 with fewer
-than 2^(2^(j-1)) distinct newer accesses.  Insertion and deletion run
+pushed down one layer to restore the size schedule, the paper's own order
+of steps.  On a stream of searches and inserts every key of layers 1..j-1
+is newer than every key of layer j, so a key only reaches layer j after
+2^(2^(j-1)) distinct newer accesses and the search cost is logarithmic in
+the key's working-set number.  Deletes break that order: a delete refills
+the drained layer with the youngest key of the layer below and files it as
+the youngest of its new layer, so afterwards a search can find a key in
+layer j >= 2 with fewer than 2^(2^(j-1)) distinct newer accesses.  Insertion and deletion run
 through every layer and cost O(log n).
 
 Moving a key between layers needs the youngest and oldest keys of the
@@ -30,8 +30,20 @@ it.  This stays inside the one-cursor model: the record holds at most
 2*(MAX_LAYERS+1) keys, O(log log n) words of operation-local memory like
 the search key itself, and it holds keys, not node pointers, so every node
 whose fields are read or written, apart from the node being moved, is
-reached by the cursor through a paid ``_goto``.  Nothing in the record
+reached by the cursor through a paid ``_goto``, which costs nothing only
+when the cursor already sits on the wanted node.  Nothing in the record
 outlives the operation.
+
+A move across several layers touches only the queues it changes: a hit in
+layer j (or a fresh insert) leaves its queue once and is filed as the
+youngest of layer 1 once, and a delete leaves its queue once before
+sinking below the deepest layer; each layer crossed gets only the
+structural step (split, relabel, fixup going up; sink, join going down).
+Filing the key into a crossed layer m and unlinking it again would be a
+round trip: it restores m's queue and the next_layer links of layer m-1,
+and split, join and the fixups never read queue fields.  So the tree after
+every operation is node for node the one a move of one layer at a time
+gives; only the cursor walks less.
 
 The tree can also operate as a band inside a larger tree (``base`` label
 offset); labels then run base+1..base+t and the machinery anchors at the
@@ -116,10 +128,14 @@ class LayeredTree:
     # -- cursor-paid lookups --------------------------------------------------
 
     def _goto(self, key: int) -> Node:
+        """Walk the cursor to ``key``'s node: up to the band root and down,
+        or nowhere when it already sits on that node."""
         eng = self.engine
-        eng.ascend_to_subtree_root(self.base)
-        node = eng.descend_to(key)
-        assert node is not None, f"key {key} vanished from the tree"
+        node = eng.node
+        if node.key != key:
+            eng.ascend_to_subtree_root(self.base)
+            node = eng.descend_to(key)
+            assert node is not None, f"key {key} vanished from the tree"
         return node
 
     def _scan_first_layer(self, youngest: bool) -> Node:
@@ -244,35 +260,43 @@ class LayeredTree:
         if both:
             self._extreme_in_layer(m, False, ends).next_layer = key
 
-    def _move_up(self, x: Node, ends):
-        """Move ``x`` one layer up; it becomes the youngest there."""
-        j = x.layer - self.base
-        assert j >= 2, "layer 1 has nothing above it"
-        recv = j - 1
-        was_sole = x.older is None and x.younger is None
-        self._queue_remove(x, j, ends)
-        assert was_sole or self.sizes.get(recv, 0) > 0, \
-            "non-trivial layer moving into an empty one"
-        y_key, x_next = self._file_youngest(x, recv, ends)
-        if recv >= 2:
-            self._point_at(recv - 1, x.key, y_key is None, ends)
+    def _move_up(self, x: Node, to: int, ends):
+        """Move ``x`` up to layer ``to``; it becomes the youngest there.
 
-        ops.split(self.engine, x)
-        for c in (x.left, x.right):
-            if c is not None and c.layer == x.layer and c.red:
-                c.red = False  # covers the split-was-a-no-op path
-        x.layer -= 1
-        p = x.parent
-        if p is not None and p.layer == x.layer:
-            ops.insert_fixup(self.engine, x)
-        else:
-            x.red = False
+        ``x`` leaves its queue once and is filed into layer ``to`` once;
+        each layer it crosses on the way gets only the structural step
+        (split, relabel, fixup).  A fresh insert, marked by the sentinel
+        ``younger == key``, is in no queue to leave.
+        """
+        j = x.layer - self.base
+        assert 1 <= to < j, f"no upward move from layer {j} to {to}"
+        was_sole = x.older is None and x.younger is None
+        if x.younger != x.key:
+            self._queue_remove(x, j, ends)
+        assert was_sole or self.sizes.get(to, 0) > 0, \
+            "non-trivial layer moving into an empty one"
+        y_key, x_next = self._file_youngest(x, to, ends)
+        if to >= 2:
+            self._point_at(to - 1, x.key, y_key is None, ends)
+
+        eng = self.engine
+        for _ in range(j - to):
+            ops.split(eng, x)
+            for c in (x.left, x.right):
+                if c is not None and c.layer == x.layer and c.red:
+                    c.red = False  # covers the split-was-a-no-op path
+            x.layer -= 1
+            p = x.parent
+            if p is not None and p.layer == x.layer:
+                ops.insert_fixup(eng, x)
+            else:
+                x.red = False
 
         x.older = y_key
         x.younger = None
         x.next_layer = x_next
         self.sizes[j] -= 1
-        self.sizes[recv] = self.sizes.get(recv, 0) + 1
+        self.sizes[to] = self.sizes.get(to, 0) + 1
 
     def _sink_to_boundary(self, x: Node):
         """Turn ``x`` into a boundary leaf of its layer-subtree, relabel it
@@ -401,7 +425,7 @@ class LayeredTree:
         self.engine.begin_access()
         node = self.engine.descend_to(key)
         assert node is not None
-        self._move_up(node, _empty_ends())
+        self._move_up(node, node.layer - self.base - 1, _empty_ends())
 
     def move_down(self, key: int):
         self.engine.begin_access()
@@ -450,8 +474,7 @@ class LayeredTree:
             self._refront(node)
         else:
             ends = _empty_ends()
-            for _ in range(j - 1):
-                self._move_up(node, ends)
+            self._move_up(node, 1, ends)
             self._push_down(j, ends)
         return j
 
@@ -487,6 +510,7 @@ class LayeredTree:
 
         parent = eng.node
         node = Node(key, self.base + temp, red=False)
+        node.older = node.younger = key  # sentinel: in no queue yet
         if key < parent.key:
             parent.left = node
         else:
@@ -495,18 +519,16 @@ class LayeredTree:
         eng.arrive(node)
         self.sizes[temp] = 1
         self.size += 1
-        # not a queue member yet: the first move up files it in the layer above
         ends = _empty_ends()
-        for _ in range(temp - 1):
-            self._move_up(node, ends)
+        self._move_up(node, 1, ends)
         self._push_down(deficit, ends)
         assert self.sizes[temp] == 0
         del self.sizes[temp]
 
     def delete(self, key: int):
-        """Remove ``key`` by sinking it below the deepest layer, unlinking
-        the leaf, then refilling each drained layer with the youngest of
-        the layer below."""
+        """Remove ``key``: unlink it from its queue, sink it below the
+        deepest layer, unlink the leaf, then refill each drained layer with
+        the youngest of the layer below."""
         eng = self.engine
         eng.begin_access()
         node = eng.descend_to(key)
@@ -514,31 +536,29 @@ class LayeredTree:
             raise MissingKeyError(key)
         t = self.layer_count
         j = node.layer - self.base
-        temp = t + 1
-        self.last_touched = temp
-        self.sizes[temp] = 0
+        self.last_touched = t + 1
         ends = _empty_ends()
+        self._queue_remove(node, j, ends)
         for _ in range(t - j + 1):
-            self._move_down(node, ends)
+            self._sink_to_boundary(node)
+            ops.join_at(eng, node)
         assert node.left is None and node.right is None, "evictee must be a leaf"
         eng.replace_subtree(node, None)
         eng.charge(1)
         eng.node = node.parent
         self.size -= 1
-        self.sizes[temp] -= 1
-        del self.sizes[temp]
+        self.sizes[j] -= 1
         if self.size == 0:
             self._set_header(0, 0)
             self.sizes = {}
             eng.node = None
             return
-        if self.sizes.get(t, 0) > 0:
-            self._point_at(t, None, True, ends)
         for m in range(j, t):
-            self._move_up(self._extreme_in_layer(m + 1, True, ends), ends)
+            self._move_up(self._extreme_in_layer(m + 1, True, ends), m, ends)
         if self.last_size > 1:
             self._set_header(t, self.last_size - 1)
-        else:
+        else:  # layer t drained
+            del self.sizes[t]
             self._set_header(t - 1, self.sizes.get(t - 1, 0))
 
     # -- non-model inspection -----------------------------------------------------
@@ -551,8 +571,9 @@ class LayeredTree:
         return band_snapshot(root, self.base, self.layer_count or MAX_LAYERS + 1)
 
 
-def band_snapshot(root: Node | None, base: int, t: int) -> dict[int, list[int]]:
-    """Recency order (youngest first) per layer for the band rooted at ``root``."""
+def band_members(root: Node | None, base: int, t: int) -> dict[int, dict[int, Node]]:
+    """Key -> node per relative layer of the band rooted at ``root``, read
+    from the labels alone."""
     members: dict[int, dict[int, Node]] = {}
     if root is not None:
         stack = [root]
@@ -566,8 +587,13 @@ def band_snapshot(root: Node | None, base: int, t: int) -> dict[int, list[int]]:
                 stack.append(n.left)
             if n.right is not None:
                 stack.append(n.right)
+    return members
+
+
+def band_snapshot(root: Node | None, base: int, t: int) -> dict[int, list[int]]:
+    """Recency order (youngest first) per layer for the band rooted at ``root``."""
     out: dict[int, list[int]] = {}
-    for rel, nodes in sorted(members.items()):
+    for rel, nodes in sorted(band_members(root, base, t).items()):
         heads = [n for n in nodes.values() if n.younger is None]
         if len(heads) != 1:
             raise AssertionError(f"layer {rel}: {len(heads)} queue heads")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .engine import Engine
 from .errors import DictError, MissingKeyError
-from .layered_tree import LayeredTree, band_snapshot, capacity
+from .layered_tree import LayeredTree, band_members, capacity
 from .validate import Violation, validate_band
 
 
@@ -205,8 +205,8 @@ class SkipSplayTree:
             aux = self.aux_of[aux_key]
             out.extend(validate_band(node, aux.tree.base, aux.tree.layer_count,
                                      aux.tree.last_size, expect_node_header=False))
-            snap = band_snapshot(node, aux.tree.base, aux.tree.layer_count)
-            got = sorted(k for order in snap.values() for k in order)
+            members = band_members(node, aux.tree.base, aux.tree.layer_count)
+            got = sorted(k for layer in members.values() for k in layer)
             if got != list(aux.members):
                 out.append(Violation("aux-membership", aux_key,
                                      f"aux of {aux_key} drifted to {got[:8]}..."))

@@ -26,16 +26,16 @@ COST_FIELDS = ("amortized_ratio", "max_cost", "max_cost_over_lgw", "mean_cost")
 GOLDEN = {
     ("uniform", 300, 1500, 3): (
         "ae41f1c1f5ff23611d963e4d2d08489d45d192bf85d2c6c4d314d55391b7fa7b",
-        "af322a4df6da53d17c982d60a7e851fdb2351e14e46abd9c037af9cf9527dfaa"),
+        "2890a7b9d230a05985fc928ebfbedbf97b3e7d5e10da8e622489e30c1ff9872a"),
     ("uniform", 40, 1500, 11): (
         "0ae75ef02c2d90c857cbf681bce9bb342991e72b11594a7eb1cba22d53415f0d",
-        "c103218f7fb4f0a382c4fafc7599cb7ee98dafec73ea35682ddeb6e1f2563b35"),
+        "486ea4070da44adf52e4f70646d969b1fc9b81f75136265f8a06b1952358889d"),
     ("zipf_recency", 200, 1500, 5): (
         "5a69a62fecee02a1a6e054c7cad3c53922b3599ee8cd41cad2c51184f76d82ac",
-        "0e2e34c99323848a39d43c52dc24cc69ee82fda9a0baa2ad22be286d2f0e6aaa"),
+        "c8ae067a09418c24145e29ba0ca49d0b4812318ba3bb33b76312da60d769321e"),
     ("finger_walk", 250, 1200, 7): (
         "6897e05eab13142e3f12925a79f0027d8f84ccf7e12af50f8621956d0dadf63a",
-        "247b353e923090a6fd10cdf40cbeb23c00d182fd7320ccf1195ba02e70d3671f"),
+        "c5036a3f3318cc78b35d0a6e8437ccbad325636a4bb877ce0ad798ca814c0b20"),
 }
 
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
 from layerws import (CapacityError, DuplicateKeyError, LayeredTree,
                      MissingKeyError, ReferenceStructure, capacity,
                      validate_tree)
+from layerws import layered_tree
 from layerws.engine import Engine
 from layerws.harness import lockstep_replay
 from layerws.workload import TraceOp
@@ -16,6 +18,29 @@ from layerws.workload import TraceOp
 def assert_clean(tree, context=""):
     found = validate_tree(tree)
     assert not found, f"{context}: {[str(v) for v in found][:5]}"
+
+
+def tree_state(tree):
+    """Everything a tree holds apart from its visit counter: every node's
+    key, colour, label, child keys and queue fields, the root and its
+    header, and the tree's size bookkeeping."""
+    nodes = [(n.key, n.red, n.layer,
+              None if n.left is None else n.left.key,
+              None if n.right is None else n.right.key,
+              n.older, n.younger, n.next_layer)
+             for n in tree.engine.iter_nodes()]
+    root = tree.engine.root
+    header = None if root is None or root.header is None else \
+        (root.header.layer_count, root.header.last_size)
+    return (nodes, None if root is None else root.key, header, dict(tree.sizes),
+            tree.layer_count, tree.last_size, tree.size)
+
+
+def layer_of(tree, key):
+    node = tree.engine.root
+    while node.key != key:
+        node = node.left if key < node.key else node.right
+    return node.layer
 
 
 def scenario_a():
@@ -154,6 +179,96 @@ def test_interior_queue_splice():
         snap_order.append(n.key)
         n = nodes.get(n.older) if n.older is not None else None
     assert snap_order == [1, 5, 3, 2]
+
+
+@pytest.mark.parametrize("n, seed", [(300, 1), (300, 2), (600, 3), (600, 4)])
+def test_search_matches_step_by_step_moves(n, seed):
+    """The paper's order of steps for a hit in layer j: move the key to
+    layer 1, then push the oldest of each layer 1..j-1 down one layer.
+    ``search`` takes the key up in one move; replaying the move one layer
+    at a time with the public methods must give the same tree node for
+    node, and cost no fewer visits."""
+    rng = random.Random(seed)
+    keys = rng.sample(range(10 * n), n)
+    tree = LayeredTree()
+    for k in keys:
+        tree.insert(k)
+    checked = 0
+    for _ in range(150):
+        k = rng.choice(keys)
+        j = layer_of(tree, k)
+        if j < 3:
+            tree.search(k)
+            continue
+        twin = pickle.loads(pickle.dumps(tree))
+        before = tree.engine.visits
+        assert tree.search(k) == j
+        spent = tree.engine.visits - before
+        before = twin.engine.visits
+        for _ in range(j - 1):
+            twin.move_up(k)
+        for m in range(1, j):
+            twin.move_down(twin.oldest_in_layer(m))
+        assert tree_state(tree) == tree_state(twin), f"search({k}) from layer {j}"
+        assert spent <= twin.engine.visits - before
+        checked += 1
+    assert checked >= 50
+    assert_clean(tree)
+
+
+def test_goto_stays_put_on_its_key():
+    tree = scenario_a()
+    tree.engine.begin_access()
+    node = tree._goto(1)
+    before = tree.engine.visits
+    assert tree._goto(1) is node and tree.engine.visits == before
+    assert tree._goto(5).key == 5 and tree.engine.visits > before
+
+
+# -- failed operations ---------------------------------------------------------------
+
+def preloaded(n=300, seed=5):
+    rng = random.Random(seed)
+    keys = rng.sample(range(10 * n), n)
+    tree = LayeredTree()
+    for k in keys:
+        tree.insert(k)
+    for _ in range(n):
+        tree.search(rng.choice(keys))
+    return tree, keys
+
+
+def test_duplicate_insert_leaves_no_trace():
+    tree, keys = preloaded()
+    before = tree_state(tree)
+    for k in keys[::37]:
+        with pytest.raises(DuplicateKeyError):
+            tree.insert(k)
+        assert tree_state(tree) == before
+
+
+def test_missing_delete_leaves_no_trace():
+    tree, keys = preloaded()
+    before = tree_state(tree)
+    for k in (-1, 10 * len(keys) + 1, max(keys) + 1):
+        assert k not in keys
+        with pytest.raises(MissingKeyError):
+            tree.delete(k)
+        assert tree_state(tree) == before
+
+
+def test_full_tree_insert_leaves_no_trace(monkeypatch):
+    monkeypatch.setattr(layered_tree, "MAX_LAYERS", 2)
+    tree = LayeredTree()
+    for k in range(0, 2 * (capacity(1) + capacity(2)), 2):
+        tree.insert(k)
+    assert (tree.layer_count, tree.last_size) == (2, capacity(2))
+    before = tree_state(tree)
+    for k in (-1, 7, 1000):
+        with pytest.raises(CapacityError):
+            tree.insert(k)
+        assert tree_state(tree) == before
+    assert_clean(tree)
 
 
 # -- insert ------------------------------------------------------------------------

@@ -166,3 +166,23 @@ def test_ancestor_helper():
     assert _band_of_height(2) == 1
     assert _band_of_height(3) == 2
     assert _band_of_height(4) == 2
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_validate_reports_a_broken_aux_queue(k):
+    """A corrupted auxiliary queue is a violation, not an exception.  One
+    node's older and younger links are swapped; for k = 2 every auxiliary
+    tree holds one key, where a swap changes nothing, so the root is made
+    its own younger neighbour instead."""
+    s = SkipSplayTree(k)
+    rng = random.Random(k)
+    for _ in range(50):
+        s.access(rng.randint(1, s.n))
+    assert s.validate() == []
+    node = next((n for n in s.engine.iter_nodes() if n.older != n.younger), s.engine.root)
+    if node.older != node.younger:
+        node.older, node.younger = node.younger, node.older
+    else:
+        node.younger = node.key
+    found = s.validate()
+    assert any(v.kind == "queue-chain" for v in found), [str(v) for v in found]
