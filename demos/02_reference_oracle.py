@@ -3,15 +3,15 @@
 
 The reference keeps the same size schedule as plain (set, queue) pairs and
 no tree mechanics, so its state transitions are easy to trust.  Running a
-random mixed trace on both and comparing per-layer key sets and recency
-orders after every operation is the backbone of the verification story.
+random mixed trace on both and comparing every layer's members, recency
+order and next-layer keys after every operation is the backbone of the
+verification story.
 """
 
-import random
-
 from layerws import LayeredTree, ReferenceStructure
-from layerws.harness import lockstep_replay
-from layerws.workload import GeneratorSpec, TraceOp, generate
+from layerws.errors import DivergenceError
+from layerws.harness import RunConfig, compare_layers, corrupt_queue_swap, run
+from layerws.workload import GeneratorSpec
 
 
 def main():
@@ -27,31 +27,23 @@ def main():
     assert tree.layer_snapshot() == ref.snapshot()
     print("identical after every operation above.\n")
 
-    trace = generate(GeneratorSpec("uniform", universe=300, ops=4000, seed=13))
-    stats = lockstep_replay(trace, structural_every=20)
-    print(f"replayed {stats.ops} mixed ops in lockstep: "
-          f"{stats.hits}/{stats.searches} search hits, "
-          f"max single-op cost {stats.max_cost} visits, "
-          f"{len(stats.violations)} structural violations")
+    result = run(RunConfig("lws", gen=GeneratorSpec("uniform", universe=300, ops=4000, seed=13),
+                           verify_every=20))
+    s = result.summary
+    print(f"replayed {s['ops']} mixed ops in lockstep: "
+          f"compared after every op, {s.get('divergence', 'no divergence')}; "
+          f"max single-op cost {s['max_cost']} visits, "
+          f"{len(result.violations)} structural violations")
 
     print("\nA deliberately wrong move is caught immediately:")
     bad = LayeredTree()
     good = ReferenceStructure()
-    nodes = {}
     for k in range(1, 9):
         bad.insert(k)
         good.insert(k)
-    # sabotage the recency order behind the structure's back
-    node = bad.engine.root
-    while node.key != 6:
-        node = node.left if 6 < node.key else node.right
-    node.older, node.younger = node.younger, node.older
-    from layerws.harness import _compare_exact
-    from layerws.errors import DivergenceError
-    for n in bad.engine.iter_nodes():
-        nodes[n.key] = n
+    corrupt_queue_swap(bad, 6)  # sabotage the recency order behind the tree's back
     try:
-        _compare_exact(bad, good, nodes, 0)
+        compare_layers(bad, good, {n.key: n for n in bad.engine.iter_nodes()})
         print("   ...not caught?!")
     except DivergenceError as exc:
         print(f"   DivergenceError: {exc}")

@@ -68,9 +68,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(result.summary, indent=2, sort_keys=True))
-    if result.violations:
-        for v in result.violations[:20]:
-            print(f"violation: {v}", file=sys.stderr)
+    for at, v in result.violations[:20]:
+        print(f"violation: op {at}: {v}", file=sys.stderr)
     return result.exit_code
 
 

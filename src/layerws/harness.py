@@ -1,10 +1,18 @@
 """Trace-driven runner: execute, verify, compare, and report.
 
-Runs a trace against one structure, keeps working-set and unified-bound
-trackers in step, writes one CSV row per operation plus a JSON summary,
-and validates every invariant on a configurable cadence.  Layered-tree
-runs execute the reference structure in lockstep and stop at the first
-per-layer divergence.
+``run`` is the one loop.  It runs a trace against one structure, keeps
+working-set and unified-bound trackers in step, writes one CSV row per
+operation plus a JSON summary, and validates every invariant on a
+configurable cadence.
+
+Layered-tree runs execute the reference structure as a shadow and compare
+the two with ``compare_layers`` after every operation, stopping at the
+first divergence.  The comparator pins every queue field of every key
+(label, both recency links, and the next-layer key), so the cadence
+validator skips its own queue pass (``check_queues=False``); one full
+sweep with the queue pass ends every run.  Violations and divergences are
+reported with the index of the operation after which they were found, or
+``end`` for the final sweep.
 """
 
 from __future__ import annotations
@@ -13,14 +21,14 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import islice, zip_longest
+from itertools import chain, islice
 
 from .baseline import RedBlackBaseline
 from .constants import load_constants
 from .engine import Node
 from .errors import DivergenceError, IncompatibleTraceError
-from .layered_tree import MAX_LAYERS, LayeredTree
-from .reference import ReferenceStructure, UnifiedBoundTracker, lg
+from .layered_tree import LayeredTree
+from .reference import ReferenceStructure, UnifiedBoundTracker, level_capacity, lg
 from .skip_splay import SkipSplayTree
 from .validate import Violation, check_red_black, validate_tree
 from .workload import DELETE, INSERT, SEARCH, GeneratorSpec, TraceOp, generate
@@ -40,7 +48,6 @@ class RunConfig:
     verify_every: int = 100
     csv_path: str | None = None
     json_path: str | None = None
-    compare_every: int = 1  # lws-vs-reference lockstep cadence
 
     def __post_init__(self):
         if self.structure not in STRUCTURES:
@@ -55,6 +62,7 @@ class RunConfig:
 class RunResult:
     exit_code: int
     summary: dict
+    # (operation index, or "end" for the final sweep, Violation)
     violations: list = field(default_factory=list)
 
 
@@ -86,7 +94,6 @@ def _verify_baseline(tree: RedBlackBaseline) -> list[Violation]:
 
 def _verify_reference(ref: ReferenceStructure) -> list[Violation]:
     out: list[Violation] = []
-    from .reference import level_capacity
     t = ref.levels
     for j in range(1, t + 1):
         got = len(ref.level_sets[j - 1])
@@ -99,46 +106,63 @@ def _verify_reference(ref: ReferenceStructure) -> list[Violation]:
     return out
 
 
-def compare_layers(tree: LayeredTree, ref: ReferenceStructure):
-    """Raise DivergenceError naming the first layer whose key set or
-    recency order differs.
+def compare_layers(tree: LayeredTree, ref: ReferenceStructure,
+                   nodes: dict[int, Node]):
+    """Raise DivergenceError naming the first layer whose members, recency
+    order or next-layer keys differ from the reference.
 
-    One walk of the tree maps each key to its node (labels beyond the layer
-    count are not the tree's, as in ``layer_snapshot``).  Every reference
-    queue is then checked link by link: each key's node carries the queue's
-    label, its younger link names the previous key and its older link the
-    next.  A tree key left over after every queue has passed is one the
-    reference lacks.  Together this pins every layer's members and order.
-    Snapshots are built only to word the error.
+    ``nodes`` maps each key the tree holds to its node.  Every reference
+    queue is checked key by key: the key's node holds the key and carries
+    the queue's label, its younger link names the previous key and its
+    older link the next, and an interior key names no next-layer key.  The
+    queue's youngest names the youngest key of the layer below and its
+    oldest the oldest key below (a lone member names the youngest below).
+    The layer count and the number of keys must agree too, so this pins
+    every layer's members, order and boundary links.  Snapshots are built
+    only to word the error.
     """
-    t = tree.layer_count or MAX_LAYERS + 1
-    nodes: dict[int, Node] = {}
-    stack = [tree.engine.root] if tree.engine.root is not None else []
-    pop, push = stack.pop, stack.append
-    while stack:
-        n = pop()
-        if n.layer > t:
-            continue  # pruned with its subtree, as the snapshot does
-        nodes[n.key] = n
-        if n.left is not None:
-            push(n.left)
-        if n.right is not None:
-            push(n.right)
-    for j, q in enumerate(ref.level_queues, start=1):
+    queues = ref.level_queues
+    t = len(queues)
+    if tree.layer_count != t:
+        raise DivergenceError(f"tree has {tree.layer_count} layers, reference {t}")
+    get = nodes.get
+    total = 0
+    for j, q in enumerate(queues, start=1):
         younger = None
-        for key, older in zip_longest(q, islice(q, 1, None)):
-            node = nodes.pop(key, None)
-            if node is None:
-                raise _divergence(tree, ref, j, f"key {key}, missing from the tree")
-            if node.layer != j or node.younger != younger or node.older != older:
+        for key, older in zip(q, chain(islice(q, 1, None), (None,))):
+            node = get(key)
+            if (node is None or node.key != key or node.layer != j
+                    or node.younger != younger or node.older != older
+                    or node.next_layer is not None and younger is not None
+                    and older is not None):
+                raise _key_divergence(tree, ref, j, key, node, younger, older)
+            younger = key
+        if not q:
+            continue
+        below = queues[j] if j < t and queues[j] else [None]
+        # a lone member is its queue's youngest, so the second entry wins
+        for key, want in {q[-1]: below[-1], q[0]: below[0]}.items():
+            if nodes[key].next_layer != want:
                 raise _divergence(
                     tree, ref, j,
-                    f"key {key}, labeled {node.layer} with younger={node.younger} "
-                    f"older={node.older} (expected younger={younger} older={older})")
-            younger = key
-    if nodes:
-        extra = min(nodes.values(), key=lambda n: n.layer)
-        raise _divergence(tree, ref, extra.layer, f"key {extra.key}, absent from the reference")
+                    f"key {key}, naming next-layer {nodes[key].next_layer} (expected {want})")
+        total += len(q)
+    if total != len(nodes) or total != tree.size:
+        raise DivergenceError(
+            f"reference holds {total} keys, tree reports {tree.size} and maps {len(nodes)}")
+
+
+def _key_divergence(tree: LayeredTree, ref: ReferenceStructure, j: int, key: int,
+                    node: Node | None, younger, older) -> DivergenceError:
+    if node is None or node.key != key:
+        return _divergence(tree, ref, j, f"key {key}, missing from the tree")
+    if node.layer != j or node.younger != younger or node.older != older:
+        return _divergence(
+            tree, ref, j,
+            f"key {key}, labeled {node.layer} with younger={node.younger} "
+            f"older={node.older} (expected younger={younger} older={older})")
+    return _divergence(
+        tree, ref, j, f"key {key}, naming next-layer {node.next_layer} (expected None)")
 
 
 def _divergence(tree: LayeredTree, ref: ReferenceStructure, j: int,
@@ -152,120 +176,77 @@ def _divergence(tree: LayeredTree, ref: ReferenceStructure, j: int,
         f"layer {j} diverged at {where}: tree holds {held}, reference holds {want[:10]}")
 
 
-class _LwsDriver:
-    supported = {SEARCH, INSERT, DELETE}
-    name = "lws"
+class _DictDriver:
+    """Any dictionary with ``search``/``insert``/``delete``/``len``.
 
-    def __init__(self):
-        self.tree = LayeredTree()
-        self.shadow = ReferenceStructure()
+    A layered tree runs the reference structure as its shadow, keeps a
+    key -> node map for the comparator, and is compared after every
+    operation.  Cost is the engine's visit delta, or 0 without an engine.
+    """
+
+    def __init__(self, structure: str):
+        kind = {"lws": LayeredTree, "ws_reference": ReferenceStructure,
+                "redblack_baseline": RedBlackBaseline}[structure]
+        self.d = kind()
+        self.engine = getattr(self.d, "engine", None)
+        self.shadow = ReferenceStructure() if kind is LayeredTree else None
+        self.nodes: dict[int, Node] = {}
 
     def apply(self, op: TraceOp):
-        eng = self.tree.engine
-        before = eng.visits
+        d, eng, shadow, key = self.d, self.engine, self.shadow, op.key
+        before = eng.visits if eng is not None else 0
+        layer = None
         if op.kind == SEARCH:
-            layer = self.tree.search(op.key)
-            ref_layer = self.shadow.search(op.key)
+            layer = d.search(key)
         elif op.kind == INSERT:
-            layer = None
-            self.tree.insert(op.key)
-            self.shadow.insert(op.key)
-            ref_layer = None
+            d.insert(key)
         else:
-            layer = None
-            self.tree.delete(op.key)
-            self.shadow.delete(op.key)
-            ref_layer = None
-        if op.kind == SEARCH and layer != ref_layer:
-            raise DivergenceError(
-                f"search {op.key}: tree found layer {layer}, reference level {ref_layer}")
-        return eng.visits - before, layer
+            d.delete(key)
+        cost = eng.visits - before if eng is not None else 0
+        if shadow is not None:
+            if op.kind == SEARCH:
+                ref_layer = shadow.search(key)
+                if layer != ref_layer:
+                    raise DivergenceError(
+                        f"search {key}: tree found layer {layer}, reference level {ref_layer}")
+            elif op.kind == INSERT:
+                shadow.insert(key)
+                node = eng.root  # a plain descent, not charged to the engine
+                while node.key != key:
+                    node = node.left if key < node.key else node.right
+                self.nodes[key] = node
+            else:
+                shadow.delete(key)
+                del self.nodes[key]
+        return cost, layer
 
     def compare(self):
-        compare_layers(self.tree, self.shadow)
+        if self.shadow is not None:
+            compare_layers(self.d, self.shadow, self.nodes)
 
     def size(self):
-        return self.tree.size
+        return len(self.d)
 
-    def verify(self):
-        return validate_tree(self.tree) + _verify_reference(self.shadow)
+    def verify(self, final: bool):
+        if self.shadow is None:
+            return verify_structure(self.d)
+        # the comparator pins every queue field, so only the final sweep
+        # repeats the validator's queue pass
+        return validate_tree(self.d, check_queues=final) + _verify_reference(self.shadow)
 
     def final_layers(self):
+        if isinstance(self.d, RedBlackBaseline):
+            return None
         try:
-            snapshot = self.tree.layer_snapshot()
+            snapshot = (self.d.layer_snapshot() if self.shadow is not None
+                        else self.d.snapshot())
         except AssertionError:
             return None  # a broken queue has no order to report
         return {str(j): order for j, order in sorted(snapshot.items())}
 
 
-class _ReferenceDriver:
-    supported = {SEARCH, INSERT, DELETE}
-    name = "ws_reference"
-
-    def __init__(self):
-        self.ref = ReferenceStructure()
-
-    def apply(self, op: TraceOp):
-        if op.kind == SEARCH:
-            return 0, self.ref.search(op.key)
-        if op.kind == INSERT:
-            self.ref.insert(op.key)
-        else:
-            self.ref.delete(op.key)
-        return 0, None
-
-    def compare(self):
-        pass
-
-    def size(self):
-        return len(self.ref)
-
-    def verify(self):
-        return _verify_reference(self.ref)
-
-    def final_layers(self):
-        return {str(j): order for j, order in sorted(self.ref.snapshot().items())}
-
-
-class _BaselineDriver:
-    supported = {SEARCH, INSERT, DELETE}
-    name = "redblack_baseline"
-
-    def __init__(self):
-        self.tree = RedBlackBaseline()
-
-    def apply(self, op: TraceOp):
-        eng = self.tree.engine
-        before = eng.visits
-        if op.kind == SEARCH:
-            layer = self.tree.search(op.key)
-        elif op.kind == INSERT:
-            layer = None
-            self.tree.insert(op.key)
-        else:
-            layer = None
-            self.tree.delete(op.key)
-        return eng.visits - before, layer
-
-    def compare(self):
-        pass
-
-    def size(self):
-        return self.tree.size
-
-    def verify(self):
-        return _verify_baseline(self.tree)
-
-    def final_layers(self):
-        return None
-
-
 class _SkipDriver:
-    supported = {SEARCH}
-    name = "skip_splay"
-    doubled = False
-
-    def __init__(self, max_key: int):
+    def __init__(self, max_key: int, doubled: bool):
         k = 2
         while ((1 << (1 << (k - 1))) - 1) < max_key:
             k += 1
@@ -273,6 +254,7 @@ class _SkipDriver:
                 raise IncompatibleTraceError(
                     f"key {max_key} exceeds the largest supported universe")
         self.tree = SkipSplayTree(k)
+        self.doubled = doubled
 
     def apply(self, op: TraceOp):
         cost = (self.tree.access_doubled(op.key) if self.doubled
@@ -285,43 +267,29 @@ class _SkipDriver:
     def size(self):
         return self.tree.n
 
-    def verify(self):
+    def verify(self, final: bool):
         return self.tree.validate()
 
     def final_layers(self):
         return None
 
 
-class _SkipDoubledDriver(_SkipDriver):
-    name = "skip_splay_doubled"
-    doubled = True
-
-
 def _make_driver(structure: str, trace: list[TraceOp]):
-    if structure == "lws":
-        return _LwsDriver()
-    if structure == "ws_reference":
-        return _ReferenceDriver()
-    if structure == "redblack_baseline":
-        return _BaselineDriver()
-    bad = sorted({op.kind for op in trace} - _SkipDriver.supported)
+    if structure not in ("skip_splay", "skip_splay_doubled"):
+        return _DictDriver(structure)
+    bad = sorted({op.kind for op in trace} - {SEARCH})
     if bad:
         raise IncompatibleTraceError(
             f"skip-splay trace may only search; found {bad}")
     max_key = max((op.key for op in trace), default=1)
     if min((op.key for op in trace), default=1) < 1:
         raise IncompatibleTraceError("skip-splay keys start at 1")
-    driver = _SkipDriver(max_key) if structure == "skip_splay" else _SkipDoubledDriver(max_key)
-    return driver
+    return _SkipDriver(max_key, doubled=structure == "skip_splay_doubled")
 
 
 def run(config: RunConfig) -> RunResult:
     trace = config.trace if config.trace is not None else generate(config.gen)
     driver = _make_driver(config.structure, trace)
-    unsupported = {op.kind for op in trace} - driver.supported
-    if unsupported:
-        raise IncompatibleTraceError(
-            f"{config.structure} does not support {sorted(unsupported)}")
 
     constants = load_constants()
     is_skip = isinstance(driver, _SkipDriver)
@@ -329,7 +297,7 @@ def run(config: RunConfig) -> RunResult:
     emit_ub = (driver.size() if is_skip else _peak_keys(trace)) <= UB_AUTO_KEY_LIMIT \
         or len(trace) <= UB_AUTO_OP_LIMIT
 
-    violations: list[Violation] = []
+    violations: list[tuple[int | str, Violation]] = []
     total_cost = 0
     max_cost = 0
     max_cost_over_lgw = 0.0
@@ -343,10 +311,14 @@ def run(config: RunConfig) -> RunResult:
         writer.writerow(["i", "op", "key", "cost", "layer", "w", "ub", "bound"])
 
     divergence = None
+    at: int | str = "end"
     try:
-        for i, op in enumerate(trace):
+        for at, op in enumerate(trace):
             w_pre = tracker.ws.working_set_number(op.key)
-            ub_pre = tracker.unified_bound(op.key) if (emit_ub and tracker.sorted_keys) else None
+            # an update's bound is only ever reported in its CSV row
+            ub_pre = (tracker.unified_bound(op.key)
+                      if emit_ub and tracker.sorted_keys and (writer or op.kind == SEARCH)
+                      else None)
             cost, layer = driver.apply(op)
             hit = layer is not None
             if op.kind == SEARCH:
@@ -358,7 +330,6 @@ def run(config: RunConfig) -> RunResult:
                 tracker.record_delete(op.key)
 
             n_now = max(driver.size(), 1)
-            bound = _bound_for(config.structure, op.kind, w_pre, n_now, constants)
             total_cost += cost
             max_cost = max(max_cost, cost)
             if op.kind == SEARCH and cost:
@@ -369,21 +340,21 @@ def run(config: RunConfig) -> RunResult:
                     amort_denominator += ub_pre + math.log2(math.log2(n_now + 2)) + 1
             rows += 1
             if writer:
+                bound = _bound_for(config.structure, op.kind, w_pre, n_now, constants)
                 writer.writerow([
-                    i, op.kind, op.key, cost,
+                    at, op.kind, op.key, cost,
                     layer if hit else "",
                     w_pre,
                     f"{ub_pre:.6f}" if ub_pre is not None else "",
                     f"{bound:.4f}" if bound is not None else "",
                 ])
-            if (i + 1) % config.compare_every == 0:
-                driver.compare()
-            if (i + 1) % config.verify_every == 0:
-                violations.extend(driver.verify())
-        driver.compare()
-        violations.extend(driver.verify())
+            driver.compare()
+            if (at + 1) % config.verify_every == 0:
+                violations.extend((at, v) for v in driver.verify(final=False))
+        at = "end"
+        violations.extend((at, v) for v in driver.verify(final=True))
     except DivergenceError as exc:
-        divergence = str(exc)
+        divergence = f"op {at}: {exc}"
     finally:
         if csv_fh:
             csv_fh.close()
@@ -434,155 +405,6 @@ def _bound_for(structure: str, kind: str, w_pre: int, n: int, constants: dict):
                 * (math.log2(math.log2(n + 2)) + 1) * lg(w_pre)
                 + constants["skip_doubled_additive"])
     return None
-
-
-# -- lockstep verification ---------------------------------------------------------
-
-@dataclass
-class LockstepStats:
-    ops: int = 0
-    searches: int = 0
-    hits: int = 0
-    max_cost: int = 0
-    total_cost: int = 0
-    hit_rows: list = field(default_factory=list)   # (index, key, layer, cost, w_pre)
-    update_rows: list = field(default_factory=list)  # (index, kind, cost, n)
-    violations: list = field(default_factory=list)
-    checked_states: int = 0
-    structural_seconds: float = 0.0
-    wall_seconds: float = 0.0
-
-
-def lockstep_replay(trace, structural_every: int = 1,
-                    track_working_set: bool = True) -> LockstepStats:
-    """Run one trace on a layered tree and the reference structure in
-    lockstep, checking after every operation that per-layer key sets,
-    recency orders, and boundary next-layer keys agree exactly, and
-    running the structural invariant suite every ``structural_every``
-    operations (plus once at the end).
-
-    Raises DivergenceError on the first state mismatch; structural
-    violations are collected in the returned stats.
-    """
-    from time import perf_counter
-
-    from .reference import WorkingSetTracker
-
-    tree = LayeredTree()
-    ref = ReferenceStructure()
-    nodes: dict[int, Node] = {}
-    stats = LockstepStats()
-    tracker = WorkingSetTracker() if track_working_set else None
-    t_start = perf_counter()
-
-    for i, op in enumerate(trace):
-        key = op.key
-        w_pre = tracker.working_set_number(key) if tracker is not None else None
-        eng = tree.engine
-        before = eng.visits
-        if op.kind == SEARCH:
-            layer = tree.search(key)
-            ref_layer = ref.search(key)
-            if layer != ref_layer:
-                raise DivergenceError(
-                    f"op {i}: search {key} hit layer {layer}, reference level {ref_layer}")
-            cost = eng.visits - before
-            stats.searches += 1
-            if layer is not None:
-                stats.hits += 1
-                stats.hit_rows.append((i, key, layer, cost, w_pre))
-                if tracker is not None:
-                    tracker.record_access(key)
-        elif op.kind == INSERT:
-            tree.insert(key)
-            ref.insert(key)
-            cost = eng.visits - before
-            node = eng.root
-            while node.key != key:
-                node = node.left if key < node.key else node.right
-            nodes[key] = node
-            stats.update_rows.append((i, "I", cost, tree.size))
-            if tracker is not None:
-                tracker.record_insert(key)
-        else:
-            tree.delete(key)
-            ref.delete(key)
-            cost = eng.visits - before
-            del nodes[key]
-            stats.update_rows.append((i, "D", cost, tree.size + 1))
-            if tracker is not None:
-                tracker.record_delete(key)
-        stats.ops += 1
-        stats.max_cost = max(stats.max_cost, cost)
-        stats.total_cost += cost
-
-        _compare_exact(tree, ref, nodes, i)
-        stats.checked_states += 1
-        if (i + 1) % structural_every == 0:
-            t0 = perf_counter()
-            stats.violations.extend(
-                (i, v) for v in validate_tree(tree, check_queues=False))
-            stats.structural_seconds += perf_counter() - t0
-    t0 = perf_counter()
-    stats.violations.extend(("end", v) for v in validate_tree(tree))
-    stats.structural_seconds += perf_counter() - t0
-    stats.wall_seconds = perf_counter() - t_start
-    return stats
-
-
-def _compare_exact(tree: LayeredTree, ref: ReferenceStructure,
-                   nodes: dict[int, Node], i: int):
-    """Exact per-layer membership + recency order + queue-link comparison.
-
-    The reference queues are the expected orders; every key's node must
-    carry the right layer label and link to exactly its queue neighbours,
-    which pins both directions of every chain.  Boundary next-layer keys
-    must name the neighbours' queue ends.
-    """
-    queues = ref.level_queues
-    if tree.layer_count != len(queues):
-        raise DivergenceError(
-            f"op {i}: tree has {tree.layer_count} layers, reference {len(queues)}")
-    total = 0
-    for j, q in enumerate(queues, start=1):
-        prev_key = None
-        last = len(q) - 1
-        for idx, key in enumerate(q):
-            node = nodes.get(key)
-            if node is None:
-                raise DivergenceError(f"op {i}: layer {j} key {key} missing from the tree")
-            if node.layer != j:
-                raise DivergenceError(
-                    f"op {i}: layer {j} diverged: key {key} is labeled {node.layer}")
-            if node.younger != prev_key:
-                raise DivergenceError(
-                    f"op {i}: layer {j} recency order diverged at key {key} "
-                    f"(younger={node.younger}, expected {prev_key})")
-            if idx == last and node.older is not None:
-                raise DivergenceError(
-                    f"op {i}: layer {j} oldest {key} still points older={node.older}")
-            if 0 < idx < last and node.next_layer is not None:
-                raise DivergenceError(
-                    f"op {i}: layer {j} interior key {key} carries next-layer {node.next_layer}")
-            prev_key = key
-        total += len(q)
-        if not q:
-            raise DivergenceError(f"op {i}: reference level {j} empty")
-        below = queues[j] if j < len(queues) else []
-        want_young = below[0] if below else None
-        want_old = below[-1] if below else None
-        youngest, oldest = nodes[q[0]], nodes[q[-1]]
-        if youngest.next_layer != want_young:
-            raise DivergenceError(
-                f"op {i}: layer {j} youngest {q[0]} names {youngest.next_layer}, "
-                f"below's youngest is {want_young}")
-        if oldest.next_layer != want_old and oldest is not youngest:
-            raise DivergenceError(
-                f"op {i}: layer {j} oldest {q[-1]} names {oldest.next_layer}, "
-                f"below's oldest is {want_old}")
-    if total != tree.size:
-        raise DivergenceError(
-            f"op {i}: reference holds {total} keys, tree reports {tree.size}")
 
 
 # -- fault injection (test support) ---------------------------------------------

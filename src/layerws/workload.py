@@ -45,9 +45,6 @@ class TraceOp:
             raise ValueError(f"unknown op kind {self.kind!r}")
 
 
-Trace = list
-
-
 def parse(text: str) -> list[TraceOp]:
     ops = []
     for lineno, raw in enumerate(text.split("\n"), start=1):

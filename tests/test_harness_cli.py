@@ -11,8 +11,7 @@ from layerws.cli import main
 from layerws.errors import DivergenceError, IncompatibleTraceError
 from layerws.harness import (RunConfig, compare_layers, corrupt_color,
                              corrupt_header, corrupt_layer, corrupt_next_layer,
-                             corrupt_queue_swap, lockstep_replay, run,
-                             verify_structure)
+                             corrupt_queue_swap, run, verify_structure)
 from layerws.workload import GeneratorSpec, TraceOp, parse
 
 SCENARIO_A = "I 1\nI 2\nI 3\nI 4\nI 5\nS 1\n"
@@ -105,29 +104,82 @@ def test_reports_are_deterministic(tmp_path):
     assert one(tmp_path / "a.csv") == one(tmp_path / "b.csv")
 
 
-def test_lockstep_replay_catches_planted_divergence():
-    from layerws.errors import DivergenceError
+def test_run_catches_planted_divergence(tmp_path, monkeypatch):
     trace = parse(SCENARIO_A)
-    stats = lockstep_replay(trace)
-    assert stats.hits == 1 and not stats.violations
+    rows = tmp_path / "rows.csv"
+    result = run(RunConfig("lws", trace=trace, verify_every=1, csv_path=str(rows)))
+    assert result.exit_code == 0 and not result.violations
+    with open(rows) as fh:
+        assert sum(1 for r in csv.DictReader(fh) if r["layer"]) == 1  # one search hit
 
     # sabotage: run again but corrupt the tree mid-flight via a wrong op
-    import layerws.harness as hmod
-    tree_ops = []
-    orig = hmod.LayeredTree.search
+    original = LayeredTree.search
 
     def crooked(self, key, fresh=True):
-        out = orig(self, key, fresh)
+        out = original(self, key, fresh)
         if key == 1:
             corrupt_queue_swap(self, 4)
         return out
 
-    hmod.LayeredTree.search = crooked
-    try:
-        with pytest.raises(DivergenceError):
-            lockstep_replay(trace)
-    finally:
-        hmod.LayeredTree.search = orig
+    monkeypatch.setattr(LayeredTree, "search", crooked)
+    result = run(RunConfig("lws", trace=trace, verify_every=1))
+    assert result.exit_code == 1
+    assert result.summary["divergence"].startswith("op 5: ")
+
+
+def _set_field(tree, key, name, value):
+    setattr(next(n for n in tree.engine.iter_nodes() if n.key == key), name, value)
+
+
+# Each fault is planted by the search for key 1 (operation PLANT_AT), after
+# which the 40-key tree holds [1, 40, 39, 38], [37..22] and [21..2].  The
+# comparator reports a wrong key, label or queue field as a divergence; the
+# per-operation validator reports colour and header faults as violations.
+PLANT_TRACE = "".join(f"I {k}\n" for k in range(1, 41)) + "S 40\nS 1\nS 2\nS 3\n"
+PLANT_AT = 41
+PLANTED = {
+    "color": (lambda t: corrupt_color(t, 30), "violation"),
+    "layer": (lambda t: corrupt_layer(t, 10, 1), "divergence"),
+    "queue-swap": (lambda t: corrupt_queue_swap(t, 33), "divergence"),
+    "interior-older": (lambda t: _set_field(t, 33, "older", 20), "divergence"),
+    "node-key": (lambda t: _set_field(t, 30, "key", 1000), "divergence"),
+    "next-layer-youngest": (lambda t: corrupt_next_layer(t, 1, 999), "divergence"),
+    "next-layer-oldest": (lambda t: corrupt_next_layer(t, 22, None), "divergence"),
+    "next-layer-interior": (lambda t: corrupt_next_layer(t, 30, 7), "divergence"),
+    "header-layer-count": (lambda t: corrupt_header(t, layer_count=4), "violation"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED))
+def test_run_names_the_operation_of_a_planted_fault(fault, tmp_path, monkeypatch, capsys):
+    inject, channel = PLANTED[fault]
+    original = LayeredTree.search
+
+    def crooked(self, key, fresh=True):
+        layer = original(self, key, fresh)
+        if key == 1:
+            inject(self)
+        return layer
+
+    monkeypatch.setattr(LayeredTree, "search", crooked)
+    result = run(RunConfig("lws", trace=parse(PLANT_TRACE), verify_every=1))
+    assert result.exit_code == 1
+    if channel == "divergence":
+        assert result.summary["divergence"].startswith(f"op {PLANT_AT}: ")
+        assert result.summary["ops"] == PLANT_AT + 1
+    else:
+        assert "divergence" not in result.summary
+        assert result.violations[0][0] == PLANT_AT
+
+    code = main(["--structure", "lws", "--trace", write_trace(tmp_path, PLANT_TRACE),
+                 "--verify-every", "1", "--json", str(tmp_path / "p.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    if channel == "divergence":
+        summary = json.loads((tmp_path / "p.json").read_text())
+        assert summary["divergence"].startswith(f"op {PLANT_AT}: ")
+    else:
+        assert err.startswith(f"violation: op {PLANT_AT}: ")
 
 
 # -- fault injection --------------------------------------------------------------
@@ -178,19 +230,23 @@ def test_next_layer_corruption_detected():
     assert any(v.kind == "queue-nextlayer" for v in found)
 
 
+def node_map(tree):
+    return {n.key: n for n in tree.engine.iter_nodes()}
+
+
 def test_compare_layers_accepts_lockstep_pair():
     tree, ref = LayeredTree(), ReferenceStructure()
     for k in range(1, 41):
         tree.insert(k)
         ref.insert(k)
-        compare_layers(tree, ref)
+        compare_layers(tree, ref, node_map(tree))
     for k in (3, 38, 17, 3):
         assert tree.search(k) == ref.search(k)
-        compare_layers(tree, ref)
+        compare_layers(tree, ref, node_map(tree))
     for k in (20, 1, 40):
         tree.delete(k)
         ref.delete(k)
-        compare_layers(tree, ref)
+        compare_layers(tree, ref, node_map(tree))
 
 
 def test_broken_queue_is_a_divergence_not_a_crash():
@@ -202,7 +258,7 @@ def test_broken_queue_is_a_divergence_not_a_crash():
     with pytest.raises(AssertionError):
         tree.layer_snapshot()
     with pytest.raises(DivergenceError, match="layer 2 diverged"):
-        compare_layers(tree, ref)
+        compare_layers(tree, ref, node_map(tree))
 
 
 def test_run_reports_broken_queue_as_divergence(tmp_path, monkeypatch, capsys):
@@ -219,6 +275,7 @@ def test_run_reports_broken_queue_as_divergence(tmp_path, monkeypatch, capsys):
     result = run(RunConfig(structure="lws", trace=parse(trace), verify_every=1))
     assert result.exit_code == 1
     assert result.summary["ops"] == 42
+    assert result.summary["divergence"].startswith("op 41: ")
     assert "diverged" in result.summary["divergence"]
 
     code = main(["--structure", "lws", "--trace", write_trace(tmp_path, trace),

@@ -11,7 +11,7 @@ from layerws import (CapacityError, DuplicateKeyError, LayeredTree,
                      validate_tree)
 from layerws import layered_tree
 from layerws.engine import Engine
-from layerws.harness import lockstep_replay
+from layerws.harness import RunConfig, run
 from layerws.workload import TraceOp
 
 
@@ -403,8 +403,9 @@ def small_traces(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_traces())
 def test_lockstep_equivalence_property(trace):
-    stats = lockstep_replay(trace, structural_every=1)
-    assert not stats.violations, [str(v) for _, v in stats.violations][:5]
+    result = run(RunConfig("lws", trace=trace, verify_every=1))
+    assert "divergence" not in result.summary, result.summary["divergence"]
+    assert not result.violations, [str(v) for _, v in result.violations][:5]
 
 
 # -- layer-count edges ------------------------------------------------------------------
