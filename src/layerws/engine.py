@@ -132,14 +132,6 @@ class Engine:
         self.visits += visits
         return node
 
-    def search_from_root(self, key: int) -> Optional[Node]:
-        """Walk the cursor to the root (counting), then descend to ``key``."""
-        if self.node is None:
-            self.begin_access()
-        else:
-            self.ascend_to_subtree_root(0)
-        return self.descend_to(key)
-
     # -- structure --------------------------------------------------------
 
     def rotate(self, x: Node, left: bool):

@@ -10,14 +10,16 @@ fields stored in the nodes.
 A search that finds its key in layer j costs O(2^j) cursor visits: the key
 is moved up to layer 1 and the oldest resident of each layer 1..j-1 is
 pushed down one layer to restore the size schedule, the paper's own order
-of steps.  On a stream of searches and inserts every key of layers 1..j-1
-is newer than every key of layer j, so a key only reaches layer j after
-2^(2^(j-1)) distinct newer accesses and the search cost is logarithmic in
-the key's working-set number.  Deletes break that order: a delete refills
-the drained layer with the youngest key of the layer below and files it as
-the youngest of its new layer, so afterwards a search can find a key in
-layer j >= 2 with fewer than 2^(2^(j-1)) distinct newer accesses.  Insertion and deletion run
-through every layer and cost O(log n).
+of steps.  A hit that is already the youngest of layer 1 changes nothing
+and pays only its descent.  On a stream of searches and inserts every key
+of layers 1..j-1 is newer than every key of layer j, so a key only reaches
+layer j after 2^(2^(j-1)) distinct newer accesses and the search cost is
+logarithmic in the key's working-set number.  Deletes break that order: a
+delete refills the drained layer with the youngest key of the layer below
+and files it as the youngest of its new layer, so afterwards a search can
+find a key in layer j >= 2 with fewer than 2^(2^(j-1)) distinct newer
+accesses.  Insertion and deletion run through every layer and cost
+O(log n).
 
 Moving a key between layers needs the youngest and oldest keys of the
 layers it passes.  Each public operation starts with an empty record of
@@ -30,9 +32,11 @@ it.  This stays inside the one-cursor model: the record holds at most
 2*(MAX_LAYERS+1) keys, O(log log n) words of operation-local memory like
 the search key itself, and it holds keys, not node pointers, so every node
 whose fields are read or written, apart from the node being moved, is
-reached by the cursor through a paid ``_goto``, which costs nothing only
-when the cursor already sits on the wanted node.  Nothing in the record
-outlives the operation.
+reached by the cursor through a paid ``_goto``.  That walk is a finger
+search along parent links: it climbs only until an ancestor brackets the
+wanted key (at most to the band root) and descends from there, and it
+costs nothing when the cursor already sits on the wanted node.  Nothing in
+the record outlives the operation.
 
 A move across several layers touches only the queues it changes: a hit in
 layer j (or a fresh insert) leaves its queue once and is filed as the
@@ -48,7 +52,8 @@ gives; only the cursor walks less.
 The tree can also operate as a band inside a larger tree (``base`` label
 offset); labels then run base+1..base+t and the machinery anchors at the
 band's subtree root instead of the global root.  The skip-splay
-composition stacks such bands.
+composition stacks such bands; its band searches (``fresh=False``) start
+where the cursor already is.
 """
 
 from __future__ import annotations
@@ -128,14 +133,45 @@ class LayeredTree:
     # -- cursor-paid lookups --------------------------------------------------
 
     def _goto(self, key: int) -> Node:
-        """Walk the cursor to ``key``'s node: up to the band root and down,
-        or nowhere when it already sits on that node."""
+        """Walk the cursor to ``key``'s node by finger search: nowhere when
+        it already sits there, else up the parent links to the first
+        ancestor whose key brackets ``key`` from the far side, or to the
+        band root if none does, and down from there.
+
+        Every node on the way is a paid arrival.  The walk is exact: an
+        ancestor reached from its left child has every key between it and
+        the cursor's key in its subtree (the mirror for the right child),
+        so no key above it can be the wanted one.
+        """
         eng = self.engine
         node = eng.node
-        if node.key != key:
-            eng.ascend_to_subtree_root(self.base)
-            node = eng.descend_to(key)
-            assert node is not None, f"key {key} vanished from the tree"
+        k = node.key
+        if k == key:
+            return node
+        base = self.base
+        visits = 0
+        if key > k:
+            while True:
+                p = node.parent
+                if p is None or p.layer <= base:
+                    break
+                node = p
+                visits += 1
+                if p.key >= key:
+                    break
+        else:
+            while True:
+                p = node.parent
+                if p is None or p.layer <= base:
+                    break
+                node = p
+                visits += 1
+                if p.key <= key:
+                    break
+        eng.node = node
+        eng.visits += visits
+        node = eng.descend_to(key)
+        assert node is not None, f"key {key} vanished from the tree"
         return node
 
     def _scan_first_layer(self, youngest: bool) -> Node:
@@ -436,9 +472,9 @@ class LayeredTree:
     # -- recency re-front for a hit already in layer 1 ---------------------------
 
     def _refront(self, x: Node):
-        y0 = self._scan_first_layer(youngest=True)
-        if y0 is x:
+        if x.younger is None:  # already the youngest: the cursor reads it free
             return
+        y0 = self._scan_first_layer(youngest=True)
         y0_next = y0.next_layer
         self._queue_remove(x, 1)
         x.older = y0.key
@@ -458,13 +494,20 @@ class LayeredTree:
 
     def search(self, key: int, fresh: bool = True) -> int | None:
         """Look up ``key``; on a hit, returns the layer it was found in and
-        promotes it to the recency front.  A miss changes nothing."""
+        promotes it to the recency front.  A miss changes nothing.
+
+        A fresh search enters at the root.  With ``fresh=False`` the search
+        continues from the cursor: it starts there when the cursor already
+        sits on ``key``, and otherwise walks up to the band root first."""
         eng = self.engine
         if fresh:
             eng.begin_access()
+            node = eng.descend_to(key)
         else:
-            eng.ascend_to_subtree_root(self.base)
-        node = eng.descend_to(key)
+            node = eng.node
+            if node.key != key:
+                eng.ascend_to_subtree_root(self.base)
+                node = eng.descend_to(key)
         if node is None:
             self.last_touched = 0
             return None

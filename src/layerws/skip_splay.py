@@ -11,7 +11,9 @@ deeper-layer subtree.
 
 An access descends to the key, searches it inside its auxiliary tree, then
 repeatedly skips to the parent of the just-rearranged band and searches
-that parent in its own band, up to the root.  Keys never move between
+that parent in its own band, up to the root.  Each band search starts at
+the cursor, which already sits on the key it looks for, so it pays no
+climb to the band root and no descent back.  Keys never move between
 auxiliary trees.  Insertions and deletions are not supported.
 """
 

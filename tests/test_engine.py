@@ -27,14 +27,16 @@ def balanced_123():
 
 def test_search_hit_costs_two_visits():
     eng = balanced_123()
-    node = eng.search_from_root(3)
+    eng.begin_access()
+    node = eng.descend_to(3)
     assert node is not None and node.key == 3
     assert eng.visits == 2  # root entry + one step
 
 
 def test_search_miss_stops_at_leaf():
     eng = balanced_123()
-    node = eng.search_from_root(5)
+    eng.begin_access()
+    node = eng.descend_to(5)
     assert node is None
     assert eng.node.key == 3
     assert eng.visits == 2
@@ -42,7 +44,8 @@ def test_search_miss_stops_at_leaf():
 
 def test_search_empty_tree():
     eng = Engine()
-    assert eng.search_from_root(1) is None
+    assert eng.begin_access() is None
+    assert eng.descend_to(1) is None
     assert eng.visits == 1  # the root entry is still paid
 
 
@@ -131,9 +134,9 @@ def test_inorder_keys():
 def test_visits_are_monotone():
     eng = balanced_123()
     seen = [eng.visits]
-    eng.search_from_root(1)
-    seen.append(eng.visits)
-    eng.search_from_root(3)
-    seen.append(eng.visits)
+    for key in (1, 3):
+        eng.begin_access()
+        eng.descend_to(key)
+        seen.append(eng.visits)
     assert seen == sorted(seen)
     assert seen[-1] > seen[0]

@@ -1,0 +1,301 @@
+"""Finger cursor moves: ``_goto`` climbs only until an ancestor brackets
+its target, a band search with ``fresh=False`` starts on the cursor when
+it already holds the key, and a layer-1 hit that is already the youngest
+skips the layer-1 scan.
+
+None of the three may change the tree or make an operation dearer.  The
+equivalence tests replay traces on a tree and on a twin that walks the
+old way (``RootWalkTree``: every ``_goto`` up to the band root and down,
+``_refront`` always scanning layer 1, every ``fresh=False`` search
+anchored at the band root) and compare the two after every operation.
+"""
+
+import random
+
+import pytest
+
+from layerws import LayeredTree, SkipSplayTree
+from layerws.layered_tree import _empty_ends
+from layerws.workload import DELETE, INSERT, GeneratorSpec, generate
+
+
+class RootWalkTree(LayeredTree):
+    """The cursor moves every walk paid before finger search."""
+
+    def _goto(self, key):
+        eng = self.engine
+        node = eng.node
+        if node.key != key:
+            eng.ascend_to_subtree_root(self.base)
+            node = eng.descend_to(key)
+            assert node is not None
+        return node
+
+    def _refront(self, x):
+        y0 = self._scan_first_layer(youngest=True)
+        if y0 is x:
+            return
+        y0_next = y0.next_layer
+        self._queue_remove(x, 1)
+        x.older = y0.key
+        x.younger = None
+        x.next_layer = y0_next
+        y0.younger = x.key
+        if y0.older is not None:
+            y0.next_layer = None
+
+    def search(self, key, fresh=True):
+        eng = self.engine
+        if fresh:
+            eng.begin_access()
+        else:
+            eng.ascend_to_subtree_root(self.base)
+        node = eng.descend_to(key)
+        if node is None:
+            self.last_touched = 0
+            return None
+        j = node.layer - self.base
+        self.last_touched = j
+        if j == 1:
+            self._refront(node)
+        else:
+            ends = _empty_ends()
+            self._move_up(node, 1, ends)
+            self._push_down(j, ends)
+        return j
+
+
+def nodes_state(engine):
+    """Every node's key, colour, label, links and queue fields, the root
+    and the cursor: all an engine holds apart from its visit counter."""
+    # ``a and a.key`` reads None for a missing link: nodes are always true
+    nodes = [(n.key, n.red, n.layer, n.parent and n.parent.key, n.left and n.left.key,
+              n.right and n.right.key, n.older, n.younger, n.next_layer,
+              n.header and (n.header.layer_count, n.header.last_size))
+             for n in engine.iter_nodes()]
+    return nodes, engine.root and engine.root.key, engine.node and engine.node.key
+
+
+def books(tree):
+    return tree.sizes, tree.layer_count, tree.last_size, tree.size, tree.last_touched
+
+
+def assert_never_dearer(sides, readers, steps):
+    """Run each step on both (finger, root-walk) sides; after every one the
+    two must hold the same state, as ``readers`` read it, and the finger
+    side must pay no more."""
+    cheaper = 0
+    for i, step in enumerate(steps):
+        costs = []
+        for side in sides:
+            before = side.engine.visits
+            step(side)
+            costs.append(side.engine.visits - before)
+        assert readers[0]() == readers[1](), f"state differs after op {i}"
+        assert costs[0] <= costs[1], f"op {i} costs {costs[0]} > {costs[1]}"
+        cheaper += costs[0] < costs[1]
+    assert cheaper, "no operation got cheaper: is the twin patched?"
+
+
+GOLDEN_CELLS = [("uniform", 300, 1500, 3), ("uniform", 40, 1500, 11),
+                ("zipf_recency", 200, 1500, 5), ("finger_walk", 250, 1200, 7)]
+
+
+@pytest.mark.parametrize("cell", GOLDEN_CELLS, ids=lambda c: "-".join(map(str, c)))
+def test_layered_tree_never_dearer_on_golden_cells(cell):
+    family, n, ops, seed = cell
+    trees = (LayeredTree(), RootWalkTree())
+
+    def step_of(op):
+        if op.kind == INSERT:
+            return lambda t: t.insert(op.key)
+        if op.kind == DELETE:
+            return lambda t: t.delete(op.key)
+        return lambda t: t.search(op.key)
+
+    readers = [lambda t=t: (nodes_state(t.engine), books(t)) for t in trees]
+    assert_never_dearer(trees, readers,
+                        map(step_of, generate(GeneratorSpec(family, n, ops, seed))))
+
+
+def skip_plan(family, n, count, rng):
+    if family == "uniform":
+        return [rng.randint(1, n) for _ in range(count)]
+    out = []  # repeat_block: runs of nearby keys, each run three times
+    width = min(8, n)
+    while len(out) < count:
+        start = rng.randint(1, n - width + 1)
+        for _ in range(3):
+            out.extend(range(start, start + width))
+    return out[:count]
+
+
+def skip_splay_pair(k):
+    finger, root_walk = SkipSplayTree(k), SkipSplayTree(k)
+    for aux in set(root_walk.aux_of.values()):
+        aux.tree.__class__ = RootWalkTree
+    return finger, root_walk
+
+
+def skip_state_reader(tree):
+    bands = [aux.tree for _, aux in sorted({a.root_key: a for a in tree.aux_of.values()}.items())]
+    return lambda: (nodes_state(tree.engine), [books(band) for band in bands])
+
+
+@pytest.mark.parametrize("k,count", [(2, 200), (3, 600), (4, 1500),
+                                     pytest.param(5, 60, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("family", ["repeat_block", "uniform"])
+def test_skip_splay_never_dearer(k, count, family):
+    pair = skip_splay_pair(k)
+    n = pair[0].n
+    plan = skip_plan(family, n, count, random.Random(100 * k + len(family)))
+    # every key accessed twice in a row, as in the doubled pairs
+    assert_never_dearer(pair, [skip_state_reader(t) for t in pair],
+                        (lambda t, x=x: t.access(x) for x in plan for _ in range(2)))
+    assert not pair[0].validate()
+
+
+# -- the finger walk itself ----------------------------------------------------
+
+
+def band_path(node, base):
+    """``node`` and its ancestors up to the root of its band, bottom up."""
+    path = [node]
+    while node.parent is not None and node.parent.layer > base:
+        node = node.parent
+        path.append(node)
+    return path
+
+
+def finger_cost(start, target, base):
+    """Visits of a finger walk: up to the lowest proper ancestor whose key
+    lies on the far side of (or on) the target, else the band root, then
+    down to the target."""
+    if start is target:
+        return 0
+    far = (lambda a: a.key >= target.key) if target.key > start.key \
+        else (lambda a: a.key <= target.key)
+    up = band_path(start, base)
+    stop = next((i for i, a in enumerate(up) if i and far(a)), len(up) - 1)
+    return stop + band_path(target, base).index(up[stop])
+
+
+def root_walk_cost(start, target, base):
+    return len(band_path(start, base)) - 1 + len(band_path(target, base)) - 1
+
+
+def goto_cost(tree, start, target):
+    """Put the cursor on ``start``, walk it to ``target``; return the visits."""
+    eng = tree.engine
+    eng.node = start
+    before = eng.visits
+    assert tree._goto(target.key) is target and eng.node is target
+    return eng.visits - before
+
+
+@pytest.fixture(scope="module")
+def deep_tree():
+    rng = random.Random(8)
+    keys = rng.sample(range(5000), 400)
+    tree = LayeredTree()
+    for key in keys:
+        tree.insert(key)
+    for _ in range(400):
+        tree.search(rng.choice(keys))
+    return tree, {n.key: n for n in tree.engine.iter_nodes()}
+
+
+def is_ancestor(a, node):
+    while node is not None:
+        if node is a:
+            return True
+        node = node.parent
+    return False
+
+
+def pick(nodes, rng, accept):
+    """A (start, target) pair of ``nodes`` that ``accept`` admits."""
+    pool = list(nodes.values())
+    while True:
+        start, target = rng.sample(pool, 2)
+        if accept(start, target):
+            return start, target
+
+
+def unrelated(s, t):
+    return not is_ancestor(s, t) and not is_ancestor(t, s)
+
+
+@pytest.mark.parametrize("case,accept", [
+    ("target right", lambda s, t: t.key > s.key and unrelated(s, t)),
+    ("target left", lambda s, t: t.key < s.key and unrelated(s, t)),
+    ("cursor on an ancestor", lambda s, t: is_ancestor(s, t)),
+    ("cursor on a descendant", lambda s, t: is_ancestor(t, s)),
+])
+def test_goto_pays_the_finger_walk(deep_tree, case, accept):
+    tree, nodes = deep_tree
+    rng = random.Random(case)
+    strictly_cheaper = 0
+    for _ in range(60):
+        start, target = pick(nodes, rng, accept)
+        spent = goto_cost(tree, start, target)
+        assert spent == finger_cost(start, target, 0), (start, target)
+        assert spent <= root_walk_cost(start, target, 0), (start, target)
+        strictly_cheaper += spent < root_walk_cost(start, target, 0)
+        if case == "cursor on a descendant":
+            assert spent == len(band_path(start, 0)) - len(band_path(target, 0))
+    assert strictly_cheaper
+
+
+@pytest.mark.parametrize("k,accesses", [(4, 300), pytest.param(5, 2000, marks=pytest.mark.slow)])
+def test_goto_stays_inside_a_band(k, accesses):
+    """Inside a skip-splay tree every band with ``base > 0`` hangs below
+    another; a walk between two of its members reaches no node above the
+    band's root, so it never pays more than a climb to that root and the
+    descent from it."""
+    tree = SkipSplayTree(k)
+    rng = random.Random(k)
+    for _ in range(accesses):
+        tree.access(rng.randint(1, tree.n))
+    nodes = {n.key: n for n in tree.engine.iter_nodes()}
+    checked = left_escapes = 0
+    for aux in {a.root_key: a for a in tree.aux_of.values()}.values():
+        band = aux.tree
+        if band.base == 0 or len(aux.members) < 3:
+            continue
+        members = [nodes[key] for key in aux.members]
+        for start in members:
+            for target in members:
+                spent = goto_cost(band, start, target)
+                assert spent == finger_cost(start, target, band.base)
+                assert spent <= root_walk_cost(start, target, band.base)
+                checked += 1
+        root = band_path(members[0], band.base)[-1]
+        # an ancestor above the band that brackets the band's top key:
+        # a climb that ignored the band's edge would stop there
+        left_escapes += root.parent.left is root
+    assert checked and left_escapes
+
+
+def test_band_search_away_from_its_key_climbs_to_the_band_root():
+    """``search(fresh=False)`` with the cursor elsewhere walks up to the band
+    root and on as a fresh search would: the same tree after every search,
+    hit or miss, for the climb in place of the root entry."""
+    def build():
+        rng = random.Random(4)
+        tree = LayeredTree()
+        for key in rng.sample(range(2, 3000, 2), 300):
+            tree.insert(key)
+        return tree
+
+    cont, fresh = build(), build()
+    rng = random.Random(5)
+    keys = cont.keys()
+    for key in [rng.choice(keys) for _ in range(100)] + [1, 3001, 777]:
+        start = rng.choice([n for n in cont.engine.iter_nodes() if n.key != key])
+        cont.engine.node = start
+        climb = len(band_path(start, 0)) - 1
+        before = cont.engine.visits, fresh.engine.visits
+        assert cont.search(key, fresh=False) == fresh.search(key)
+        assert cont.engine.visits - before[0] == fresh.engine.visits - before[1] - 1 + climb
+        assert nodes_state(cont.engine) == nodes_state(fresh.engine)

@@ -26,16 +26,16 @@ COST_FIELDS = ("amortized_ratio", "max_cost", "max_cost_over_lgw", "mean_cost")
 GOLDEN = {
     ("uniform", 300, 1500, 3): (
         "ae41f1c1f5ff23611d963e4d2d08489d45d192bf85d2c6c4d314d55391b7fa7b",
-        "2890a7b9d230a05985fc928ebfbedbf97b3e7d5e10da8e622489e30c1ff9872a"),
+        "9d265bd965832d526c394d33a5e15f0f1f0a7ea8a5195dcd2f308be888885151"),
     ("uniform", 40, 1500, 11): (
         "0ae75ef02c2d90c857cbf681bce9bb342991e72b11594a7eb1cba22d53415f0d",
-        "486ea4070da44adf52e4f70646d969b1fc9b81f75136265f8a06b1952358889d"),
+        "b9274c640366e3b0502b22ae6b845b62520a6d00e2f59549384152f94768a283"),
     ("zipf_recency", 200, 1500, 5): (
         "5a69a62fecee02a1a6e054c7cad3c53922b3599ee8cd41cad2c51184f76d82ac",
-        "c8ae067a09418c24145e29ba0ca49d0b4812318ba3bb33b76312da60d769321e"),
+        "943acb44d9f892b74af1719be00a069eee551df11d96d1aec5b4e1952d7b62be"),
     ("finger_walk", 250, 1200, 7): (
         "6897e05eab13142e3f12925a79f0027d8f84ccf7e12af50f8621956d0dadf63a",
-        "c5036a3f3318cc78b35d0a6e8437ccbad325636a4bb877ce0ad798ca814c0b20"),
+        "bf9e418abda797e40626437f6b6a188148378a286ea52706235d6b997a6e1a43"),
 }
 
 

@@ -223,6 +223,14 @@ def test_goto_stays_put_on_its_key():
     before = tree.engine.visits
     assert tree._goto(1) is node and tree.engine.visits == before
     assert tree._goto(5).key == 5 and tree.engine.visits > before
+    # from every node of a larger tree, a walk to its own key is free
+    tree, _ = preloaded(n=120)
+    eng = tree.engine
+    for node in list(eng.iter_nodes()):
+        eng.node = node
+        before = eng.visits
+        assert tree._goto(node.key) is node and eng.node is node
+        assert eng.visits == before
 
 
 # -- failed operations ---------------------------------------------------------------
