@@ -1,7 +1,7 @@
 """Golden digests of the command's per-operation CSV and JSON summary.
 
-Each cell runs ``layerws --structure lws --verify-every 1`` on a generated
-trace and pins both output files with two digests:
+Each cell runs ``layerws --verify-every 1`` on one trace and pins both
+output files with two digests:
 
 - a *behaviour* digest: the CSV without its ``cost`` column and the JSON
   without the fields computed from costs (``COST_FIELDS``);
@@ -19,9 +19,11 @@ import hashlib
 import pytest
 
 from layerws.cli import main
+from layerws.workload import SEARCH, GeneratorSpec, generate, serialize
 
 COST_FIELDS = ("amortized_ratio", "max_cost", "max_cost_over_lgw", "mean_cost")
 
+# ``--structure lws`` on a generated trace:
 # (family, universe, ops, seed) -> (behaviour sha256, cost sha256)
 GOLDEN = {
     ("uniform", 300, 1500, 3): (
@@ -69,17 +71,52 @@ def _sha(*parts: str) -> str:
     return hashlib.sha256("\0".join(parts).encode("ascii")).hexdigest()
 
 
-@pytest.mark.parametrize("cell", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
-def test_cli_outputs_match_golden_digests(cell, tmp_path, capsys):
-    family, n, ops, seed = cell
+def _digests(argv: list[str], tmp_path, capsys) -> tuple[str, str]:
     csv_path, json_path = tmp_path / "rows.csv", tmp_path / "summary.json"
-    code = main(["--structure", "lws", "--gen", family, "--n", str(n),
-                 "--ops", str(ops), "--seed", str(seed), "--verify-every", "1",
-                 "--csv", str(csv_path), "--json", str(json_path)])
+    code = main(argv + ["--verify-every", "1", "--csv", str(csv_path), "--json", str(json_path)])
     capsys.readouterr()
     assert code == 0
     csv_behaviour, csv_cost = _split_csv(csv_path.read_bytes().decode("ascii"))
     json_behaviour, json_cost = _split_json(json_path.read_bytes().decode("ascii"))
-    behaviour, cost = GOLDEN[cell]
-    assert _sha(csv_behaviour, json_behaviour) == behaviour, "behaviour changed"
-    assert _sha(csv_cost, json_cost) == cost, "costs changed"
+    return _sha(csv_behaviour, json_behaviour), _sha(csv_cost, json_cost)
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_cli_outputs_match_golden_digests(cell, tmp_path, capsys):
+    family, n, ops, seed = cell
+    behaviour, cost = _digests(["--structure", "lws", "--gen", family, "--n", str(n),
+                                "--ops", str(ops), "--seed", str(seed)], tmp_path, capsys)
+    assert behaviour == GOLDEN[cell][0], "behaviour changed"
+    assert cost == GOLDEN[cell][1], "costs changed"
+
+
+def _band_searches(path) -> str:
+    """The searches of a width-4 ``repeat_block`` trace over the k = 4
+    skip-splay universe, written as a trace file: band searches that stop
+    at band edges and layer moves inside the bands."""
+    spec = GeneratorSpec("repeat_block", 255, 255 + 1500, seed=9, width=4)
+    path.write_text(serialize([op for op in generate(spec) if op.kind == SEARCH]),
+                    encoding="ascii")
+    return str(path)
+
+
+# the other structures: structure -> (command-line source, behaviour sha256, cost sha256)
+OTHER_GOLDEN = {
+    # a uniform trace deletes, so it runs RedBlackBaseline.delete and its fixups
+    "redblack_baseline": (
+        lambda tmp_path: ["--gen", "uniform", "--n", "300", "--ops", "1500", "--seed", "3"],
+        "ebc3b640e8f04816d39a0cb103ec4bc2730c5a2e08dc855004aa231d42425f1f",
+        "c5354a21cb9611c58a094d14df10fd3f726dfaa20522e88a26ea43d5cea83f61"),
+    "skip_splay_doubled": (
+        lambda tmp_path: ["--trace", _band_searches(tmp_path / "searches.txt")],
+        "376d517618be40ab6e528d24777bd76edfa7498795dd3ec6a2263f4767fd1909",
+        "c1d5a212bff8ddddd532b6f2bfdd8efcd6f45f9d06a09358bf808990b0a55e39"),
+}
+
+
+@pytest.mark.parametrize("structure", sorted(OTHER_GOLDEN))
+def test_other_structures_match_golden_digests(structure, tmp_path, capsys):
+    source, *golden = OTHER_GOLDEN[structure]
+    behaviour, cost = _digests(["--structure", structure] + source(tmp_path), tmp_path, capsys)
+    assert behaviour == golden[0], "behaviour changed"
+    assert cost == golden[1], "costs changed"
