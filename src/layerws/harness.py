@@ -96,7 +96,7 @@ def _verify_reference(ref: ReferenceStructure) -> list[Violation]:
     out: list[Violation] = []
     t = ref.levels
     for j in range(1, t + 1):
-        got = len(ref.level_sets[j - 1])
+        got = len(ref.level_queues[j - 1])
         if set(ref.level_queues[j - 1]) != ref.level_sets[j - 1]:
             out.append(Violation("queue-chain", j, "queue and set disagree"))
         if j < t and got != level_capacity(j):

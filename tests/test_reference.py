@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from layerws import (DuplicateKeyError, MissingKeyError, ReferenceStructure,
                      UnifiedBoundTracker, WorkingSetTracker, lg)
+from layerws.harness import verify_structure
 
 
 def test_lg_values():
@@ -92,6 +93,14 @@ def test_delete_removes_empty_level():
     ref.delete(2)
     assert ref.levels == 1
     assert ref.snapshot() == {1: [1, 5, 4, 3]}
+
+
+def test_verifier_names_a_key_queued_on_the_wrong_level():
+    ref = filled([1, 2, 3, 4, 5])  # {1: [5, 4, 3, 2], 2: [1]}
+    assert verify_structure(ref) == []
+    ref.level_queues[1].insert(0, ref.level_queues[0].pop())  # 2 queued on level 2
+    kinds = {v.kind for v in verify_structure(ref)}
+    assert {"queue-chain", "layer-size"} <= kinds
 
 
 def test_duplicate_and_missing():
