@@ -61,29 +61,9 @@ class RedBlackBaseline:
             raise MissingKeyError(key)
         self.size -= 1
         if node.left is not None and node.right is not None:
-            # splice the successor into the node's place
-            s = node.right
-            eng.arrive(s)
-            while s.left is not None:
-                s = s.left
-                eng.charge(1)
-            s_was_black = not s.red
-            if s.parent is node:
-                fix_parent, fix_right = s, True
-            else:
-                fix_parent, fix_right = s.parent, False
-                s.parent.left = s.right
-                if s.right is not None:
-                    s.right.parent = s.parent
-                s.right = node.right
-                node.right.parent = s
-            eng.replace_subtree(node, s)
-            s.left = node.left
-            node.left.parent = s
-            s.red = node.red
-            eng.charge(3)
-            if s_was_black:
-                ops.delete_fixup(eng, fix_parent, fix_right)
+            _, _, short = ops.splice_nearest(eng, node, True)
+            if short is not None:
+                ops.delete_fixup(eng, *short)
             return
         child = node.left if node.left is not None else node.right
         parent = node.parent

@@ -143,17 +143,16 @@ class Engine:
         pivot = x.right if left else x.left
         assert pivot is not None, "rotation needs a child on the pivot side"
         assert pivot.layer == x.layer, "rotations must not cross a layer boundary"
-        parent = x.parent
+        inner = pivot.left if left else pivot.right
         if left:
-            x.right = pivot.left
-            if pivot.left is not None:
-                pivot.left.parent = x
+            x.right = inner
             pivot.left = x
         else:
-            x.left = pivot.right
-            if pivot.right is not None:
-                pivot.right.parent = x
+            x.left = inner
             pivot.right = x
+        if inner is not None:
+            inner.parent = x
+        parent = x.parent
         pivot.parent = parent
         x.parent = pivot
         if parent is None:

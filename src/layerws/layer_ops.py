@@ -8,6 +8,16 @@ unharmed while the current layer-subtree is rearranged.
 
 Layer-subtree roots are kept black throughout; this keeps the attach logic
 of the inter-layer moves free of color case analysis.
+
+The red-black steps have a left and a right form; each routine here runs
+one code path for both and takes the side as a flag (``left`` in the
+rotations, ``right_side`` for a short slot, ``succ`` for the successor
+side, ``tall_left`` inside ``join3``).  Two steps with more than one caller
+live here once: ``splice_nearest`` puts a node's in-layer successor or
+predecessor in its place, for the layered tree's sink to a layer boundary
+and the baseline's delete; ``_rehang`` hangs a rebuilt layer-subtree in
+the slot the old one hung in, header included, for ``split`` and
+``join_at``.
 """
 
 from __future__ import annotations
@@ -15,21 +25,19 @@ from __future__ import annotations
 from .engine import Engine, Node
 
 
-def in_layer(node, layer: int) -> bool:
-    return node is not None and node.layer == layer
-
-
 def is_subtree_root(x: Node) -> bool:
     p = x.parent
     return p is None or p.layer != x.layer
 
 
-def subtree_root(x: Node) -> Node:
-    while True:
-        p = x.parent
-        if p is None or p.layer != x.layer:
-            return x
-        x = p
+def hang(parent: Node, right: bool, child):
+    """Make ``child`` (or nothing) the right or left child of ``parent``."""
+    if right:
+        parent.right = child
+    else:
+        parent.left = child
+    if child is not None:
+        child.parent = parent
 
 
 def black_height(eng: Engine, node, layer: int) -> int:
@@ -67,29 +75,21 @@ def insert_fixup(eng: Engine, x: Node) -> bool:
         g = p.parent
         assert g is not None and g.layer == j, "red node at a layer-subtree root"
         eng.charge(2)
-        uncle = g.right if p is g.left else g.left
+        left = p is g.left
+        uncle = g.right if left else g.left
         if uncle is not None and uncle.layer == j and uncle.red:
             p.red = False
             uncle.red = False
             g.red = True
             x = g
             continue
-        if p is g.left:
-            if x is p.right:
-                x = p
-                eng.rotate(x, left=True)
-                p = x.parent
-            p.red = False
-            g.red = True
-            eng.rotate(g, left=False)
-        else:
-            if x is p.left:
-                x = p
-                eng.rotate(x, left=False)
-                p = x.parent
-            p.red = False
-            g.red = True
-            eng.rotate(g, left=True)
+        if x is (p.right if left else p.left):
+            x = p
+            eng.rotate(x, left=left)
+            p = x.parent
+        p.red = False
+        g.red = True
+        eng.rotate(g, left=not left)
         return False
 
 
@@ -143,6 +143,60 @@ def delete_fixup(eng: Engine, parent: Node, right_side: bool):
         return
 
 
+def spine_end(eng: Engine, node: Node, leftward: bool):
+    """Walk from ``node`` down its in-layer left (``leftward``) or right
+    spine.  Returns the last node reached and its child on that side, which
+    is absent or carries a deeper label."""
+    lab = node.layer
+    eng.arrive(node)
+    while True:
+        c = node.left if leftward else node.right
+        if c is None or c.layer != lab:
+            return node, c
+        node = c
+        eng.charge(1)
+
+
+def splice_nearest(eng: Engine, x: Node, succ: bool):
+    """Put the in-layer key nearest ``x`` on one side, its successor when
+    ``succ`` and else its predecessor, in ``x``'s place, with ``x``'s colour
+    and both its subtrees; ``x`` is left unlinked from the tree.
+
+    Returns the spliced node, the child it had on its side facing ``x``
+    (absent or deeper-layer), and the slot left one black short as
+    (parent, right side), or None when the spliced node was red.
+    """
+    s, near = spine_end(eng, x.right if succ else x.left, succ)
+    q = s.parent
+    if s.red:
+        short = None
+    else:
+        short = (s, succ) if q is x else (q, not succ)
+    if q is not x:
+        hang(q, not succ, s.right if succ else s.left)
+        hang(s, succ, x.right if succ else x.left)
+    eng.replace_subtree(x, s)
+    hang(s, not succ, x.left if succ else x.right)
+    s.red = x.red
+    eng.charge(3)
+    return s, near, short
+
+
+def _fragment(eng: Engine, root, bh: int, j: int) -> int:
+    """Detach a ``join3`` fragment and blacken its root; returns its black
+    height, 0 for an absent or deeper-layer fragment."""
+    if root is None:
+        return 0
+    root.parent = None
+    if root.layer != j:
+        return 0
+    if root.red:
+        root.red = False
+        eng.charge(1)
+        return bh + 1
+    return bh
+
+
 def join3(eng: Engine, left_root, left_bh: int, mid: Node, right_root, right_bh: int, j: int):
     """Glue left fragment < ``mid`` < right fragment into one valid subtree.
 
@@ -150,94 +204,69 @@ def join3(eng: Engine, left_root, left_bh: int, mid: Node, right_root, right_bh:
     subtrees (black height 0), or absent.  Returns (root, black height);
     the returned root is detached (parent None) and always black.
     """
-    if left_root is None or left_root.layer != j:
-        left_bh = 0
-    if right_root is None or right_root.layer != j:
-        right_bh = 0
-    if left_root is not None:
-        left_root.parent = None
-        if left_root.layer == j and left_root.red:
-            left_root.red = False
-            left_bh += 1
-            eng.charge(1)
-    if right_root is not None:
-        right_root.parent = None
-        if right_root.layer == j and right_root.red:
-            right_root.red = False
-            right_bh += 1
-            eng.charge(1)
+    left_bh = _fragment(eng, left_root, left_bh, j)
+    right_bh = _fragment(eng, right_root, right_bh, j)
     mid.parent = None
 
     if left_bh == right_bh:
-        mid.left = left_root
-        if left_root is not None:
-            left_root.parent = mid
-        mid.right = right_root
-        if right_root is not None:
-            right_root.parent = mid
+        hang(mid, False, left_root)
+        hang(mid, True, right_root)
         mid.red = False
         eng.charge(3)
         return mid, left_bh + 1
 
-    if left_bh > right_bh:
-        # walk the right spine of the taller side down to the matching height
-        slot_parent = None
-        occ = left_root
-        occ_bh = left_bh
-        while occ_bh > right_bh or (occ is not None and occ.layer == j and occ.red):
-            assert occ is not None and occ.layer == j
-            slot_parent = occ
-            if not occ.red:
-                occ_bh -= 1
-            occ = occ.right
-            if occ is not None and occ.layer != j:
-                occ_bh = 0
-            eng.charge(1)
-        mid.left = occ
-        if occ is not None:
-            occ.parent = mid
-        mid.right = right_root
-        if right_root is not None:
-            right_root.parent = mid
-        mid.red = True
-        mid.parent = slot_parent
-        slot_parent.right = mid
-        eng.charge(3)
-        grew = insert_fixup(eng, mid)
-        top = mid
-        while top.parent is not None:
-            top = top.parent
-            eng.charge(1)
-        return top, left_bh + (1 if grew else 0)
-
+    # walk the inner spine of the taller side down to the shorter side's height
+    tall_left = left_bh > right_bh
+    if tall_left:
+        occ, occ_bh, short, short_bh = left_root, left_bh, right_root, right_bh
+    else:
+        occ, occ_bh, short, short_bh = right_root, right_bh, left_root, left_bh
+    tall_bh = occ_bh
     slot_parent = None
-    occ = right_root
-    occ_bh = right_bh
-    while occ_bh > left_bh or (occ is not None and occ.layer == j and occ.red):
+    while occ_bh > short_bh or (occ is not None and occ.layer == j and occ.red):
         assert occ is not None and occ.layer == j
         slot_parent = occ
         if not occ.red:
             occ_bh -= 1
-        occ = occ.left
+        occ = occ.right if tall_left else occ.left
         if occ is not None and occ.layer != j:
             occ_bh = 0
         eng.charge(1)
-    mid.right = occ
-    if occ is not None:
-        occ.parent = mid
-    mid.left = left_root
-    if left_root is not None:
-        left_root.parent = mid
+    hang(mid, not tall_left, occ)
+    hang(mid, tall_left, short)
     mid.red = True
-    mid.parent = slot_parent
-    slot_parent.left = mid
+    hang(slot_parent, tall_left, mid)
     eng.charge(3)
     grew = insert_fixup(eng, mid)
     top = mid
     while top.parent is not None:
         top = top.parent
         eng.charge(1)
-    return top, right_bh + (1 if grew else 0)
+    return top, tall_bh + (1 if grew else 0)
+
+
+def _slot_of(eng: Engine, top: Node):
+    """Where the layer-subtree headed by ``top`` hangs, read before a
+    rebuild rewrites its links: (parent, is the engine root, header)."""
+    return top.parent, eng.root is top, top.header
+
+
+def _rehang(eng: Engine, top: Node, root: Node, slot):
+    """Hang ``root``, the rebuilt layer-subtree ``top`` headed, in the
+    ``slot`` ``top`` hung in, and move the root header onto it.  The
+    rebuild never writes the parent's links, which still name ``top``."""
+    anchor, was_engine_root, header = slot
+    root.parent = anchor
+    if anchor is None:
+        if was_engine_root:
+            eng.root = root
+    elif anchor.left is top:
+        anchor.left = root
+    else:
+        anchor.right = root
+    if header is not None and root is not top:
+        root.header = header
+        top.header = None
 
 
 def split(eng: Engine, x: Node):
@@ -262,10 +291,7 @@ def split(eng: Engine, x: Node):
         path.append(q)
         top = q
         eng.charge(1)
-    anchor = top.parent
-    anchor_left = anchor is not None and anchor.left is top
-    was_engine_root = eng.root is top
-    header = top.header
+    slot = _slot_of(eng, top)
 
     key = x.key
     child_bh = bh - (0 if x.red else 1)
@@ -281,30 +307,13 @@ def split(eng: Engine, x: Node):
         if v_was_black:
             orig_bh += 1
 
-    x.left = left_root
-    if left_root is not None:
-        left_root.parent = x
-        if left_root.layer == j and left_root.red:
-            left_root.red = False  # side roots head their own layer-subtrees next
-            eng.charge(1)
-    x.right = right_root
-    if right_root is not None:
-        right_root.parent = x
-        if right_root.layer == j and right_root.red:
-            right_root.red = False
+    for right, side_root in ((False, left_root), (True, right_root)):
+        hang(x, right, side_root)
+        if side_root is not None and side_root.layer == j and side_root.red:
+            side_root.red = False  # side roots head their own layer-subtrees next
             eng.charge(1)
     x.red = False
-    x.parent = anchor
-    if anchor is None:
-        if was_engine_root:
-            eng.root = x
-    elif anchor_left:
-        anchor.left = x
-    else:
-        anchor.right = x
-    if header is not None and top is not x:
-        x.header = header
-        top.header = None
+    _rehang(eng, top, x, slot)
     eng.charge(2)
 
 
@@ -323,23 +332,10 @@ def join_at(eng: Engine, x: Node) -> Node:
         x.red = False
         eng.charge(1)
         return x
-    parent = x.parent
-    was_left = parent is not None and parent.left is x
-    was_engine_root = eng.root is x
-    header = x.header
+    slot = _slot_of(eng, x)
     lbh = black_height(eng, left, j) if l_in else 0
     rbh = black_height(eng, right, j) if r_in else 0
     root, _ = join3(eng, left, lbh, x, right, rbh, j)
-    root.parent = parent
-    if parent is None:
-        if was_engine_root:
-            eng.root = root
-    elif was_left:
-        parent.left = root
-    else:
-        parent.right = root
-    if header is not None and root is not x:
-        root.header = header
-        x.header = None
+    _rehang(eng, x, root, slot)
     eng.charge(1)
     return root

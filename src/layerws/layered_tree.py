@@ -150,24 +150,15 @@ class LayeredTree:
             return node
         base = self.base
         visits = 0
-        if key > k:
-            while True:
-                p = node.parent
-                if p is None or p.layer <= base:
-                    break
-                node = p
-                visits += 1
-                if p.key >= key:
-                    break
-        else:
-            while True:
-                p = node.parent
-                if p is None or p.layer <= base:
-                    break
-                node = p
-                visits += 1
-                if p.key <= key:
-                    break
+        up = key > k
+        while True:
+            p = node.parent
+            if p is None or p.layer <= base:
+                break
+            node = p
+            visits += 1
+            if (p.key >= key) if up else (p.key <= key):
+                break
         eng.node = node
         eng.visits += visits
         node = eng.descend_to(key)
@@ -338,18 +329,17 @@ class LayeredTree:
         """Turn ``x`` into a boundary leaf of its layer-subtree, relabel it
         one layer deeper, and repair the vacated black height.
 
-        With two within-layer children the successor is spliced into
-        ``x``'s place and ``x`` re-hangs below its predecessor, adopting
-        the two deeper-layer subtrees whose keys bracket it.  One-child and
-        leaf cases degenerate accordingly.
+        With an in-layer child, the nearest in-layer key on that side (the
+        successor when there is a right one) is spliced into ``x``'s place,
+        and ``x`` re-hangs as the boundary leaf between its predecessor and
+        successor, adopting the two deeper-layer subtrees whose keys
+        bracket it.  A leaf is relabelled where it is.
         """
         eng = self.engine
         lab = x.layer
         left, right = x.left, x.right
-        l_in = left is not None and left.layer == lab
-        r_in = right is not None and right.layer == lab
-
-        if not l_in and not r_in:
+        succ = right is not None and right.layer == lab
+        if not succ and not (left is not None and left.layer == lab):
             parent = x.parent
             if parent is None or parent.layer != lab:
                 x.layer += 1  # lone layer-subtree: relabel in place
@@ -362,80 +352,22 @@ class LayeredTree:
                 ops.delete_fixup(eng, parent, right_side)
             return
 
-        if r_in:
-            s = right
-            eng.arrive(s)
-            while s.left is not None and s.left.layer == lab:
-                s = s.left
-                eng.charge(1)
-            hs = s.left
-            s_was_black = not s.red
-            if s.parent is x:
-                fix_parent, fix_right = s, True
-            else:
-                fix_parent, fix_right = s.parent, False
-                s.parent.left = s.right
-                if s.right is not None:
-                    s.right.parent = s.parent
-                s.right = x.right
-                x.right.parent = s
-            eng.replace_subtree(x, s)
-            s.red = x.red
-            eng.charge(3)
-            if l_in:
-                s.left = left
-                left.parent = s
-                p = left
-                eng.arrive(p)
-                while p.right is not None and p.right.layer == lab:
-                    p = p.right
-                    eng.charge(1)
-                hp = p.right
-                p.right = x
-                x.parent = p
-                x.left = hp
-                if hp is not None:
-                    hp.parent = x
-            else:
-                s.left = x
-                x.parent = s
-            x.right = hs
-            if hs is not None:
-                hs.parent = x
-            x.layer += 1
-            eng.charge(2)
-            if s_was_black:
-                ops.delete_fixup(eng, fix_parent, fix_right)
-            return
-
-        p = left
-        eng.arrive(p)
-        while p.right is not None and p.right.layer == lab:
-            p = p.right
-            eng.charge(1)
-        hp = p.right
-        p_was_black = not p.red
-        if p.parent is x:
-            fix_parent, fix_right = p, False
+        s, near, short = ops.splice_nearest(eng, x, succ)
+        # x's slot faces s: below s itself, or below the in-layer key
+        # nearest x in the subtree s took over from x on the other side
+        inner = s.left if succ else s.right
+        if inner is not None and inner.layer == lab:
+            q, far = ops.spine_end(eng, inner, not succ)
+            ops.hang(q, succ, x)
         else:
-            fix_parent, fix_right = p.parent, True
-            p.parent.right = p.left
-            if p.left is not None:
-                p.left.parent = p.parent
-            p.left = x.left
-            x.left.parent = p
-        eng.replace_subtree(x, p)
-        p.red = x.red
-        eng.charge(3)
-        p.right = x
-        x.parent = p
-        x.left = hp
-        if hp is not None:
-            hp.parent = x
+            far = inner
+            ops.hang(s, not succ, x)
+        ops.hang(x, not succ, far)
+        ops.hang(x, succ, near)
         x.layer += 1
         eng.charge(2)
-        if p_was_black:
-            ops.delete_fixup(eng, fix_parent, fix_right)
+        if short is not None:
+            ops.delete_fixup(eng, *short)
 
     def _move_down(self, x: Node, ends):
         """Move ``x`` one layer down; it becomes the youngest there."""
