@@ -10,7 +10,8 @@ verification story.
 
 from layerws import LayeredTree, ReferenceStructure
 from layerws.errors import DivergenceError
-from layerws.harness import RunConfig, compare_layers, corrupt_queue_swap, run
+from layerws.faults import corrupt_queue_swap
+from layerws.harness import RunConfig, compare_layers, run
 from layerws.workload import GeneratorSpec
 
 

@@ -11,28 +11,15 @@ the working-set property, per operation, with no amortization.
 import math
 
 from layerws import LayeredTree, WorkingSetTracker, lg
+from layerws.harness import cost_rows
 from layerws.workload import GeneratorSpec, generate
 
 
 def replay(family, theta, n=2000, ops=20000):
     spec = GeneratorSpec(family, universe=n, ops=ops, seed=4, theta=theta)
-    tree = LayeredTree()
-    tracker = WorkingSetTracker()
-    rows = []
-    eng = tree.engine
-    for op in generate(spec):
-        w = tracker.working_set_number(op.key)
-        before = eng.visits
-        if op.kind == "I":
-            tree.insert(op.key)
-            tracker.record_insert(op.key)
-            continue
-        layer = tree.search(op.key)
-        if layer is None:
-            continue
-        rows.append((op.key, layer, eng.visits - before, w))
-        tracker.record_access(op.key)
-    return rows
+    return [(op.key, layer, cost, w)
+            for op, cost, layer, w in cost_rows(LayeredTree(), generate(spec), WorkingSetTracker())
+            if layer is not None]
 
 
 def summarize(name, rows):

@@ -7,8 +7,9 @@ links, and a desynchronized root header.
 """
 
 from layerws import LayeredTree
-from layerws.harness import (corrupt_color, corrupt_header, corrupt_layer,
-                             corrupt_queue_swap, verify_structure)
+from layerws.faults import (corrupt_color, corrupt_header, corrupt_layer,
+                            corrupt_queue_swap)
+from layerws.harness import verify_structure
 
 
 def fresh():

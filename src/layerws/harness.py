@@ -1,9 +1,10 @@
 """Trace-driven runner: execute, verify, compare, and report.
 
-``run`` is the one loop.  It runs a trace against one structure, keeps
+``run`` is the one runner.  It runs a trace against one structure, keeps
 working-set and unified-bound trackers in step, writes one CSV row per
 operation plus a JSON summary, and validates every invariant on a
-configurable cadence.
+configurable cadence.  Its replay loop, ``cost_rows``, also serves every
+other place that costs a trace operation by operation.
 
 Layered-tree runs execute the reference structure as a shadow and compare
 the two with ``compare_layers`` after every operation, stopping at the
@@ -93,16 +94,24 @@ def _verify_baseline(tree: RedBlackBaseline) -> list[Violation]:
 
 
 def _verify_reference(ref: ReferenceStructure) -> list[Violation]:
+    """Every queued key maps to its own level, the map holds as many keys
+    as the queues do, and each level holds its scheduled number of keys."""
     out: list[Violation] = []
     t = ref.levels
-    for j in range(1, t + 1):
-        got = len(ref.level_queues[j - 1])
-        if set(ref.level_queues[j - 1]) != ref.level_sets[j - 1]:
-            out.append(Violation("queue-chain", j, "queue and set disagree"))
+    get = ref.level_of.get
+    queued = 0
+    for j, q in enumerate(ref.level_queues, start=1):
+        got = len(q)
+        queued += got
+        if list(map(get, q)).count(j) != got:
+            out.append(Violation("queue-chain", j, f"a key queued on level {j} maps elsewhere"))
         if j < t and got != level_capacity(j):
             out.append(Violation("layer-size", j, f"level {j} holds {got}"))
         if j == t and not 1 <= got <= level_capacity(j):
             out.append(Violation("layer-size", j, f"deepest level holds {got}"))
+    if queued != len(ref.level_of):
+        out.append(Violation("queue-chain", t,
+                             f"queues hold {queued} keys, the level map {len(ref.level_of)}"))
     return out
 
 
@@ -176,12 +185,46 @@ def _divergence(tree: LayeredTree, ref: ReferenceStructure, j: int,
         f"layer {j} diverged at {where}: tree holds {held}, reference holds {want[:10]}")
 
 
+def cost_rows(d, trace, tracker):
+    """Replay ``trace`` on the dictionary ``d`` and yield one row per
+    operation: (op, cost, layer, w).
+
+    ``cost`` is the operation's cursor visits on ``d.engine`` (0 when that
+    is None), ``layer`` what a search returned (None for updates) and ``w``
+    the key's working-set number before the operation.  ``tracker``, a
+    working-set or unified-bound tracker, records a search hit or an
+    update when the consumer asks for the next row, so between rows it
+    still reads as before the row's operation.
+    """
+    eng = d.engine
+    for op in trace:
+        key = op.key
+        w = tracker.working_set_number(key)
+        before = eng.visits if eng is not None else 0
+        layer = None
+        if op.kind == SEARCH:
+            layer = d.search(key)
+        elif op.kind == INSERT:
+            d.insert(key)
+        else:
+            d.delete(key)
+        yield op, (eng.visits - before if eng is not None else 0), layer, w
+        if op.kind == SEARCH:
+            if layer is not None:
+                tracker.record_access(key)
+        elif op.kind == INSERT:
+            tracker.record_insert(key)
+        else:
+            tracker.record_delete(key)
+
+
 class _DictDriver:
-    """Any dictionary with ``search``/``insert``/``delete``/``len``.
+    """Any dictionary with ``search``/``insert``/``delete``/``len``, wrapped
+    as one that ``cost_rows`` can replay.
 
     A layered tree runs the reference structure as its shadow, keeps a
     key -> node map for the comparator, and is compared after every
-    operation.  Cost is the engine's visit delta, or 0 without an engine.
+    operation.
     """
 
     def __init__(self, structure: str):
@@ -192,33 +235,29 @@ class _DictDriver:
         self.shadow = ReferenceStructure() if kind is LayeredTree else None
         self.nodes: dict[int, Node] = {}
 
-    def apply(self, op: TraceOp):
-        d, eng, shadow, key = self.d, self.engine, self.shadow, op.key
-        before = eng.visits if eng is not None else 0
-        layer = None
-        if op.kind == SEARCH:
-            layer = d.search(key)
-        elif op.kind == INSERT:
-            d.insert(key)
-        else:
-            d.delete(key)
-        cost = eng.visits - before if eng is not None else 0
-        if shadow is not None:
-            if op.kind == SEARCH:
-                ref_layer = shadow.search(key)
-                if layer != ref_layer:
-                    raise DivergenceError(
-                        f"search {key}: tree found layer {layer}, reference level {ref_layer}")
-            elif op.kind == INSERT:
-                shadow.insert(key)
-                node = eng.root  # a plain descent, not charged to the engine
-                while node.key != key:
-                    node = node.left if key < node.key else node.right
-                self.nodes[key] = node
-            else:
-                shadow.delete(key)
-                del self.nodes[key]
-        return cost, layer
+    def search(self, key):
+        layer = self.d.search(key)
+        if self.shadow is not None:
+            ref_layer = self.shadow.search(key)
+            if layer != ref_layer:
+                raise DivergenceError(
+                    f"search {key}: tree found layer {layer}, reference level {ref_layer}")
+        return layer
+
+    def insert(self, key):
+        self.d.insert(key)
+        if self.shadow is not None:
+            self.shadow.insert(key)
+            node = self.engine.root  # a plain descent, not charged to the engine
+            while node.key != key:
+                node = node.left if key < node.key else node.right
+            self.nodes[key] = node
+
+    def delete(self, key):
+        self.d.delete(key)
+        if self.shadow is not None:
+            self.shadow.delete(key)
+            del self.nodes[key]
 
     def compare(self):
         if self.shadow is not None:
@@ -254,12 +293,12 @@ class _SkipDriver:
                 raise IncompatibleTraceError(
                     f"key {max_key} exceeds the largest supported universe")
         self.tree = SkipSplayTree(k)
-        self.doubled = doubled
+        self.engine = self.tree.engine
+        self.access = self.tree.access_doubled if doubled else self.tree.access
 
-    def apply(self, op: TraceOp):
-        cost = (self.tree.access_doubled(op.key) if self.doubled
-                else self.tree.access(op.key))
-        return cost, self.tree.aux_depth(op.key)
+    def search(self, key):
+        self.access(key)
+        return self.tree.aux_depth(key)
 
     def compare(self):
         pass
@@ -311,24 +350,15 @@ def run(config: RunConfig) -> RunResult:
         writer.writerow(["i", "op", "key", "cost", "layer", "w", "ub", "bound"])
 
     divergence = None
-    at: int | str = "end"
+    at: int | str = 0  # the operation in progress, or "end" for the final sweep
     try:
-        for at, op in enumerate(trace):
-            w_pre = tracker.ws.working_set_number(op.key)
-            # an update's bound is only ever reported in its CSV row
+        for op, cost, layer, w_pre in cost_rows(driver, trace, tracker):
+            # the tracker records the operation only when the next row is
+            # asked for; an update's bound is only ever reported in its CSV row
             ub_pre = (tracker.unified_bound(op.key)
                       if emit_ub and tracker.sorted_keys and (writer or op.kind == SEARCH)
                       else None)
-            cost, layer = driver.apply(op)
             hit = layer is not None
-            if op.kind == SEARCH:
-                if hit:
-                    tracker.record_access(op.key)
-            elif op.kind == INSERT:
-                tracker.record_insert(op.key)
-            else:
-                tracker.record_delete(op.key)
-
             n_now = max(driver.size(), 1)
             total_cost += cost
             max_cost = max(max_cost, cost)
@@ -351,6 +381,7 @@ def run(config: RunConfig) -> RunResult:
             driver.compare()
             if (at + 1) % config.verify_every == 0:
                 violations.extend((at, v) for v in driver.verify(final=False))
+            at += 1
         at = "end"
         violations.extend((at, v) for v in driver.verify(final=True))
     except DivergenceError as exc:
@@ -406,40 +437,3 @@ def _bound_for(structure: str, kind: str, w_pre: int, n: int, constants: dict):
                 + constants["skip_doubled_additive"])
     return None
 
-
-# -- fault injection (test support) ---------------------------------------------
-
-def corrupt_color(tree: LayeredTree, key: int):
-    node = _find(tree, key)
-    node.red = not node.red
-
-
-def corrupt_layer(tree: LayeredTree, key: int, new_layer: int):
-    node = _find(tree, key)
-    node.layer = new_layer
-
-
-def corrupt_queue_swap(tree: LayeredTree, key: int):
-    node = _find(tree, key)
-    node.older, node.younger = node.younger, node.older
-
-
-def corrupt_next_layer(tree: LayeredTree, key: int, value):
-    node = _find(tree, key)
-    node.next_layer = value
-
-
-def corrupt_header(tree: LayeredTree, layer_count=None, last_size=None):
-    header = tree.engine.root.header
-    if layer_count is not None:
-        header.layer_count = layer_count
-    if last_size is not None:
-        header.last_size = last_size
-
-
-def _find(tree: LayeredTree, key: int) -> Node:
-    node = tree.engine.root
-    while node is not None and node.key != key:
-        node = node.left if key < node.key else node.right
-    assert node is not None, f"corruption target {key} missing"
-    return node

@@ -1,7 +1,7 @@
 """Reference working-set structure and access-distribution trackers.
 
 The reference structure keeps the same doubly-exponential size schedule as
-the layered tree but as a plain collection of key sets and recency queues,
+the layered tree but as a plain collection of recency queues,
 with no tree mechanics and no cost model.  Running it in lockstep with the
 layered tree gives a step-by-step oracle: after every operation both must
 hold identical per-level key sets in identical recency order.
@@ -31,7 +31,8 @@ def level_capacity(j: int) -> int:
 
 
 class ReferenceStructure:
-    """Levels of (key set, recency queue) pairs on the 4, 16, 256, ... schedule.
+    """Recency queues on the 4, 16, 256, ... schedule, and one key -> level
+    map.
 
     Queues are lists, youngest first.  Shifts move one key per level:
     downward shifts demote the oldest of each level, upward shifts promote
@@ -40,21 +41,21 @@ class ReferenceStructure:
     """
 
     def __init__(self):
-        self.level_sets: list[set] = []
+        self.level_of: dict = {}
         self.level_queues: list[list] = []
 
     @property
     def levels(self) -> int:
-        return len(self.level_sets)
+        return len(self.level_queues)
 
     def __len__(self):
-        return sum(len(s) for s in self.level_sets)
+        return len(self.level_of)
 
     def __contains__(self, key):
-        return any(key in s for s in self.level_sets)
+        return key in self.level_of
 
     def _add_youngest(self, idx: int, key):
-        self.level_sets[idx].add(key)
+        self.level_of[key] = idx + 1
         self.level_queues[idx].insert(0, key)
 
     def shift(self, src: int, dst: int):
@@ -64,60 +65,42 @@ class ReferenceStructure:
         if src < dst:
             for m in range(src, dst):
                 assert self.level_queues[m - 1], f"level {m} underflow"
-                key = self.level_queues[m - 1].pop()
-                self.level_sets[m - 1].discard(key)
-                self._add_youngest(m, key)
+                self._add_youngest(m, self.level_queues[m - 1].pop())
         elif src > dst:
             for m in range(dst, src):
                 assert self.level_queues[m], f"level {m + 1} underflow"
-                key = self.level_queues[m].pop(0)
-                self.level_sets[m].discard(key)
-                self._add_youngest(m - 1, key)
+                self._add_youngest(m - 1, self.level_queues[m].pop(0))
 
     def search(self, key) -> int | None:
         """Find ``key``; on a hit it moves to the front of level 1 and the
         drained level is refilled by a downward shift.  Returns the level."""
-        for j, keys in enumerate(self.level_sets, start=1):
-            if key in keys:
-                break
-        else:
+        j = self.level_of.get(key)
+        if j is None:
             return None
-        if j == 1:
-            q = self.level_queues[0]
-            q.remove(key)
-            q.insert(0, key)
-            return 1
-        self.level_sets[j - 1].discard(key)
         self.level_queues[j - 1].remove(key)
         self._add_youngest(0, key)
         self.shift(1, j)
         return j
 
     def insert(self, key):
-        if key in self:
+        if key in self.level_of:
             raise DuplicateKeyError(key)
         if self.levels == 0:
-            self.level_sets.append(set())
             self.level_queues.append([])
         t = self.levels
-        if len(self.level_sets[t - 1]) == level_capacity(t):
-            self.level_sets.append(set())
+        if len(self.level_queues[t - 1]) == level_capacity(t):
             self.level_queues.append([])
             t += 1
         self._add_youngest(0, key)
         self.shift(1, t)
 
     def delete(self, key):
-        for j, keys in enumerate(self.level_sets, start=1):
-            if key in keys:
-                break
-        else:
+        j = self.level_of.pop(key, None)
+        if j is None:
             raise MissingKeyError(key)
-        self.level_sets[j - 1].discard(key)
         self.level_queues[j - 1].remove(key)
         self.shift(self.levels, j)
-        if not self.level_sets[-1]:
-            self.level_sets.pop()
+        if not self.level_queues[-1]:
             self.level_queues.pop()
 
     def snapshot(self) -> dict[int, list]:
@@ -199,8 +182,8 @@ class UnifiedBoundTracker:
         del self.sorted_keys[i]
         self.history.append(("D", key))
 
-    def rank_distance(self, a, b) -> int:
-        return abs(bisect_left(self.sorted_keys, a) - bisect_left(self.sorted_keys, b))
+    def working_set_number(self, key) -> int:
+        return self.ws.working_set_number(key)
 
     def unified_bound(self, key) -> float:
         """Exact minimum by a ring scan outward from ``key``'s rank.

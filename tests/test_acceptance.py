@@ -30,9 +30,9 @@ import pytest
 from layerws import (LayeredTree, SkipSplayTree, UnifiedBoundTracker,
                      WorkingSetTracker, lg, validate_tree)
 from layerws.constants import load_constants
-from layerws.harness import (RunConfig, corrupt_color, corrupt_header,
-                             corrupt_layer, corrupt_next_layer,
-                             corrupt_queue_swap, run, verify_structure)
+from layerws.faults import (corrupt_color, corrupt_header, corrupt_layer,
+                            corrupt_next_layer, corrupt_queue_swap)
+from layerws.harness import RunConfig, cost_rows, run, verify_structure
 from layerws.workload import GeneratorSpec, TraceOp, generate
 
 FULL = os.environ.get("LWS_ACCEPT_SCALE", "full") != "smoke"
@@ -105,21 +105,10 @@ def test_criterion_03_depth_bound(verified_replays):
 def _ws_lower_worker(args) -> dict:
     family, seed, theta = args
     spec = GeneratorSpec(family, TRACE_UNIVERSE, TRACE_OPS, seed, theta=theta)
-    tree = LayeredTree()
-    tracker = WorkingSetTracker()
     breaches = []
     deep_hits = 0
-    for op in generate(spec):
-        w = tracker.working_set_number(op.key)
-        if op.kind == "I":
-            tree.insert(op.key)
-            tracker.record_insert(op.key)
-            continue
-        layer = tree.search(op.key)
-        if layer is None:
-            continue
-        tracker.record_access(op.key)
-        if layer >= 2:
+    for op, _, layer, w in cost_rows(LayeredTree(), generate(spec), WorkingSetTracker()):
+        if layer is not None and layer >= 2:
             deep_hits += 1
             needed = 1 << (1 << (layer - 1))
             if w < needed:
@@ -153,32 +142,18 @@ def _matrix_worker(args) -> dict:
     else:
         trace = generate(GeneratorSpec(family, n, MATRIX_OPS, seed, theta=theta))
     tree = LayeredTree()
-    tracker = WorkingSetTracker()
-    eng = tree.engine
     c1, c2 = CONST["search_per_lgw"], CONST["update_per_lgn"]
     worst_search = worst_update = 0.0
     breaches = []
-    for op in trace:
-        w = tracker.working_set_number(op.key)
-        before = eng.visits
+    for op, cost, _, w in cost_rows(tree, trace, WorkingSetTracker()):
         if op.kind == "S":
-            layer = tree.search(op.key)
-            ratio = (eng.visits - before) / lg(w)
+            ratio = cost / lg(w)
             worst_search = max(worst_search, ratio)
             if ratio > c1:
                 breaches.append(("S", op.key, ratio))
-            if layer is not None:
-                tracker.record_access(op.key)
         else:
-            if op.kind == "I":
-                tree.insert(op.key)
-                tracker.record_insert(op.key)
-                size = tree.size
-            else:
-                size = tree.size
-                tree.delete(op.key)
-                tracker.record_delete(op.key)
-            ratio = (eng.visits - before) / math.log2(size + 2)
+            # an insert is costed at the size after it, a delete before it
+            ratio = cost / math.log2(tree.size + (op.kind == "D") + 2)
             worst_update = max(worst_update, ratio)
             if ratio > c2:
                 breaches.append((op.kind, op.key, ratio))

@@ -9,9 +9,9 @@ import pytest
 from layerws import LayeredTree, ReferenceStructure
 from layerws.cli import main
 from layerws.errors import DivergenceError, IncompatibleTraceError
-from layerws.harness import (RunConfig, compare_layers, corrupt_color,
-                             corrupt_header, corrupt_layer, corrupt_next_layer,
-                             corrupt_queue_swap, run, verify_structure)
+from layerws.faults import (_find, corrupt_color, corrupt_header, corrupt_layer,
+                            corrupt_next_layer, corrupt_queue_swap)
+from layerws.harness import RunConfig, compare_layers, run, verify_structure
 from layerws.workload import GeneratorSpec, TraceOp, parse
 
 SCENARIO_A = "I 1\nI 2\nI 3\nI 4\nI 5\nS 1\n"
@@ -128,7 +128,7 @@ def test_run_catches_planted_divergence(tmp_path, monkeypatch):
 
 
 def _set_field(tree, key, name, value):
-    setattr(next(n for n in tree.engine.iter_nodes() if n.key == key), name, value)
+    setattr(_find(tree, key), name, value)
 
 
 # Each fault is planted by the search for key 1 (operation PLANT_AT), after

@@ -1,6 +1,7 @@
 import math
 import random
 from bisect import bisect_left
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,11 @@ def filled(keys):
 
 
 def sizes(ref):
-    return tuple(len(s) for s in ref.level_sets)
+    """Keys per level, counted in the key -> level map; the queues agree."""
+    counts = Counter(ref.level_of.values())
+    out = tuple(counts[j] for j in range(1, ref.levels + 1))
+    assert out == tuple(len(q) for q in ref.level_queues)
+    return out
 
 
 # -- shift ---------------------------------------------------------------------
@@ -59,7 +64,7 @@ def test_shift_up_moves_youngest():
 def test_multi_level_shift_up_moves_one_per_level():
     ref = filled(range(21))  # levels (4, 16, 1)
     moved = [q[0] for q in ref.level_queues[1:]]
-    ref.level_sets[0].discard(ref.level_queues[0].pop(0))  # make room
+    del ref.level_of[ref.level_queues[0].pop(0)]  # make room
     ref.shift(3, 1)
     assert sizes(ref) == (4, 16, 0)
     # each level's original youngest went one level up

@@ -16,6 +16,7 @@ import time
 
 sys.path.insert(0, "src")
 
+from layerws.harness import cost_rows
 from layerws.layered_tree import LayeredTree
 from layerws.reference import WorkingSetTracker, lg
 from layerws.skip_splay import SkipSplayTree
@@ -37,30 +38,14 @@ def matrix_traces(n, seed, ops=12_000):
 
 def replay_costs(trace):
     tree = LayeredTree()
-    tracker = WorkingSetTracker()
     search_ratio = 0.0
     update_ratio = 0.0
-    eng = tree.engine
-    for op in trace:
-        w = tracker.working_set_number(op.key)
-        before = eng.visits
+    for op, cost, _, w in cost_rows(tree, trace, WorkingSetTracker()):
         if op.kind == "S":
-            layer = tree.search(op.key)
-            cost = eng.visits - before
             search_ratio = max(search_ratio, cost / lg(w))
-            if layer is not None:
-                tracker.record_access(op.key)
-        elif op.kind == "I":
-            tree.insert(op.key)
-            cost = eng.visits - before
-            update_ratio = max(update_ratio, cost / math.log2(tree.size + 2))
-            tracker.record_insert(op.key)
         else:
-            n_pre = tree.size
-            tree.delete(op.key)
-            cost = eng.visits - before
-            update_ratio = max(update_ratio, cost / math.log2(n_pre + 2))
-            tracker.record_delete(op.key)
+            # an insert is costed at the size after it, a delete before it
+            update_ratio = max(update_ratio, cost / math.log2(tree.size + (op.kind == "D") + 2))
     return search_ratio, update_ratio
 
 
