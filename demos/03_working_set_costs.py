@@ -8,8 +8,6 @@ full logarithmic price.  The ratio cost / log2(w+2) stays flat -- that is
 the working-set property, per operation, with no amortization.
 """
 
-import math
-
 from layerws import LayeredTree, WorkingSetTracker, lg
 from layerws.harness import cost_rows
 from layerws.workload import GeneratorSpec, generate

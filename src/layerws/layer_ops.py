@@ -182,21 +182,6 @@ def splice_nearest(eng: Engine, x: Node, succ: bool):
     return s, near, short
 
 
-def _fragment(eng: Engine, root, bh: int, j: int) -> int:
-    """Detach a ``join3`` fragment and blacken its root; returns its black
-    height, 0 for an absent or deeper-layer fragment."""
-    if root is None:
-        return 0
-    root.parent = None
-    if root.layer != j:
-        return 0
-    if root.red:
-        root.red = False
-        eng.charge(1)
-        return bh + 1
-    return bh
-
-
 def join3(eng: Engine, left_root, left_bh: int, mid: Node, right_root, right_bh: int, j: int):
     """Glue left fragment < ``mid`` < right fragment into one valid subtree.
 
@@ -204,45 +189,68 @@ def join3(eng: Engine, left_root, left_bh: int, mid: Node, right_root, right_bh:
     subtrees (black height 0), or absent.  Returns (root, black height);
     the returned root is detached (parent None) and always black.
     """
-    left_bh = _fragment(eng, left_root, left_bh, j)
-    right_bh = _fragment(eng, right_root, right_bh, j)
+    if left_root is None or left_root.layer != j:
+        left_bh = 0
+    if right_root is None or right_root.layer != j:
+        right_bh = 0
+    if left_root is not None:
+        left_root.parent = None
+        if left_root.layer == j and left_root.red:
+            left_root.red = False
+            left_bh += 1
+            eng.charge(1)
+    if right_root is not None:
+        right_root.parent = None
+        if right_root.layer == j and right_root.red:
+            right_root.red = False
+            right_bh += 1
+            eng.charge(1)
     mid.parent = None
 
     if left_bh == right_bh:
-        hang(mid, False, left_root)
-        hang(mid, True, right_root)
-        mid.red = False
-        eng.charge(3)
-        return mid, left_bh + 1
-
-    # walk the inner spine of the taller side down to the shorter side's height
-    tall_left = left_bh > right_bh
-    if tall_left:
-        occ, occ_bh, short, short_bh = left_root, left_bh, right_root, right_bh
+        lo, hi, slot_parent = left_root, right_root, None
     else:
-        occ, occ_bh, short, short_bh = right_root, right_bh, left_root, left_bh
-    tall_bh = occ_bh
-    slot_parent = None
-    while occ_bh > short_bh or (occ is not None and occ.layer == j and occ.red):
-        assert occ is not None and occ.layer == j
-        slot_parent = occ
-        if not occ.red:
-            occ_bh -= 1
-        occ = occ.right if tall_left else occ.left
-        if occ is not None and occ.layer != j:
-            occ_bh = 0
-        eng.charge(1)
-    hang(mid, not tall_left, occ)
-    hang(mid, tall_left, short)
-    mid.red = True
-    hang(slot_parent, tall_left, mid)
+        # walk the inner spine of the taller side down to the shorter side's height
+        tall_left = left_bh > right_bh
+        if tall_left:
+            occ, occ_bh, short_bh = left_root, left_bh, right_bh
+        else:
+            occ, occ_bh, short_bh = right_root, right_bh, left_bh
+        while occ_bh > short_bh or (occ is not None and occ.layer == j and occ.red):
+            assert occ is not None and occ.layer == j
+            slot_parent = occ
+            if not occ.red:
+                occ_bh -= 1
+            occ = occ.right if tall_left else occ.left
+            if occ is not None and occ.layer != j:
+                occ_bh = 0
+            eng.charge(1)
+        if tall_left:
+            lo, hi = occ, right_root
+        else:
+            lo, hi = left_root, occ
+    mid.left = lo
+    if lo is not None:
+        lo.parent = mid
+    mid.right = hi
+    if hi is not None:
+        hi.parent = mid
     eng.charge(3)
+    if slot_parent is None:  # equal heights: mid heads the join
+        mid.red = False
+        return mid, left_bh + 1
+    mid.red = True
+    mid.parent = slot_parent
+    if tall_left:
+        slot_parent.right = mid
+    else:
+        slot_parent.left = mid
     grew = insert_fixup(eng, mid)
     top = mid
     while top.parent is not None:
         top = top.parent
         eng.charge(1)
-    return top, tall_bh + (1 if grew else 0)
+    return top, (left_bh if tall_left else right_bh) + (1 if grew else 0)
 
 
 def _slot_of(eng: Engine, top: Node):
@@ -307,11 +315,14 @@ def split(eng: Engine, x: Node):
         if v_was_black:
             orig_bh += 1
 
-    for right, side_root in ((False, left_root), (True, right_root)):
-        hang(x, right, side_root)
-        if side_root is not None and side_root.layer == j and side_root.red:
-            side_root.red = False  # side roots head their own layer-subtrees next
-            eng.charge(1)
+    x.left = left_root
+    x.right = right_root
+    for side_root in (left_root, right_root):
+        if side_root is not None:
+            side_root.parent = x
+            if side_root.layer == j and side_root.red:
+                side_root.red = False  # side roots head their own layer-subtrees next
+                eng.charge(1)
     x.red = False
     _rehang(eng, top, x, slot)
     eng.charge(2)

@@ -337,9 +337,8 @@ class LayeredTree:
         """
         eng = self.engine
         lab = x.layer
-        left, right = x.left, x.right
-        succ = right is not None and right.layer == lab
-        if not succ and not (left is not None and left.layer == lab):
+        succ = x.right is not None and x.right.layer == lab
+        if not succ and not (x.left is not None and x.left.layer == lab):
             parent = x.parent
             if parent is None or parent.layer != lab:
                 x.layer += 1  # lone layer-subtree: relabel in place
