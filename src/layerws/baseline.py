@@ -37,7 +37,7 @@ class RedBlackBaseline:
             node = Node(key, 1, red=False)
             eng.root = node
             eng.node = node
-            eng.charge(1)
+            eng.visits += 1
             self.size = 1
             return
         if eng.descend_to(key) is not None:
@@ -70,7 +70,7 @@ class RedBlackBaseline:
         right_side = parent is not None and parent.right is node
         was_black = not node.red
         eng.replace_subtree(node, child)
-        eng.charge(2)
+        eng.visits += 2
         eng.node = child if child is not None else (parent if parent is not None else None)
         if not was_black:
             return

@@ -85,10 +85,6 @@ class Engine:
         self.visits += 1
         return nxt
 
-    def charge(self, n: int):
-        """Account pointer-surgery work as node arrivals."""
-        self.visits += n
-
     def ascend_to_subtree_root(self, base: int) -> Node:
         """Walk parent links until the current node heads its label band.
 

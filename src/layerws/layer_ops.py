@@ -30,16 +30,6 @@ def is_subtree_root(x: Node) -> bool:
     return p is None or p.layer != x.layer
 
 
-def hang(parent: Node, right: bool, child):
-    """Make ``child`` (or nothing) the right or left child of ``parent``."""
-    if right:
-        parent.right = child
-    else:
-        parent.left = child
-    if child is not None:
-        child.parent = parent
-
-
 def black_height(eng: Engine, node, layer: int) -> int:
     """Black count from ``node`` down its within-layer left spine."""
     bh = 0
@@ -49,7 +39,7 @@ def black_height(eng: Engine, node, layer: int) -> int:
             bh += 1
         node = node.left
         steps += 1
-    eng.charge(steps)
+    eng.visits += steps
     return bh
 
 
@@ -67,14 +57,14 @@ def insert_fixup(eng: Engine, x: Node) -> bool:
         if p is None or p.layer != j:
             if x.red:
                 x.red = False
-                eng.charge(1)
+                eng.visits += 1
                 return True
             return False
         if not p.red:
             return False
         g = p.parent
         assert g is not None and g.layer == j, "red node at a layer-subtree root"
-        eng.charge(2)
+        eng.visits += 2
         left = p is g.left
         uncle = g.right if left else g.left
         if uncle is not None and uncle.layer == j and uncle.red:
@@ -104,11 +94,11 @@ def delete_fixup(eng: Engine, parent: Node, right_side: bool):
         occ = parent.right if right_side else parent.left
         if occ is not None and occ.layer == j and occ.red:
             occ.red = False
-            eng.charge(1)
+            eng.visits += 1
             return
         w = parent.left if right_side else parent.right
         assert w is not None and w.layer == j, "deficit slot lacks an in-layer sibling"
-        eng.charge(1)
+        eng.visits += 1
         if w.red:
             w.red = False
             parent.red = True
@@ -121,7 +111,7 @@ def delete_fixup(eng: Engine, parent: Node, right_side: bool):
         if not (far is not None and far.layer == j and far.red):
             if not (near is not None and near.layer == j and near.red):
                 w.red = True
-                eng.charge(1)
+                eng.visits += 1
                 if parent.red:
                     parent.red = False
                     return
@@ -154,7 +144,7 @@ def spine_end(eng: Engine, node: Node, leftward: bool):
         if c is None or c.layer != lab:
             return node, c
         node = c
-        eng.charge(1)
+        eng.visits += 1
 
 
 def splice_nearest(eng: Engine, x: Node, succ: bool):
@@ -173,12 +163,28 @@ def splice_nearest(eng: Engine, x: Node, succ: bool):
     else:
         short = (s, succ) if q is x else (q, not succ)
     if q is not x:
-        hang(q, not succ, s.right if succ else s.left)
-        hang(s, succ, x.right if succ else x.left)
+        # s leaves its parent q: q adopts s's far child, s takes x's subtree
+        far = s.right if succ else s.left
+        if far is not None:
+            far.parent = q
+        sub = x.right if succ else x.left
+        sub.parent = s
+        if succ:
+            q.left = far
+            s.right = sub
+        else:
+            q.right = far
+            s.left = sub
     eng.replace_subtree(x, s)
-    hang(s, not succ, x.left if succ else x.right)
+    other = x.left if succ else x.right
+    if other is not None:
+        other.parent = s
+    if succ:
+        s.left = other
+    else:
+        s.right = other
     s.red = x.red
-    eng.charge(3)
+    eng.visits += 3
     return s, near, short
 
 
@@ -198,15 +204,16 @@ def join3(eng: Engine, left_root, left_bh: int, mid: Node, right_root, right_bh:
         if left_root.layer == j and left_root.red:
             left_root.red = False
             left_bh += 1
-            eng.charge(1)
+            eng.visits += 1
     if right_root is not None:
         right_root.parent = None
         if right_root.layer == j and right_root.red:
             right_root.red = False
             right_bh += 1
-            eng.charge(1)
+            eng.visits += 1
     mid.parent = None
 
+    walked = 0
     if left_bh == right_bh:
         lo, hi, slot_parent = left_root, right_root, None
     else:
@@ -224,7 +231,7 @@ def join3(eng: Engine, left_root, left_bh: int, mid: Node, right_root, right_bh:
             occ = occ.right if tall_left else occ.left
             if occ is not None and occ.layer != j:
                 occ_bh = 0
-            eng.charge(1)
+            walked += 1
         if tall_left:
             lo, hi = occ, right_root
         else:
@@ -235,7 +242,7 @@ def join3(eng: Engine, left_root, left_bh: int, mid: Node, right_root, right_bh:
     mid.right = hi
     if hi is not None:
         hi.parent = mid
-    eng.charge(3)
+    eng.visits += walked + 3
     if slot_parent is None:  # equal heights: mid heads the join
         mid.red = False
         return mid, left_bh + 1
@@ -247,9 +254,11 @@ def join3(eng: Engine, left_root, left_bh: int, mid: Node, right_root, right_bh:
         slot_parent.left = mid
     grew = insert_fixup(eng, mid)
     top = mid
+    climbed = 0
     while top.parent is not None:
         top = top.parent
-        eng.charge(1)
+        climbed += 1
+    eng.visits += climbed
     return top, (left_bh if tall_left else right_bh) + (1 if grew else 0)
 
 
@@ -298,7 +307,7 @@ def split(eng: Engine, x: Node):
             break
         path.append(q)
         top = q
-        eng.charge(1)
+    eng.visits += len(path) - 1
     slot = _slot_of(eng, top)
 
     key = x.key
@@ -322,10 +331,10 @@ def split(eng: Engine, x: Node):
             side_root.parent = x
             if side_root.layer == j and side_root.red:
                 side_root.red = False  # side roots head their own layer-subtrees next
-                eng.charge(1)
+                eng.visits += 1
     x.red = False
     _rehang(eng, top, x, slot)
-    eng.charge(2)
+    eng.visits += 2
 
 
 def join_at(eng: Engine, x: Node) -> Node:
@@ -341,12 +350,12 @@ def join_at(eng: Engine, x: Node) -> Node:
     r_in = right is not None and right.layer == j
     if not l_in and not r_in:
         x.red = False
-        eng.charge(1)
+        eng.visits += 1
         return x
     slot = _slot_of(eng, x)
     lbh = black_height(eng, left, j) if l_in else 0
     rbh = black_height(eng, right, j) if r_in else 0
     root, _ = join3(eng, left, lbh, x, right, rbh, j)
     _rehang(eng, x, root, slot)
-    eng.charge(1)
+    eng.visits += 1
     return root

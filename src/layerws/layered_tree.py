@@ -150,15 +150,26 @@ class LayeredTree:
             return node
         base = self.base
         visits = 0
-        up = key > k
-        while True:
-            p = node.parent
-            if p is None or p.layer <= base:
-                break
-            node = p
-            visits += 1
-            if (p.key >= key) if up else (p.key <= key):
-                break
+        # one climb per side: this is the tree's hottest loop, and a side
+        # test on every step of it measured slower
+        if key > k:
+            while True:
+                p = node.parent
+                if p is None or p.layer <= base:
+                    break
+                node = p
+                visits += 1
+                if p.key >= key:
+                    break
+        else:
+            while True:
+                p = node.parent
+                if p is None or p.layer <= base:
+                    break
+                node = p
+                visits += 1
+                if p.key <= key:
+                    break
         eng.node = node
         eng.visits += visits
         node = eng.descend_to(key)
@@ -187,7 +198,7 @@ class LayeredTree:
             c = n.right
             if c is not None and c.layer == lab:
                 stack.append(c)
-        eng.charge(2 * walked)
+        eng.visits += 2 * walked
         assert found is not None, "first layer has no recency head"
         eng.node = found
         return found
@@ -346,7 +357,7 @@ class LayeredTree:
             right_side = parent.right is x
             was_black = not x.red
             x.layer += 1
-            eng.charge(1)
+            eng.visits += 1
             if was_black:
                 ops.delete_fixup(eng, parent, right_side)
             return
@@ -357,14 +368,26 @@ class LayeredTree:
         inner = s.left if succ else s.right
         if inner is not None and inner.layer == lab:
             q, far = ops.spine_end(eng, inner, not succ)
-            ops.hang(q, succ, x)
+            at_right = succ
         else:
-            far = inner
-            ops.hang(s, not succ, x)
-        ops.hang(x, not succ, far)
-        ops.hang(x, succ, near)
+            q, far, at_right = s, inner, not succ
+        if at_right:
+            q.right = x
+        else:
+            q.left = x
+        x.parent = q
+        if succ:
+            x.left = far
+            x.right = near
+        else:
+            x.left = near
+            x.right = far
+        if far is not None:
+            far.parent = x
+        if near is not None:
+            near.parent = x
         x.layer += 1
-        eng.charge(2)
+        eng.visits += 2
         if short is not None:
             ops.delete_fixup(eng, *short)
 
@@ -461,7 +484,7 @@ class LayeredTree:
             node = Node(key, self.base + 1, red=False)
             eng.root = node
             eng.node = node
-            eng.charge(1)
+            eng.visits += 1
             self._set_header(1, 1, node)
             self.sizes = {1: 1}
             self.size = 1
@@ -518,7 +541,7 @@ class LayeredTree:
             ops.join_at(eng, node)
         assert node.left is None and node.right is None, "evictee must be a leaf"
         eng.replace_subtree(node, None)
-        eng.charge(1)
+        eng.visits += 1
         eng.node = node.parent
         self.size -= 1
         self.sizes[j] -= 1
