@@ -71,7 +71,7 @@ class RedBlackBaseline:
         was_black = not node.red
         eng.replace_subtree(node, child)
         eng.visits += 2
-        eng.node = child if child is not None else (parent if parent is not None else None)
+        eng.node = child if child is not None else parent
         if not was_black:
             return
         if child is not None and child.red:

@@ -182,17 +182,7 @@ class Engine:
     # -- non-model helpers (bypass the cursor; test/report support only) ---
 
     def inorder_keys(self) -> list[int]:
-        out = []
-        stack = []
-        node = self.root
-        while stack or node is not None:
-            while node is not None:
-                stack.append(node)
-                node = node.left
-            node = stack.pop()
-            out.append(node.key)
-            node = node.right
-        return out
+        return [node.key for node in self.iter_nodes()]
 
     def iter_nodes(self):
         stack = []

@@ -358,7 +358,6 @@ def run(config: RunConfig) -> RunResult:
             ub_pre = (tracker.unified_bound(op.key)
                       if emit_ub and tracker.sorted_keys and (writer or op.kind == SEARCH)
                       else None)
-            hit = layer is not None
             n_now = max(driver.size(), 1)
             total_cost += cost
             max_cost = max(max_cost, cost)
@@ -373,7 +372,7 @@ def run(config: RunConfig) -> RunResult:
                 bound = _bound_for(config.structure, op.kind, w_pre, n_now, constants)
                 writer.writerow([
                     at, op.kind, op.key, cost,
-                    layer if hit else "",
+                    layer if layer is not None else "",
                     w_pre,
                     f"{ub_pre:.6f}" if ub_pre is not None else "",
                     f"{bound:.4f}" if bound is not None else "",

@@ -25,11 +25,6 @@ from __future__ import annotations
 from .engine import Engine, Node
 
 
-def is_subtree_root(x: Node) -> bool:
-    p = x.parent
-    return p is None or p.layer != x.layer
-
-
 def black_height(eng: Engine, node, layer: int) -> int:
     """Black count from ``node`` down its within-layer left spine."""
     bh = 0
@@ -295,8 +290,8 @@ def split(eng: Engine, x: Node):
     the layer-subtree size: the per-step joins telescope along the path.
     """
     j = x.layer
-    if is_subtree_root(x):
-        return
+    if x.parent is None or x.parent.layer != j:
+        return  # already heads its layer-subtree
     bh = black_height(eng, x, j)
 
     path = [x]

@@ -351,15 +351,12 @@ class LayeredTree:
         succ = x.right is not None and x.right.layer == lab
         if not succ and not (x.left is not None and x.left.layer == lab):
             parent = x.parent
-            if parent is None or parent.layer != lab:
-                x.layer += 1  # lone layer-subtree: relabel in place
-                return
-            right_side = parent.right is x
-            was_black = not x.red
             x.layer += 1
+            if parent is None or parent.layer != lab:
+                return  # lone layer-subtree: relabelled in place
             eng.visits += 1
-            if was_black:
-                ops.delete_fixup(eng, parent, right_side)
+            if not x.red:
+                ops.delete_fixup(eng, parent, parent.right is x)
             return
 
         s, near, short = ops.splice_nearest(eng, x, succ)
@@ -428,15 +425,11 @@ class LayeredTree:
     def _refront(self, x: Node):
         if x.younger is None:  # already the youngest: the cursor reads it free
             return
-        y0 = self._scan_first_layer(youngest=True)
-        y0_next = y0.next_layer
+        y_key, x_next = self._file_youngest(x, 1, _empty_ends())
         self._queue_remove(x, 1)
-        x.older = y0.key
+        x.older = y_key
         x.younger = None
-        x.next_layer = y0_next
-        y0.younger = x.key
-        if y0.older is not None:
-            y0.next_layer = None
+        x.next_layer = x_next
 
     # -- restoring the size schedule ----------------------------------------------
 

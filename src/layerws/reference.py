@@ -123,7 +123,6 @@ class WorkingSetTracker:
         self._live_seqs: list[int] = []
 
     def record_insert(self, key):
-        self.present.add(key)
         self.record_access(key)
 
     def record_access(self, key):

@@ -11,6 +11,7 @@ alone; the acceptance suite then asserts the bounds on fresh seeds.
 
 import json
 import math
+import random
 import sys
 import time
 
@@ -50,16 +51,14 @@ def replay_costs(trace):
 
 
 def skip_accesses(k, seed, ops):
-    import random
     rng = random.Random(seed)
     tree = SkipSplayTree(k)
     n = tree.n
     keys = []
     keys.extend(rng.randint(1, n) for _ in range(ops // 2))
     keys.extend(1 + (i % n) for i in range(ops // 4))          # scans
-    lo, hi = 1, n
     for i in range(ops - len(keys)):                            # edge hammering
-        keys.append(lo if i % 2 else hi)
+        keys.append(1 if i % 2 else n)
     return tree, keys
 
 
@@ -87,7 +86,6 @@ def main():
         print(f"skip k={k} worst access {worst} ratio {worst / lgn:.2f}")
 
         tree, keys = skip_accesses(k, 80 + k, ops // 2)
-        import random
         rng = random.Random(123 + k)
         keys = list(keys)
         for _ in range(len(keys) // 4):
