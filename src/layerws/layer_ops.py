@@ -257,17 +257,12 @@ def join3(eng: Engine, left_root, left_bh: int, mid: Node, right_root, right_bh:
     return top, (left_bh if tall_left else right_bh) + (1 if grew else 0)
 
 
-def _slot_of(eng: Engine, top: Node):
-    """Where the layer-subtree headed by ``top`` hangs, read before a
-    rebuild rewrites its links: (parent, is the engine root, header)."""
-    return top.parent, eng.root is top, top.header
-
-
-def _rehang(eng: Engine, top: Node, root: Node, slot):
-    """Hang ``root``, the rebuilt layer-subtree ``top`` headed, in the
-    ``slot`` ``top`` hung in, and move the root header onto it.  The
-    rebuild never writes the parent's links, which still name ``top``."""
-    anchor, was_engine_root, header = slot
+def _rehang(eng: Engine, top: Node, root: Node, anchor, was_engine_root: bool, header):
+    """Hang ``root``, the rebuilt layer-subtree ``top`` headed, where ``top``
+    hung, and move the root header onto it.  ``top``'s parent, whether it
+    was the engine root and its header are read before the rebuild
+    rewrites its links; the rebuild never writes the parent's links, which
+    still name ``top``."""
     root.parent = anchor
     if anchor is None:
         if was_engine_root:
@@ -303,7 +298,7 @@ def split(eng: Engine, x: Node):
         path.append(q)
         top = q
     eng.visits += len(path) - 1
-    slot = _slot_of(eng, top)
+    anchor, was_engine_root, header = top.parent, eng.root is top, top.header
 
     key = x.key
     child_bh = bh - (0 if x.red else 1)
@@ -328,7 +323,7 @@ def split(eng: Engine, x: Node):
                 side_root.red = False  # side roots head their own layer-subtrees next
                 eng.visits += 1
     x.red = False
-    _rehang(eng, top, x, slot)
+    _rehang(eng, top, x, anchor, was_engine_root, header)
     eng.visits += 2
 
 
@@ -347,10 +342,10 @@ def join_at(eng: Engine, x: Node) -> Node:
         x.red = False
         eng.visits += 1
         return x
-    slot = _slot_of(eng, x)
+    anchor, was_engine_root, header = x.parent, eng.root is x, x.header
     lbh = black_height(eng, left, j) if l_in else 0
     rbh = black_height(eng, right, j) if r_in else 0
     root, _ = join3(eng, left, lbh, x, right, rbh, j)
-    _rehang(eng, x, root, slot)
+    _rehang(eng, x, root, anchor, was_engine_root, header)
     eng.visits += 1
     return root
