@@ -25,7 +25,8 @@ Moving a key between layers needs the youngest and oldest keys of the
 layers it passes.  Each public operation starts with an empty record of
 these queue ends, two lists indexed by relative layer 1..MAX_LAYERS+1.
 The first lookup of an end scans layer 1 and hops the next_layer links
-down, recording every end it passes; the moves then update the record
+down, recording every end it passes (the scan notes the other end of layer
+1 too when it walks past it); the moves then update the record
 wherever they change an end, so a later lookup is one paid ``_goto``, and
 a neighbour's queue fields are written while that lookup has the cursor on
 it.  This stays inside the one-cursor model: the record holds at most
@@ -48,6 +49,22 @@ round trip: it restores m's queue and the next_layer links of layer m-1,
 and split, join and the fixups never read queue fields.  So the tree after
 every operation is node for node the one a move of one layer at a time
 gives; only the cursor walks less.
+
+The push-down after a hit in layer j is one tour of the queue ends that
+visits each end it writes once.  The step that pushes o_m, the oldest of
+layer m, reaches it through the record, files it as the youngest of layer
+m+1 and sinks it.  Two links it cannot know yet are left to the step after
+it.  The pushed key keeps its next_layer: as the oldest of m it names o_m+1,
+which the next step makes the youngest of layer m+2.  And the unlink of
+o_m's younger neighbour, the new oldest of m, waits for the next step,
+which reads the final link off o_m+1 (its younger neighbour) and writes
+both fields of the neighbour in the one visit that aims the oldest of m.
+Until then the pushed key names a key still one layer up, and the new
+oldest of m still names o_m as older.  That is exact: the next step finds
+both ends it needs, the oldest of m+1 and the youngest of m+2, in the
+record, where the step before put the keys it read, so no lookup hops
+through a link in flux, and split, join and the fixups never read queue
+fields.  The last step writes everything at once.
 
 The tree can also operate as a band inside a larger tree (``base`` label
 offset); labels then run base+1..base+t and the machinery anchors at the
@@ -176,8 +193,10 @@ class LayeredTree:
         assert node is not None, f"key {key} vanished from the tree"
         return node
 
-    def _scan_first_layer(self, youngest: bool) -> Node:
-        """Find the queue head/tail of layer 1 by walking its few members."""
+    def _scan_first_layer(self, youngest: bool, ends) -> Node:
+        """Find the queue head/tail of layer 1 by walking its few members,
+        and record it in ``ends``; the other end goes into the record too
+        when the walk passes it on the way."""
         eng = self.engine
         eng.ascend_to_subtree_root(self.base)
         root = eng.node
@@ -192,6 +211,8 @@ class LayeredTree:
             if (n.younger if youngest else n.older) is None:
                 found = n
                 break
+            if (n.older if youngest else n.younger) is None:
+                ends[not youngest][1] = n.key
             c = n.left
             if c is not None and c.layer == lab:
                 stack.append(c)
@@ -201,6 +222,7 @@ class LayeredTree:
         eng.visits += 2 * walked
         assert found is not None, "first layer has no recency head"
         eng.node = found
+        ends[youngest][1] = found.key
         return found
 
     def _extreme_in_layer(self, j: int, youngest: bool, ends) -> Node:
@@ -218,9 +240,8 @@ class LayeredTree:
         if level:
             node = self._goto(known[level])
         else:
-            node = self._scan_first_layer(youngest)
+            node = self._scan_first_layer(youngest, ends)
             level = 1
-            known[1] = node.key
         while level < j:
             key = node.next_layer
             assert key is not None, f"missing next-layer link under layer {level}"
@@ -242,16 +263,21 @@ class LayeredTree:
 
     # -- implicit queue maintenance -------------------------------------------
 
-    def _queue_remove(self, x: Node, j: int, ends=None):
+    def _queue_remove(self, x: Node, j: int, ends=None, ahead: bool = False):
         """Unlink ``x`` from layer j's recency queue, repairing neighbours
         and the boundary pointers held one layer up.  ``ends`` may be None
-        only for an interior or oldest member of layer 1 (a re-front)."""
+        only for an interior or oldest member of layer 1 (a re-front).
+
+        ``ahead``: ``x`` is the oldest of j in a push-down step followed by
+        one from layer j+1, which is left the unlink of x's younger
+        neighbour (see the module docstring)."""
         xo, xy, xn = x.older, x.younger, x.next_layer
         x.older = x.younger = x.key  # sentinel: not a queue member right now
         if xo is None and xy is None:
             ends[0][j] = ends[1][j] = None
             if j >= 2 and self.sizes.get(j - 1, 0) > 0:
-                self._point_at(j - 1, None, True, ends)
+                self._extreme_in_layer(j - 1, True, ends).next_layer = None
+                self._extreme_in_layer(j - 1, False, ends).next_layer = None
             return
         if xy is None:
             o = self._goto(xo)
@@ -259,16 +285,20 @@ class LayeredTree:
             o.next_layer = xn
             ends[1][j] = xo
             if j >= 2:
-                self._point_at(j - 1, xo, False, ends)
+                self._extreme_in_layer(j - 1, True, ends).next_layer = xo
             return
         if xo is None:
-            y = self._goto(xy)
-            y.older = None
-            y.next_layer = xn
+            if not ahead:
+                y = self._goto(xy)
+                y.older = None
+                y.next_layer = xn
             if ends is not None:
                 ends[0][j] = xy
+                ends[0][j + 1] = xn
             if j >= 2:
-                self._extreme_in_layer(j - 1, False, ends).next_layer = xy
+                o = self._extreme_in_layer(j - 1, False, ends)
+                o.older = None  # in a tour, o's unlink was left to this step
+                o.next_layer = xy
             return
         self._goto(xo).younger = xy
         self._goto(xy).older = xo
@@ -278,7 +308,9 @@ class LayeredTree:
     def _file_youngest(self, x: Node, recv: int, ends):
         """Record ``x`` as the youngest of layer ``recv`` and write that into
         the queue fields of its new older neighbour while the lookup holds
-        the cursor there.  Returns the (older, next_layer) pair ``x`` takes."""
+        the cursor there; that neighbour's next key, the youngest of layer
+        recv+1, goes into the record.  Returns the (older, next_layer) pair
+        ``x`` takes."""
         key = x.key
         if self.sizes.get(recv, 0) == 0:
             ends[0][recv] = ends[1][recv] = key
@@ -286,17 +318,12 @@ class LayeredTree:
         y = self._extreme_in_layer(recv, True, ends)
         ends[1][recv] = key
         x_next = y.next_layer
+        if x_next is not None:
+            ends[1][recv + 1] = x_next
         y.younger = key
         if y.older is not None:
             y.next_layer = None
         return y.key, x_next
-
-    def _point_at(self, m: int, key: int | None, both: bool, ends):
-        """Aim layer m's youngest (and with ``both`` its oldest) next-layer
-        link at ``key``."""
-        self._extreme_in_layer(m, True, ends).next_layer = key
-        if both:
-            self._extreme_in_layer(m, False, ends).next_layer = key
 
     def _move_up(self, x: Node, to: int, ends):
         """Move ``x`` up to layer ``to``; it becomes the youngest there.
@@ -308,14 +335,12 @@ class LayeredTree:
         """
         j = x.layer - self.base
         assert 1 <= to < j, f"no upward move from layer {j} to {to}"
-        was_sole = x.older is None and x.younger is None
+        assert self.sizes.get(to, 0) > 0, "moving up into an empty layer"
         if x.younger != x.key:
             self._queue_remove(x, j, ends)
-        assert was_sole or self.sizes.get(to, 0) > 0, \
-            "non-trivial layer moving into an empty one"
         y_key, x_next = self._file_youngest(x, to, ends)
         if to >= 2:
-            self._point_at(to - 1, x.key, y_key is None, ends)
+            self._extreme_in_layer(to - 1, True, ends).next_layer = x.key
 
         eng = self.engine
         for _ in range(j - to):
@@ -388,23 +413,33 @@ class LayeredTree:
         if short is not None:
             ops.delete_fixup(eng, *short)
 
-    def _move_down(self, x: Node, ends):
-        """Move ``x`` one layer down; it becomes the youngest there."""
+    def _move_down(self, x: Node, ends, ahead: bool | None = None):
+        """Move ``x`` one layer down; it becomes the youngest there.
+
+        ``ahead`` is None outside a push-down tour, and in one says whether
+        a step from the layer below follows (see ``_queue_remove``).  Only a
+        tour's first step, from layer 1, aims the youngest of x's layer at
+        ``x``: later, that youngest is the key the step before pushed, and
+        its kept link names ``x`` already."""
         j = x.layer - self.base
         recv = j + 1
         if recv > MAX_LAYERS + 1:
             raise CapacityError(f"no layer below {MAX_LAYERS}")
-        self._queue_remove(x, j, ends)
+        self._queue_remove(x, j, ends, ahead)
         y_key, x_next = self._file_youngest(x, recv, ends)
         if self.sizes[j] > 1:  # layer j keeps members once x is gone
-            self._point_at(j, x.key, y_key is None, ends)
+            if ahead is None or j == 1:
+                self._extreme_in_layer(j, True, ends).next_layer = x.key
+            if y_key is None:  # x opens layer recv: it is its oldest too
+                self._extreme_in_layer(j, False, ends).next_layer = x.key
 
         self._sink_to_boundary(x)
         ops.join_at(self.engine, x)
 
         x.older = y_key
         x.younger = None
-        x.next_layer = x_next
+        if not ahead:  # ahead, x keeps its link: see the module docstring
+            x.next_layer = x_next
         self.sizes[j] -= 1
         self.sizes[recv] = self.sizes.get(recv, 0) + 1
 
@@ -434,8 +469,10 @@ class LayeredTree:
     # -- restoring the size schedule ----------------------------------------------
 
     def _push_down(self, deficit: int, ends):
+        """Push the oldest key of each layer 1..deficit-1 down one layer, in
+        one tour of the queue ends that visits each end it writes once."""
         for m in range(1, deficit):
-            self._move_down(self._extreme_in_layer(m, False, ends), ends)
+            self._move_down(self._extreme_in_layer(m, False, ends), ends, m + 1 < deficit)
 
     # -- public operations -----------------------------------------------------------
 

@@ -32,7 +32,7 @@ class RootWalkTree(LayeredTree):
         return node
 
     def _refront(self, x):
-        y0 = self._scan_first_layer(youngest=True)
+        y0 = self._scan_first_layer(True, _empty_ends())
         if y0 is x:
             return
         y0_next = y0.next_layer
@@ -65,15 +65,17 @@ class RootWalkTree(LayeredTree):
         return j
 
 
-def nodes_state(engine):
+def nodes_state(engine, cursor=True):
     """Every node's key, colour, label, links and queue fields, the root
-    and the cursor: all an engine holds apart from its visit counter."""
+    and (with ``cursor``) the cursor: all an engine holds apart from its
+    visit counter."""
     # ``a and a.key`` reads None for a missing link: nodes are always true
     nodes = [(n.key, n.red, n.layer, n.parent and n.parent.key, n.left and n.left.key,
               n.right and n.right.key, n.older, n.younger, n.next_layer,
               n.header and (n.header.layer_count, n.header.last_size))
              for n in engine.iter_nodes()]
-    return nodes, engine.root and engine.root.key, engine.node and engine.node.key
+    root = engine.root and engine.root.key
+    return (nodes, root, engine.node and engine.node.key) if cursor else (nodes, root)
 
 
 def books(tree):
@@ -81,10 +83,10 @@ def books(tree):
 
 
 def assert_never_dearer(sides, readers, steps):
-    """Run each step on both (finger, root-walk) sides; after every one the
-    two must hold the same state, as ``readers`` read it, and the finger
-    side must pay no more."""
-    cheaper = 0
+    """Run each step on both sides of a twin pair; after every one the two
+    must hold the same state, as ``readers`` read it, and the first side
+    must pay no more.  Returns the two sides' total visits."""
+    totals = [0, 0]
     for i, step in enumerate(steps):
         costs = []
         for side in sides:
@@ -93,8 +95,22 @@ def assert_never_dearer(sides, readers, steps):
             costs.append(side.engine.visits - before)
         assert readers[0]() == readers[1](), f"state differs after op {i}"
         assert costs[0] <= costs[1], f"op {i} costs {costs[0]} > {costs[1]}"
-        cheaper += costs[0] < costs[1]
-    assert cheaper, "no operation got cheaper: is the twin patched?"
+        totals[0] += costs[0]
+        totals[1] += costs[1]
+    return totals
+
+
+def step_of(op):
+    """The trace operation ``op`` as a step on a tree."""
+    if op.kind == INSERT:
+        return lambda t: t.insert(op.key)
+    if op.kind == DELETE:
+        return lambda t: t.delete(op.key)
+    return lambda t: t.search(op.key)
+
+
+def tree_reader(tree, cursor=True):
+    return lambda: (nodes_state(tree.engine, cursor), books(tree))
 
 
 GOLDEN_CELLS = [("uniform", 300, 1500, 3), ("uniform", 40, 1500, 11),
@@ -105,17 +121,10 @@ GOLDEN_CELLS = [("uniform", 300, 1500, 3), ("uniform", 40, 1500, 11),
 def test_layered_tree_never_dearer_on_golden_cells(cell):
     family, n, ops, seed = cell
     trees = (LayeredTree(), RootWalkTree())
-
-    def step_of(op):
-        if op.kind == INSERT:
-            return lambda t: t.insert(op.key)
-        if op.kind == DELETE:
-            return lambda t: t.delete(op.key)
-        return lambda t: t.search(op.key)
-
-    readers = [lambda t=t: (nodes_state(t.engine), books(t)) for t in trees]
-    assert_never_dearer(trees, readers,
-                        map(step_of, generate(GeneratorSpec(family, n, ops, seed))))
+    finger, root_walk = assert_never_dearer(
+        trees, [tree_reader(t) for t in trees],
+        map(step_of, generate(GeneratorSpec(family, n, ops, seed))))
+    assert finger < root_walk, "no operation got cheaper: is the twin patched?"
 
 
 def skip_plan(family, n, count, rng):
@@ -130,16 +139,18 @@ def skip_plan(family, n, count, rng):
     return out[:count]
 
 
-def skip_splay_pair(k):
-    finger, root_walk = SkipSplayTree(k), SkipSplayTree(k)
-    for aux in set(root_walk.aux_of.values()):
-        aux.tree.__class__ = RootWalkTree
-    return finger, root_walk
+def skip_splay_pair(k, twin=RootWalkTree):
+    """Two skip-splay trees over the same universe; every band of the
+    second runs as ``twin``."""
+    tree, other = SkipSplayTree(k), SkipSplayTree(k)
+    for aux in set(other.aux_of.values()):
+        aux.tree.__class__ = twin
+    return tree, other
 
 
-def skip_state_reader(tree):
+def skip_state_reader(tree, cursor=True):
     bands = [aux.tree for _, aux in sorted({a.root_key: a for a in tree.aux_of.values()}.items())]
-    return lambda: (nodes_state(tree.engine), [books(band) for band in bands])
+    return lambda: (nodes_state(tree.engine, cursor), [books(band) for band in bands])
 
 
 @pytest.mark.parametrize("k,count", [(2, 200), (3, 600), (4, 1500),
@@ -150,8 +161,10 @@ def test_skip_splay_never_dearer(k, count, family):
     n = pair[0].n
     plan = skip_plan(family, n, count, random.Random(100 * k + len(family)))
     # every key accessed twice in a row, as in the doubled pairs
-    assert_never_dearer(pair, [skip_state_reader(t) for t in pair],
-                        (lambda t, x=x: t.access(x) for x in plan for _ in range(2)))
+    finger, root_walk = assert_never_dearer(
+        pair, [skip_state_reader(t) for t in pair],
+        (lambda t, x=x: t.access(x) for x in plan for _ in range(2)))
+    assert finger < root_walk, "no operation got cheaper: is the twin patched?"
     assert not pair[0].validate()
 
 

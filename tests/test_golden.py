@@ -28,16 +28,16 @@ COST_FIELDS = ("amortized_ratio", "max_cost", "max_cost_over_lgw", "mean_cost")
 GOLDEN = {
     ("uniform", 300, 1500, 3): (
         "ae41f1c1f5ff23611d963e4d2d08489d45d192bf85d2c6c4d314d55391b7fa7b",
-        "9d265bd965832d526c394d33a5e15f0f1f0a7ea8a5195dcd2f308be888885151"),
+        "05b37d7d0f22b339cfdf2c4c36269f4b73498dd4b39f46aae225515b2c124f51"),
     ("uniform", 40, 1500, 11): (
         "0ae75ef02c2d90c857cbf681bce9bb342991e72b11594a7eb1cba22d53415f0d",
-        "b9274c640366e3b0502b22ae6b845b62520a6d00e2f59549384152f94768a283"),
+        "c27b779581a3db0707da6e8662b6df28f16c26160928e5e01f21c47c8a914dc2"),
     ("zipf_recency", 200, 1500, 5): (
         "5a69a62fecee02a1a6e054c7cad3c53922b3599ee8cd41cad2c51184f76d82ac",
-        "943acb44d9f892b74af1719be00a069eee551df11d96d1aec5b4e1952d7b62be"),
+        "a1d302c98c07da7597241a8682cc03da5984abc4c159a3ce18664e2b97678830"),
     ("finger_walk", 250, 1200, 7): (
         "6897e05eab13142e3f12925a79f0027d8f84ccf7e12af50f8621956d0dadf63a",
-        "bf9e418abda797e40626437f6b6a188148378a286ea52706235d6b997a6e1a43"),
+        "59df0a94bbada7d77ffe59cb2b5646e8fadf3b786e2642c8b6232bd5a0444287"),
 }
 
 
@@ -110,7 +110,7 @@ OTHER_GOLDEN = {
     "skip_splay_doubled": (
         lambda tmp_path: ["--trace", _band_searches(tmp_path / "searches.txt")],
         "376d517618be40ab6e528d24777bd76edfa7498795dd3ec6a2263f4767fd1909",
-        "c1d5a212bff8ddddd532b6f2bfdd8efcd6f45f9d06a09358bf808990b0a55e39"),
+        "beb990ba5d6c439337b6dc75d5f67d65723fa30ac734ff78602667fb70f3962c"),
 }
 
 
