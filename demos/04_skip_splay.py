@@ -2,12 +2,13 @@
 """Skip-splay over layered working-set trees.
 
 A static universe is carved into auxiliary trees along the marked heights
-1, 2, 4, ... of a perfectly balanced tree; each auxiliary tree runs as an
-independent layered working-set tree.  One access searches its key's aux
-tree, then skips to the parent band and searches that entry point, up to
-the root.  Worst-case cost stays logarithmic; doubling every access makes
-the pair's cost track lg(lg n) * lg(working set), realizing the rank-and-
-recency sensitive unified-bound shape.
+1, 2, 4, ... of a perfectly balanced tree; each auxiliary tree is a layered
+working-set tree, cloned from its band's template and searched by its
+band's one machine.  One access searches its key's aux tree, then skips to
+the parent band and searches that entry point, up to the root.  Worst-case
+cost stays logarithmic; doubling every access makes the pair's cost track
+lg(lg n) * lg(working set), realizing the rank-and-recency sensitive
+unified-bound shape.
 """
 
 import math
@@ -19,8 +20,11 @@ from layerws import SkipSplayTree, UnifiedBoundTracker, WorkingSetTracker, lg
 def main():
     tree = SkipSplayTree(4)
     n = tree.n
+    assignment = tree.aux_assignment()
+    members = [key for key, root in assignment.items() if root == assignment[200]]
     print(f"universe 1..{n}; auxiliary tree of key 200 is rooted at "
-          f"{tree.aux_of[200].root_key} with members {tree.aux_of[200].members}")
+          f"{assignment[200]} with members {members}, one of the "
+          f"{len(set(assignment.values()))} auxiliary trees in {len(tree.bands)} bands")
 
     rng = random.Random(99)
     worst = 0

@@ -197,14 +197,23 @@ class UnifiedBoundTracker:
         assert keys, "unified bound needs a non-empty key set"
         n = len(keys)
         x_rank = bisect_left(keys, key)
-        wsn = self.ws.working_set_number
+        # WorkingSetTracker.working_set_number, read without a call per key
+        seq_of, live = self.ws._key_seq.get, self.ws._live_seqs
+        n_live, untouched = len(live), len(self.ws.present)
+        right = bisect_right
         best = math.inf
         d = 0
         while d < best and (x_rank + d < n or x_rank - d >= 0):
             if x_rank + d < n:
-                best = min(best, wsn(keys[x_rank + d]) + d)
+                seq = seq_of(keys[x_rank + d])
+                w = untouched if seq is None else n_live - right(live, seq)
+                if w + d < best:
+                    best = w + d
             if d and x_rank - d >= 0:
-                best = min(best, wsn(keys[x_rank - d]) + d)
+                seq = seq_of(keys[x_rank - d])
+                w = untouched if seq is None else n_live - right(live, seq)
+                if w + d < best:
+                    best = w + d
             d += 1
         return lg(best)
 

@@ -1,38 +1,39 @@
 """Static skip-splay composition over layered working-set trees.
 
 The universe {1..n}, n = 2^(2^(k-1)) - 1, starts as a perfectly balanced
-tree.  Nodes at heights 1, 2, 4, ..., 2^(k-1) head auxiliary trees: the
-band of levels between consecutive marked heights.  Each auxiliary tree is
-rebuilt as an independent layered working-set tree; stacking their label
-ranges (each band's labels start where the enclosing band's end) makes the
-whole arrangement one binary search tree in which every band's machinery
-works unchanged, deeper bands hanging off boundary positions like any
-deeper-layer subtree.
+tree.  Nodes at heights 1, 2, 4, ..., 2^(k-1) head auxiliary trees: band b
+is the levels between consecutive marked heights, below the height-2^b
+root of each of its auxiliary trees.  Each auxiliary tree is a layered
+working-set tree over its keys; stacking their label ranges (each band's
+labels start where the enclosing band's end) makes the whole arrangement
+one binary search tree in which every band's machinery works unchanged,
+deeper bands hanging off boundary positions like any deeper-layer subtree.
+
+All auxiliary trees of a band have the same size, and a layered tree reads
+its keys only through comparisons, so after ascending inserts they are one
+tree up to a relabelling of keys.  So each band has one ``LayeredTree``,
+built by inserting the ranks 0..m-1.  Its nodes are the template every
+auxiliary tree of the band is cloned from (rank r becomes the aux's r-th
+smallest key in the key and queue fields); the tree itself, moved onto the
+shared engine, is the band machine that runs the searches of all of them.
+Its books (layer sizes, layer count) are every aux tree's: a search moves
+one key up and pushes one per layer crossed down, leaving the sizes as
+they were.
 
 An access descends to the key, searches it inside its auxiliary tree, then
 repeatedly skips to the parent of the just-rearranged band and searches
-that parent in its own band, up to the root.  Each band search starts at
-the cursor, which already sits on the key it looks for, so it pays no
-climb to the band root and no descent back.  Keys never move between
-auxiliary trees.  Insertions and deletions are not supported.
+that parent in its own band, the next band up, to the root.  Each band
+search starts at the cursor, which already sits on the key it looks for,
+so it pays no climb to the band root and no descent back.  Keys never move
+between auxiliary trees.  Insertions and deletions are not supported.
 """
 
 from __future__ import annotations
 
-from .engine import Engine
+from .engine import Engine, Node
 from .errors import DictError, MissingKeyError
-from .layered_tree import LayeredTree, band_members, capacity
+from .layered_tree import LayeredTree, band_members
 from .validate import Violation, validate_band
-
-
-class _Aux:
-    __slots__ = ("root_key", "band", "tree", "members")
-
-    def __init__(self, root_key: int, band: int, tree: LayeredTree, members: tuple):
-        self.root_key = root_key
-        self.band = band
-        self.tree = tree
-        self.members = members
 
 
 def _height(key: int) -> int:
@@ -58,13 +59,12 @@ def _band_size(band: int) -> int:
     return (1 << (1 << (band - 1))) - 1 if band >= 1 else 1
 
 
-def _layers_for(m: int) -> int:
-    """Layer count of a layered tree after m plain insertions."""
-    t, total = 1, capacity(1)
-    while m > total:
-        t += 1
-        total += capacity(t)
-    return t
+def _members(root_key: int) -> range:
+    """The keys of the auxiliary tree rooted at ``root_key``, ascending: the
+    multiples of 2^(h // 2) in the root's height-h subtree (h = 2^band)."""
+    h = _height(root_key)
+    half, step = 1 << (h - 1), 1 << (h >> 1)
+    return range(root_key - half + step, root_key + half, step)
 
 
 class SkipSplayTree:
@@ -74,60 +74,58 @@ class SkipSplayTree:
         self.k = k
         self.n = (1 << (1 << (k - 1))) - 1
         self.engine = Engine()
-        self.aux_of: dict[int, _Aux] = {}
+        self.bands: list[LayeredTree] = []  # band machines, bottom band first
         self._build()
 
     # -- construction -------------------------------------------------------
 
     def _build(self):
-        n, k = self.n, self.k
-        groups: dict[int, list[int]] = {}
-        for key in range(1, n + 1):
-            groups.setdefault(_aux_root_key(key), []).append(key)
+        base, templates = 0, []  # peel label ranges off the top band downward
+        for band in range(self.k - 1, -1, -1):
+            tree = LayeredTree(engine=Engine(), base=base, node_header=False)
+            for rank in range(_band_size(band)):
+                tree.insert(rank)
+            base += tree.layer_count
+            template = list(tree.engine.iter_nodes())  # the node of rank r at r
+            # the boundary slot of each gap, left to right: (rank, right side)
+            slots = [(t.key, right) for t in template
+                     for right, c in ((False, t.left), (True, t.right)) if c is None]
+            templates.insert(0, (template, slots, tree.engine.root.key))
+            tree.engine = self.engine
+            self.bands.insert(0, tree)
+        self.engine.root = self._clone(templates, self.k - 1, (self.n + 1) >> 1)
 
-        # peel label ranges off the top band downward
-        base_of_band = {}
-        base = 0
-        for band in range(k - 1, -1, -1):
-            base_of_band[band] = base
-            base += _layers_for(_band_size(band))
-
-        auxes: dict[int, _Aux] = {}
-        for root_key, members in groups.items():
-            band = _band_of_height(_height(root_key))
-            assert len(members) == _band_size(band), \
-                f"band {band} holds {len(members)} keys, construction promises {_band_size(band)}"
-            tree = LayeredTree(engine=Engine(), base=base_of_band[band],
-                               node_header=False)
-            members.sort()
-            for key in members:
-                tree.insert(key)
-            auxes[root_key] = _Aux(root_key, band, tree, tuple(members))
-
-        # stitch child bands into the boundary slots of their parents
-        for root_key, aux in sorted(auxes.items(), key=lambda kv: -kv[1].band):
-            if aux.band == k - 1:
-                continue
-            parent_aux = auxes[_aux_root_key(_ancestor_at(root_key, _height(root_key) + 1))]
-            slot = parent_aux.tree.engine.root
-            child_root = aux.tree.engine.root
-            while True:
-                nxt = slot.left if child_root.key < slot.key else slot.right
-                if nxt is None:
-                    break
-                slot = nxt
-            if child_root.key < slot.key:
-                slot.left = child_root
-            else:
-                slot.right = child_root
-            child_root.parent = slot
-
-        top = next(a for a in auxes.values() if a.band == k - 1)
-        self.engine.root = top.tree.engine.root
-        for aux in auxes.values():
-            aux.tree.engine = self.engine
-            for key in aux.members:
-                self.aux_of[key] = aux
+    def _clone(self, templates, band: int, root_key: int) -> Node:
+        """Clone the auxiliary tree rooted at ``root_key`` from its band's
+        template, hang the clones of the aux trees below it at the boundary
+        slots, and return its root node."""
+        template, slots, root_rank = templates[band]
+        keys = _members(root_key)
+        nodes = [Node(key, t.layer, t.red) for key, t in zip(keys, template)]
+        for node, t in zip(nodes, template):
+            if t.left is not None:
+                node.left = c = nodes[t.left.key]
+                c.parent = node
+            if t.right is not None:
+                node.right = c = nodes[t.right.key]
+                c.parent = node
+            if t.older is not None:
+                node.older = keys[t.older]
+            if t.younger is not None:
+                node.younger = keys[t.younger]
+            if t.next_layer is not None:
+                node.next_layer = keys[t.next_layer]
+        if band:  # a child aux root sits halfway between two members
+            step = keys.step
+            children = range(keys.start - (step >> 1), keys.stop, step)
+            for (rank, right), child_key in zip(slots, children):
+                node, child = nodes[rank], self._clone(templates, band - 1, child_key)
+                if right:
+                    node.right = child
+                else:
+                    node.left = child
+                child.parent = node
+        return nodes[root_rank]
 
     # -- access -----------------------------------------------------------------
 
@@ -140,16 +138,19 @@ class SkipSplayTree:
         eng.begin_access()
         node = eng.descend_to(key)
         assert node is not None
-        aux = self.aux_of[key]
-        aux.tree.search(key, fresh=False)
+        bands = self.bands
+        band = ((key & -key).bit_length() - 1).bit_length()
+        tree = bands[band]
+        tree.search(key, fresh=False)
         while True:
-            band_root = eng.ascend_to_subtree_root(aux.tree.base)
+            band_root = eng.ascend_to_subtree_root(tree.base)
             parent = band_root.parent
             if parent is None:
                 break
             eng.arrive(parent)
-            aux = self.aux_of[parent.key]
-            aux.tree.search(parent.key, fresh=False)
+            band += 1
+            tree = bands[band]
+            tree.search(parent.key, fresh=False)
         return eng.visits - start
 
     def access_doubled(self, key: int) -> int:
@@ -166,10 +167,10 @@ class SkipSplayTree:
 
     def aux_depth(self, key: int) -> int:
         """Number of auxiliary trees on the root path of ``key``'s aux."""
-        return self.k - self.aux_of[key].band
+        return self.k - _band_of_height(_height(key))
 
     def aux_assignment(self) -> dict[int, int]:
-        return {key: aux.root_key for key, aux in self.aux_of.items()}
+        return {key: _aux_root_key(key) for key in range(1, self.n + 1)}
 
     def validate(self) -> list[Violation]:
         out: list[Violation] = []
@@ -192,24 +193,23 @@ class SkipSplayTree:
         # each auxiliary tree passes the full layered-tree suite
         roots: dict[int, object] = {}
         for node in self.engine.iter_nodes():
-            aux = self.aux_of.get(node.key)
-            if aux is None:
+            if not 1 <= node.key <= self.n:
                 out.append(Violation("aux-membership", node.key, "key outside every aux"))
                 continue
-            base = aux.tree.base
+            root_key = _aux_root_key(node.key)
             p = node.parent
-            if p is None or p.layer <= base:
-                if aux.root_key in roots:
+            if p is None or p.layer <= self.bands[_band_of_height(_height(root_key))].base:
+                if root_key in roots:
                     out.append(Violation("aux-membership", node.key,
-                                         f"aux of {aux.root_key} has two subtree roots"))
-                roots[aux.root_key] = node
+                                         f"aux of {root_key} has two subtree roots"))
+                roots[root_key] = node
         for aux_key, node in roots.items():
-            aux = self.aux_of[aux_key]
-            out.extend(validate_band(node, aux.tree.base, aux.tree.layer_count,
-                                     aux.tree.last_size, expect_node_header=False))
-            members = band_members(node, aux.tree.base, aux.tree.layer_count)
+            band = self.bands[_band_of_height(_height(aux_key))]
+            out.extend(validate_band(node, band.base, band.layer_count,
+                                     band.last_size, expect_node_header=False))
+            members = band_members(node, band.base, band.layer_count)
             got = sorted(k for layer in members.values() for k in layer)
-            if got != list(aux.members):
+            if got != list(_members(aux_key)):
                 out.append(Violation("aux-membership", aux_key,
                                      f"aux of {aux_key} drifted to {got[:8]}..."))
         return out

@@ -35,7 +35,7 @@ _KEY_MIN, _KEY_MAX = -(1 << 63), (1 << 63) - 1
 _KEY_PATTERN = re.compile(r"-?[0-9]+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceOp:
     kind: str
     key: int

@@ -271,6 +271,15 @@ def test_criterion_06b_skip_splay_worst_case_k5():
     print(f"\ncriterion 6 slow PASS: k=5 worst {result['worst']} <= {result['limit']:.0f}")
 
 
+@pytest.mark.slow
+def test_criterion_07b_skip_splay_doubled_bound_k5():
+    result = _skip_doubled_worker(5)
+    assert result["breaches"] == 0, result
+    assert not result["invariants"], result
+    print(f"\ncriterion 7 slow PASS: k=5 doubled pairs, tightest margin "
+          f"{result['worst_ratio']:.2f} of the budget")
+
+
 def test_criterion_08_amortized_report():
     threshold = CONST["amortized_flag_threshold"]
     tree_families = {

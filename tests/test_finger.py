@@ -143,14 +143,13 @@ def skip_splay_pair(k, twin=RootWalkTree):
     """Two skip-splay trees over the same universe; every band of the
     second runs as ``twin``."""
     tree, other = SkipSplayTree(k), SkipSplayTree(k)
-    for aux in set(other.aux_of.values()):
-        aux.tree.__class__ = twin
+    for band in other.bands:
+        band.__class__ = twin
     return tree, other
 
 
 def skip_state_reader(tree, cursor=True):
-    bands = [aux.tree for _, aux in sorted({a.root_key: a for a in tree.aux_of.values()}.items())]
-    return lambda: (nodes_state(tree.engine, cursor), [books(band) for band in bands])
+    return lambda: (nodes_state(tree.engine, cursor), [books(band) for band in tree.bands])
 
 
 @pytest.mark.parametrize("k,count", [(2, 200), (3, 600), (4, 1500),
@@ -271,12 +270,15 @@ def test_goto_stays_inside_a_band(k, accesses):
     for _ in range(accesses):
         tree.access(rng.randint(1, tree.n))
     nodes = {n.key: n for n in tree.engine.iter_nodes()}
+    auxes = {}
+    for key, root_key in tree.aux_assignment().items():
+        auxes.setdefault(root_key, []).append(key)
     checked = left_escapes = 0
-    for aux in {a.root_key: a for a in tree.aux_of.values()}.values():
-        band = aux.tree
-        if band.base == 0 or len(aux.members) < 3:
+    for root_key, keys in auxes.items():
+        band = tree.bands[tree.k - tree.aux_depth(root_key)]
+        if band.base == 0 or len(keys) < 3:
             continue
-        members = [nodes[key] for key in aux.members]
+        members = [nodes[key] for key in keys]
         for start in members:
             for target in members:
                 spent = goto_cost(band, start, target)

@@ -3,9 +3,12 @@ import random
 
 import pytest
 
-from layerws import SkipSplayTree
+from layerws import LayeredTree, SkipSplayTree
+from layerws.engine import Engine
 from layerws.errors import DictError, MissingKeyError
-from layerws.skip_splay import _ancestor_at, _band_of_height, _height
+from layerws.layered_tree import capacity
+from layerws.skip_splay import _ancestor_at, _aux_root_key, _band_of_height, _band_size, _height
+from test_finger import nodes_state, skip_plan
 
 
 def perfect_tree_heights(n):
@@ -186,3 +189,120 @@ def test_validate_reports_a_broken_aux_queue(k):
         node.younger = node.key
     found = s.validate()
     assert any(v.kind == "queue-chain" for v in found), [str(v) for v in found]
+
+
+# -- band machines against one layered tree per auxiliary tree ------------------
+
+
+def layers_after_inserts(m):
+    t, total = 1, capacity(1)
+    while m > total:
+        t += 1
+        total += capacity(t)
+    return t
+
+
+class InsertBuiltSkipSplay(SkipSplayTree):
+    """The construction the band machines replace: one LayeredTree on an
+    engine of its own per auxiliary tree, filled by inserting its members in
+    ascending order, hung into its parent's boundary slot by a descent, and
+    then moved onto the shared engine.  An access searches each auxiliary
+    tree on its root path with that tree's own books."""
+
+    def _build(self):
+        groups = {}
+        for key in range(1, self.n + 1):
+            groups.setdefault(_aux_root_key(key), []).append(key)
+        base_of_band, base = {}, 0
+        for band in range(self.k - 1, -1, -1):
+            base_of_band[band] = base
+            base += layers_after_inserts(_band_size(band))
+        self.auxes = {}
+        for root_key, members in groups.items():
+            tree = LayeredTree(engine=Engine(), base=base_of_band[aux_band(root_key)],
+                               node_header=False)
+            for key in members:
+                tree.insert(key)
+            self.auxes[root_key] = tree
+        for root_key, tree in sorted(self.auxes.items(), key=lambda kv: -aux_band(kv[0])):
+            if aux_band(root_key) == self.k - 1:
+                continue
+            parent = self.auxes[_aux_root_key(_ancestor_at(root_key, _height(root_key) + 1))]
+            slot, child = parent.engine.root, tree.engine.root
+            while True:
+                nxt = slot.left if child.key < slot.key else slot.right
+                if nxt is None:
+                    break
+                slot = nxt
+            if child.key < slot.key:
+                slot.left = child
+            else:
+                slot.right = child
+            child.parent = slot
+        self.engine.root = self.auxes[(self.n + 1) >> 1].engine.root
+        for tree in self.auxes.values():
+            tree.engine = self.engine
+        self.aux_of = {key: self.auxes[root] for root, keys in groups.items() for key in keys}
+
+    def access(self, key):
+        eng = self.engine
+        start = eng.visits
+        eng.begin_access()
+        assert eng.descend_to(key) is not None
+        tree = self.aux_of[key]
+        tree.search(key, fresh=False)
+        while True:
+            parent = eng.ascend_to_subtree_root(tree.base).parent
+            if parent is None:
+                break
+            eng.arrive(parent)
+            tree = self.aux_of[parent.key]
+            tree.search(parent.key, fresh=False)
+        return eng.visits - start
+
+
+def aux_band(root_key):
+    return _band_of_height(_height(root_key))
+
+
+def band_books(tree):
+    """The books every auxiliary tree of a band shares with its machine;
+    ``last_touched`` names the band's latest search, not each aux's."""
+    return tree.sizes, tree.layer_count, tree.last_size, tree.size
+
+
+def assert_same_as_per_aux(tree, ref, where):
+    """Links, colours, labels, queue fields, root and cursor node for node,
+    and each aux tree's books equal to its band machine's."""
+    assert nodes_state(tree.engine) == nodes_state(ref.engine), where
+    for root_key, aux in ref.auxes.items():
+        assert band_books(tree.bands[aux_band(root_key)]) == band_books(aux), (where, root_key)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_band_build_equals_per_aux_inserts(k):
+    tree, ref = SkipSplayTree(k), InsertBuiltSkipSplay(k)
+    # band b holds one aux tree per key of height 2^b: 53 505 in all at k = 5
+    assert len(tree.bands) == k
+    assert len(ref.auxes) == sum(1 << ((1 << (k - 1)) - (1 << b)) for b in range(k))
+    assert_same_as_per_aux(tree, ref, "after the build")
+
+
+@pytest.mark.parametrize("k,count", [(2, 200), (3, 600), (4, 1500),
+                                     pytest.param(5, 4000, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("family", ["repeat_block", "uniform"])
+def test_band_machines_replay_like_per_aux_trees(k, count, family):
+    """Doubled accesses cost the same on both builds, access by access, and
+    leave the same state; at k = 5, where a state read walks 65 535 nodes,
+    the state is compared every 500 keys."""
+    tree, ref = SkipSplayTree(k), InsertBuiltSkipSplay(k)
+    plan = skip_plan(family, tree.n, count, random.Random(7 * k + len(family)))
+    every = 1 if k < 5 else 500
+    for i, x in enumerate(plan):
+        for _ in range(2):
+            assert tree.access(x) == ref.access(x), (i, x)
+        if i % every == every - 1:
+            assert_same_as_per_aux(tree, ref, i)
+    assert_same_as_per_aux(tree, ref, "at the end")
+    assert tree.engine.visits == ref.engine.visits
+    assert not tree.validate()

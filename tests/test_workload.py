@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -9,6 +11,18 @@ from layerws.reference import WorkingSetTracker
 
 def test_parse_basic():
     assert parse("I 5\nS 5\nD 5\n") == [TraceOp("I", 5), TraceOp("S", 5), TraceOp("D", 5)]
+
+
+def test_trace_op_is_a_frozen_slotted_value():
+    op = TraceOp("S", 5)
+    trace = [op, TraceOp("I", -7), TraceOp("D", 1 << 62)]
+    assert pickle.loads(pickle.dumps(trace)) == trace
+    assert op == TraceOp("S", 5) and op != TraceOp("I", 5) and op != ("S", 5)
+    assert hash(op) == hash(TraceOp("S", 5)) == hash(("S", 5))
+    assert len({op, TraceOp("S", 5), TraceOp("S", 6)}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.key = 6
+    assert not hasattr(op, "__dict__")  # slots: no per-op dict
 
 
 def test_parse_empty_and_comments():
