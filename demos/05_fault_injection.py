@@ -3,7 +3,7 @@
 
 Corrupt a healthy tree four different ways and show the validator naming
 the fault: a flipped color bit, an inverted layer label, swapped recency
-links, and a desynchronized root header.
+links, and books that miscount the deepest layer.
 """
 
 from layerws import LayeredTree
@@ -41,7 +41,7 @@ def main():
 
     t = fresh()
     corrupt_header(t, last_size=7)
-    show("root header claims the deepest layer holds 7:", t)
+    show("the tree's books claim the deepest layer holds 7:", t)
 
 
 if __name__ == "__main__":

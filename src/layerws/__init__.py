@@ -10,7 +10,7 @@
   and reporting around the structures.
 """
 
-from .engine import Engine, Node, RootHeader
+from .engine import Engine, Node
 from .errors import (CapacityError, DictError, DivergenceError,
                      DuplicateKeyError, IncompatibleTraceError,
                      MissingKeyError, TraceError)
@@ -23,7 +23,7 @@ from .validate import Violation, validate_band, validate_tree
 from .workload import GeneratorSpec, TraceOp, generate, parse, serialize
 
 __all__ = [
-    "Engine", "Node", "RootHeader",
+    "Engine", "Node",
     "LayeredTree", "capacity",
     "ReferenceStructure", "WorkingSetTracker", "UnifiedBoundTracker", "lg",
     "SkipSplayTree", "RedBlackBaseline",

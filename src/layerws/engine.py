@@ -9,8 +9,9 @@ tree at the root costs one arrival.
 
 Nodes carry, besides the three links and the key: one color bit, a layer
 label, and three key-valued recency fields (older/younger/next_layer).
-The (layer count, deepest-layer size) header lives on the current root
-node only and migrates when a rotation or splice changes the root.
+A structure's own books (a layered tree's layer count and per-layer
+sizes) live beside the engine's root pointer, not on any node, so a
+rotation or splice that changes the root moves nothing but links.
 """
 
 from __future__ import annotations
@@ -18,25 +19,11 @@ from __future__ import annotations
 from typing import Optional
 
 
-class RootHeader:
-    """Layer count and deepest-layer size, resident on the root node."""
-
-    __slots__ = ("layer_count", "last_size")
-
-    def __init__(self, layer_count: int, last_size: int):
-        self.layer_count = layer_count
-        self.last_size = last_size
-
-    def __repr__(self):
-        return f"RootHeader(t={self.layer_count}, last={self.last_size})"
-
-
 class Node:
     __slots__ = (
         "key", "parent", "left", "right",
         "red", "layer",
         "older", "younger", "next_layer",
-        "header",
     )
 
     def __init__(self, key: int, layer: int, red: bool = False):
@@ -49,7 +36,6 @@ class Node:
         self.older: Optional[int] = None
         self.younger: Optional[int] = None
         self.next_layer: Optional[int] = None
-        self.header: Optional[RootHeader] = None
 
     def __repr__(self):
         color = "r" if self.red else "b"
@@ -133,8 +119,7 @@ class Engine:
     def rotate(self, x: Node, left: bool):
         """Rotate at ``x``; the pivot child must share ``x``'s layer label.
 
-        The header migrates if ``x`` carried it.  Costs three arrivals for
-        the constant number of link updates.
+        Costs three arrivals for the constant number of link updates.
         """
         pivot = x.right if left else x.left
         assert pivot is not None, "rotation needs a child on the pivot side"
@@ -158,9 +143,6 @@ class Engine:
             parent.left = pivot
         else:
             parent.right = pivot
-        if x.header is not None:
-            pivot.header = x.header
-            x.header = None
         self.visits += 3
 
     def replace_subtree(self, old: Node, new: Optional[Node]):
@@ -171,9 +153,6 @@ class Engine:
         if parent is None:
             if self.root is old:
                 self.root = new
-                if old.header is not None and new is not None:
-                    new.header = old.header
-                    old.header = None
         elif parent.left is old:
             parent.left = new
         else:

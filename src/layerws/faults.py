@@ -29,11 +29,10 @@ def corrupt_next_layer(tree: LayeredTree, key: int, value):
 
 
 def corrupt_header(tree: LayeredTree, layer_count=None, last_size=None):
-    header = tree.engine.root.header
     if layer_count is not None:
-        header.layer_count = layer_count
+        tree.layer_count = layer_count
     if last_size is not None:
-        header.last_size = last_size
+        tree.last_size = last_size
 
 
 def _find(tree: LayeredTree, key: int) -> Node:

@@ -16,8 +16,7 @@ side, ``tall_left`` inside ``join3``).  Two steps with more than one caller
 live here once: ``splice_nearest`` puts a node's in-layer successor or
 predecessor in its place, for the layered tree's sink to a layer boundary
 and the baseline's delete; ``_rehang`` hangs a rebuilt layer-subtree in
-the slot the old one hung in, header included, for ``split`` and
-``join_at``.
+the slot the old one hung in, for ``split`` and ``join_at``.
 """
 
 from __future__ import annotations
@@ -257,23 +256,20 @@ def join3(eng: Engine, left_root, left_bh: int, mid: Node, right_root, right_bh:
     return top, (left_bh if tall_left else right_bh) + (1 if grew else 0)
 
 
-def _rehang(eng: Engine, top: Node, root: Node, anchor, was_engine_root: bool, header):
+def _rehang(eng: Engine, top: Node, root: Node, anchor):
     """Hang ``root``, the rebuilt layer-subtree ``top`` headed, where ``top``
-    hung, and move the root header onto it.  ``top``'s parent, whether it
-    was the engine root and its header are read before the rebuild
-    rewrites its links; the rebuild never writes the parent's links, which
-    still name ``top``."""
+    hung.  ``top``'s parent ``anchor`` is read before the rebuild rewrites
+    its links; the rebuild never writes the parent's links, which still
+    name ``top``.  A layer-subtree root without a parent is the engine
+    root; it is set last, as ``join3`` may have rotated a detached
+    fragment that was the root."""
     root.parent = anchor
     if anchor is None:
-        if was_engine_root:
-            eng.root = root
+        eng.root = root
     elif anchor.left is top:
         anchor.left = root
     else:
         anchor.right = root
-    if header is not None and root is not top:
-        root.header = header
-        top.header = None
 
 
 def split(eng: Engine, x: Node):
@@ -298,7 +294,7 @@ def split(eng: Engine, x: Node):
         path.append(q)
         top = q
     eng.visits += len(path) - 1
-    anchor, was_engine_root, header = top.parent, eng.root is top, top.header
+    anchor = top.parent
 
     key = x.key
     child_bh = bh - (0 if x.red else 1)
@@ -323,7 +319,7 @@ def split(eng: Engine, x: Node):
                 side_root.red = False  # side roots head their own layer-subtrees next
                 eng.visits += 1
     x.red = False
-    _rehang(eng, top, x, anchor, was_engine_root, header)
+    _rehang(eng, top, x, anchor)
     eng.visits += 2
 
 
@@ -342,10 +338,10 @@ def join_at(eng: Engine, x: Node) -> Node:
         x.red = False
         eng.visits += 1
         return x
-    anchor, was_engine_root, header = x.parent, eng.root is x, x.header
+    anchor = x.parent
     lbh = black_height(eng, left, j) if l_in else 0
     rbh = black_height(eng, right, j) if r_in else 0
     root, _ = join3(eng, left, lbh, x, right, rbh, j)
-    _rehang(eng, x, root, anchor, was_engine_root, header)
+    _rehang(eng, x, root, anchor)
     eng.visits += 1
     return root

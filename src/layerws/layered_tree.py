@@ -5,7 +5,9 @@ along every root-to-leaf path.  Layer j holds exactly 2^(2^j) keys for
 j < t; the deepest layer holds the remainder.  Each layer is a forest of
 independently balanced red-black layer-subtrees, and an implicit recency
 queue threads through each layer via the older/younger/next_layer key
-fields stored in the nodes.
+fields stored in the nodes.  The tree's books, t and the per-layer sizes
+with the deepest layer's, are O(log log n) words kept beside the root
+pointer, so a rotation that changes the root moves no bookkeeping.
 
 A search that finds its key in layer j costs O(2^j) cursor visits: the key
 is moved up to layer 1 and the oldest resident of each layer 1..j-1 is
@@ -75,7 +77,7 @@ where the cursor already is.
 
 from __future__ import annotations
 
-from .engine import Engine, Node, RootHeader
+from .engine import Engine, Node
 from .errors import CapacityError, DuplicateKeyError, MissingKeyError
 from . import layer_ops as ops
 
@@ -96,24 +98,15 @@ def capacity(j: int) -> int:
 
 
 class LayeredTree:
-    """Dictionary over integer keys with the worst-case working-set bound.
+    """Dictionary over integer keys with the worst-case working-set bound."""
 
-    ``node_header`` controls whether the (layer count, deepest size) pair
-    is mirrored onto the current root node; plain trees do this, bands
-    inside a composition keep the pair detached.
-    """
-
-    def __init__(self, engine: Engine | None = None, base: int = 0,
-                 node_header: bool | None = None):
+    def __init__(self, engine: Engine | None = None, base: int = 0):
         self.engine = engine if engine is not None else Engine()
         self.base = base
-        self.node_header = node_header if node_header is not None else (base == 0)
         self.layer_count = 0
         self.last_size = 0
-        self.header: RootHeader | None = None
         self.sizes: dict[int, int] = {}
         self.size = 0
-        self.last_touched = 0
 
     def __len__(self):
         return self.size
@@ -128,24 +121,6 @@ class LayeredTree:
 
     def keys(self) -> list[int]:
         return self.engine.inorder_keys()
-
-    # -- header -------------------------------------------------------------
-
-    def _set_header(self, t: int, last: int, node: Node | None = None):
-        self.layer_count = t
-        self.last_size = last
-        if not self.node_header:
-            return
-        if t == 0:
-            self.header = None
-            return
-        if self.header is None:
-            self.header = RootHeader(t, last)
-            target = node if node is not None else self.engine.root
-            target.header = self.header
-        else:
-            self.header.layer_count = t
-            self.header.last_size = last
 
     # -- cursor-paid lookups --------------------------------------------------
 
@@ -252,14 +227,16 @@ class LayeredTree:
         return node
 
     def youngest_in_layer(self, j: int) -> int:
-        assert 1 <= j and self.sizes.get(j, 0) > 0, f"layer {j} is empty"
-        self.engine.begin_access()
-        return self._extreme_in_layer(j, True, _empty_ends()).key
+        return self._end_of_layer(j, True)
 
     def oldest_in_layer(self, j: int) -> int:
-        assert 1 <= j and self.sizes.get(j, 0) > 0, f"layer {j} is empty"
+        return self._end_of_layer(j, False)
+
+    def _end_of_layer(self, j: int, youngest: bool) -> int:
+        if j < 1 or self.sizes.get(j, 0) == 0:
+            raise ValueError(f"layer {j} is empty")
         self.engine.begin_access()
-        return self._extreme_in_layer(j, False, _empty_ends()).key
+        return self._extreme_in_layer(j, youngest, _empty_ends()).key
 
     # -- implicit queue maintenance -------------------------------------------
 
@@ -444,16 +421,20 @@ class LayeredTree:
         self.sizes[recv] = self.sizes.get(recv, 0) + 1
 
     def move_up(self, key: int):
-        self.engine.begin_access()
-        node = self.engine.descend_to(key)
-        assert node is not None
+        node = self._find(key)
+        if node.layer - self.base == 1:
+            raise ValueError(f"key {key} is in layer 1: no layer above")
         self._move_up(node, node.layer - self.base - 1, _empty_ends())
 
     def move_down(self, key: int):
+        self._move_down(self._find(key), _empty_ends())
+
+    def _find(self, key: int) -> Node:
         self.engine.begin_access()
         node = self.engine.descend_to(key)
-        assert node is not None
-        self._move_down(node, _empty_ends())
+        if node is None:
+            raise MissingKeyError(key)
+        return node
 
     # -- recency re-front for a hit already in layer 1 ---------------------------
 
@@ -493,10 +474,8 @@ class LayeredTree:
                 eng.ascend_to_subtree_root(self.base)
                 node = eng.descend_to(key)
         if node is None:
-            self.last_touched = 0
             return None
         j = node.layer - self.base
-        self.last_touched = j
         if j == 1:
             self._refront(node)
         else:
@@ -515,10 +494,9 @@ class LayeredTree:
             eng.root = node
             eng.node = node
             eng.visits += 1
-            self._set_header(1, 1, node)
+            self.layer_count = self.last_size = 1
             self.sizes = {1: 1}
             self.size = 1
-            self.last_touched = 1
             return
         if eng.descend_to(key) is not None:
             raise DuplicateKeyError(key)
@@ -526,14 +504,13 @@ class LayeredTree:
         if self.last_size == capacity(t_old):
             if t_old >= MAX_LAYERS:
                 raise CapacityError(f"tree is full at {MAX_LAYERS} layers")
-            self._set_header(t_old + 1, 1)
+            self.layer_count, self.last_size = t_old + 1, 1
             self.sizes[t_old + 1] = 0
             deficit = t_old + 1
         else:
-            self._set_header(t_old, self.last_size + 1)
+            self.last_size += 1
             deficit = t_old
         temp = self.layer_count + 1
-        self.last_touched = temp
 
         parent = eng.node
         node = Node(key, self.base + temp, red=False)
@@ -557,13 +534,9 @@ class LayeredTree:
         deepest layer, unlink the leaf, then refill each drained layer with
         the youngest of the layer below."""
         eng = self.engine
-        eng.begin_access()
-        node = eng.descend_to(key)
-        if node is None:
-            raise MissingKeyError(key)
+        node = self._find(key)
         t = self.layer_count
         j = node.layer - self.base
-        self.last_touched = t + 1
         ends = _empty_ends()
         self._queue_remove(node, j, ends)
         for _ in range(t - j + 1):
@@ -576,17 +549,17 @@ class LayeredTree:
         self.size -= 1
         self.sizes[j] -= 1
         if self.size == 0:
-            self._set_header(0, 0)
+            self.layer_count = self.last_size = 0
             self.sizes = {}
             eng.node = None
             return
         for m in range(j, t):
             self._move_up(self._extreme_in_layer(m + 1, True, ends), m, ends)
         if self.last_size > 1:
-            self._set_header(t, self.last_size - 1)
+            self.last_size -= 1
         else:  # layer t drained
             del self.sizes[t]
-            self._set_header(t - 1, self.sizes.get(t - 1, 0))
+            self.layer_count, self.last_size = t - 1, self.sizes.get(t - 1, 0)
 
     # -- non-model inspection -----------------------------------------------------
 

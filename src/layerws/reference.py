@@ -194,7 +194,8 @@ class UnifiedBoundTracker:
         ring with d >= best, or when both ends of the key list are passed.
         """
         keys = self.sorted_keys
-        assert keys, "unified bound needs a non-empty key set"
+        if not keys:
+            raise ValueError("unified bound needs a non-empty key set")
         n = len(keys)
         x_rank = bisect_left(keys, key)
         # WorkingSetTracker.working_set_number, read without a call per key

@@ -82,7 +82,7 @@ class SkipSplayTree:
     def _build(self):
         base, templates = 0, []  # peel label ranges off the top band downward
         for band in range(self.k - 1, -1, -1):
-            tree = LayeredTree(engine=Engine(), base=base, node_header=False)
+            tree = LayeredTree(engine=Engine(), base=base)
             for rank in range(_band_size(band)):
                 tree.insert(rank)
             base += tree.layer_count
@@ -174,39 +174,39 @@ class SkipSplayTree:
 
     def validate(self) -> list[Violation]:
         out: list[Violation] = []
-        # global search-tree order and label monotonicity
+        membership: list[Violation] = []  # reported after the order checks
+        roots: dict[int, Node] = {}  # aux root key -> its subtree root node
+        # one walk: global search-tree order, label monotonicity, the key
+        # count, and each auxiliary tree's subtree root
         prev = None
         count = 0
         for node in self.engine.iter_nodes():
             count += 1
-            if prev is not None and node.key <= prev:
-                out.append(Violation("bst-order", node.key,
-                                     f"key {node.key} out of order after {prev}"))
-            prev = node.key
+            key = node.key
+            if prev is not None and key <= prev:
+                out.append(Violation("bst-order", key, f"key {key} out of order after {prev}"))
+            prev = key
             p = node.parent
             if p is not None and p.layer > node.layer:
-                out.append(Violation("layer-monotone", node.key,
+                out.append(Violation("layer-monotone", key,
                                      f"label {node.layer} under parent label {p.layer}"))
-        if count != self.n:
-            out.append(Violation("bst-order", count, f"universe holds {count} of {self.n} keys"))
-
-        # each auxiliary tree passes the full layered-tree suite
-        roots: dict[int, object] = {}
-        for node in self.engine.iter_nodes():
-            if not 1 <= node.key <= self.n:
-                out.append(Violation("aux-membership", node.key, "key outside every aux"))
+            if not 1 <= key <= self.n:
+                membership.append(Violation("aux-membership", key, "key outside every aux"))
                 continue
-            root_key = _aux_root_key(node.key)
-            p = node.parent
+            root_key = _aux_root_key(key)
             if p is None or p.layer <= self.bands[_band_of_height(_height(root_key))].base:
                 if root_key in roots:
-                    out.append(Violation("aux-membership", node.key,
-                                         f"aux of {root_key} has two subtree roots"))
+                    membership.append(Violation("aux-membership", key,
+                                                f"aux of {root_key} has two subtree roots"))
                 roots[root_key] = node
+        if count != self.n:
+            out.append(Violation("bst-order", count, f"universe holds {count} of {self.n} keys"))
+        out.extend(membership)
+
+        # each auxiliary tree passes the full layered-tree suite
         for aux_key, node in roots.items():
             band = self.bands[_band_of_height(_height(aux_key))]
-            out.extend(validate_band(node, band.base, band.layer_count,
-                                     band.last_size, expect_node_header=False))
+            out.extend(validate_band(node, band.base, band.layer_count, band.last_size))
             members = band_members(node, band.base, band.layer_count)
             got = sorted(k for layer in members.values() for k in layer)
             if got != list(_members(aux_key)):

@@ -3,9 +3,10 @@
 Every invariant the structures promise is checkable here by plain
 traversal (no cursor accounting): search-tree order, label monotonicity,
 the layer size schedule, per-layer-subtree red-black validity, recency
-queue consistency, header agreement, and the per-node depth bound.  Each
-failure is reported with a witness (a key or a layer index) so corruption
-can be pinpointed.
+queue consistency, agreement of the tree's books (layer count, deepest
+size) with the walk, and the per-node depth bound.  Each failure is
+reported with a witness (a key or a layer index) so corruption can be
+pinpointed.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ def check_red_black(root: Node, out: list[Violation]) -> int:
 
 
 def validate_band(root: Node | None, base: int, t: int, last_size: int,
-                  expect_node_header: bool = False,
                   complete: bool = False,
                   check_queues: bool = True) -> list[Violation]:
     """Validate the band of labels base+1..base+t rooted at ``root``.
@@ -108,8 +108,7 @@ def validate_band(root: Node | None, base: int, t: int, last_size: int,
     standalone tree); inside a composition deeper bands are fine and are
     validated separately.
 
-    One pre-order walk checks order, labels, depth and header placement
-    and gathers, per layer, the counts, layer-subtree roots and queue ends;
+    One pre-order walk checks order, labels and depth and gathers, per layer, the counts, layer-subtree roots and queue ends;
     black heights then come from one reverse pass over the walk, and each
     recency queue is followed once from its oldest member.
     """
@@ -157,8 +156,6 @@ def validate_band(root: Node | None, base: int, t: int, last_size: int,
         if depth > limits[rel]:
             out.append(Violation("depth-bound", key,
                                  f"depth {depth} exceeds limit for layer {rel}"))
-        if n.header is not None and n is not root:
-            out.append(Violation("header", key, "header fields away from the root"))
         visit(n)
         scan = scans[rel]
         scan.count += 1
@@ -188,23 +185,11 @@ def validate_band(root: Node | None, base: int, t: int, last_size: int,
                                  f"deepest layer holds {got}, allowed 1..{capacity(m)}"))
         if m == t and got != last_size:
             out.append(Violation("header", "last_size",
-                                 f"deepest layer holds {got}, header says {last_size}"))
+                                 f"deepest layer holds {got}, the books say {last_size}"))
 
     first_roots = scans[1].roots
     if len(first_roots) != 1 or first_roots[0] is not root:
         out.append(Violation("layer-shape", 1, "first layer is not a single subtree at the root"))
-
-    # header residency
-    if expect_node_header:
-        if root.header is None:
-            out.append(Violation("header", root.key, "root carries no header fields"))
-        else:
-            if root.header.layer_count != t:
-                out.append(Violation("header", "t",
-                                     f"root header says {root.header.layer_count} layers, tree has {t}"))
-            if root.header.last_size != last_size:
-                out.append(Violation("header", "last_size",
-                                     f"root header says {root.header.last_size}, tracker says {last_size}"))
 
     # red-black validity, reported per layer-subtree in left-first post-order
     faults: dict[Node, list[Violation]] = {}
@@ -287,7 +272,6 @@ def validate_tree(tree: LayeredTree, check_queues: bool = True) -> list[Violatio
     """Full invariant sweep of one layered tree."""
     return validate_band(
         tree.engine.root, tree.base, tree.layer_count, tree.last_size,
-        expect_node_header=tree.node_header,
         complete=True,
         check_queues=check_queues,
     )

@@ -1,6 +1,6 @@
 import random
 
-from layerws.engine import Engine, Node, RootHeader
+from layerws.engine import Engine, Node
 
 
 def chain_tree():
@@ -94,15 +94,6 @@ def test_rotate_preserves_inorder_on_random_tree():
         victim = rng.choice(rotatable)
         eng.rotate(victim, left=victim.right is not None)
         assert eng.inorder_keys() == before
-
-
-def test_rotate_migrates_header():
-    eng, a, b, c = chain_tree()
-    a.header = RootHeader(1, 3)
-    eng.rotate(a, left=True)
-    assert a.header is None
-    assert eng.root.header is not None
-    assert eng.root.header.layer_count == 1
 
 
 def test_rotate_requires_same_layer():

@@ -52,10 +52,8 @@ class RootWalkTree(LayeredTree):
             eng.ascend_to_subtree_root(self.base)
         node = eng.descend_to(key)
         if node is None:
-            self.last_touched = 0
             return None
         j = node.layer - self.base
-        self.last_touched = j
         if j == 1:
             self._refront(node)
         else:
@@ -71,15 +69,14 @@ def nodes_state(engine, cursor=True):
     visit counter."""
     # ``a and a.key`` reads None for a missing link: nodes are always true
     nodes = [(n.key, n.red, n.layer, n.parent and n.parent.key, n.left and n.left.key,
-              n.right and n.right.key, n.older, n.younger, n.next_layer,
-              n.header and (n.header.layer_count, n.header.last_size))
+              n.right and n.right.key, n.older, n.younger, n.next_layer)
              for n in engine.iter_nodes()]
     root = engine.root and engine.root.key
     return (nodes, root, engine.node and engine.node.key) if cursor else (nodes, root)
 
 
 def books(tree):
-    return tree.sizes, tree.layer_count, tree.last_size, tree.size, tree.last_touched
+    return tree.sizes, tree.layer_count, tree.last_size, tree.size
 
 
 def assert_never_dearer(sides, readers, steps):

@@ -15,6 +15,8 @@ behaviour digests here.
 """
 
 import hashlib
+import subprocess
+import sys
 
 import pytest
 
@@ -71,11 +73,21 @@ def _sha(*parts: str) -> str:
     return hashlib.sha256("\0".join(parts).encode("ascii")).hexdigest()
 
 
+def _outputs(tmp_path) -> tuple[list[str], tuple]:
+    """The command's verification and output flags, and the two paths."""
+    paths = tmp_path / "rows.csv", tmp_path / "summary.json"
+    return ["--verify-every", "1", "--csv", str(paths[0]), "--json", str(paths[1])], paths
+
+
 def _digests(argv: list[str], tmp_path, capsys) -> tuple[str, str]:
-    csv_path, json_path = tmp_path / "rows.csv", tmp_path / "summary.json"
-    code = main(argv + ["--verify-every", "1", "--csv", str(csv_path), "--json", str(json_path)])
+    flags, paths = _outputs(tmp_path)
+    code = main(argv + flags)
     capsys.readouterr()
     assert code == 0
+    return _file_digests(*paths)
+
+
+def _file_digests(csv_path, json_path) -> tuple[str, str]:
     csv_behaviour, csv_cost = _split_csv(csv_path.read_bytes().decode("ascii"))
     json_behaviour, json_cost = _split_json(json_path.read_bytes().decode("ascii"))
     return _sha(csv_behaviour, json_behaviour), _sha(csv_cost, json_cost)
@@ -88,6 +100,20 @@ def test_cli_outputs_match_golden_digests(cell, tmp_path, capsys):
                                 "--ops", str(ops), "--seed", str(seed)], tmp_path, capsys)
     assert behaviour == GOLDEN[cell][0], "behaviour changed"
     assert cost == GOLDEN[cell][1], "costs changed"
+
+
+def test_golden_cell_under_python_O(tmp_path):
+    """``python -O`` strips every assert; a golden cell still writes the
+    same bytes, so no assert carries behaviour."""
+    cell = ("uniform", 40, 1500, 11)
+    family, n, ops, seed = cell
+    flags, paths = _outputs(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "layerws.cli", "--structure", "lws", "--gen", family,
+         "--n", str(n), "--ops", str(ops), "--seed", str(seed)] + flags,
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert _file_digests(*paths) == GOLDEN[cell]
 
 
 def _band_searches(path) -> str:

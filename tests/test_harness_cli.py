@@ -133,8 +133,9 @@ def _set_field(tree, key, name, value):
 
 # Each fault is planted by the search for key 1 (operation PLANT_AT), after
 # which the 40-key tree holds [1, 40, 39, 38], [37..22] and [21..2].  The
-# comparator reports a wrong key, label or queue field as a divergence; the
-# per-operation validator reports colour and header faults as violations.
+# comparator reports a wrong key, label, queue field or layer count as a
+# divergence; the per-operation validator reports a colour fault or a
+# deepest-layer size the walk does not count as violations.
 PLANT_TRACE = "".join(f"I {k}\n" for k in range(1, 41)) + "S 40\nS 1\nS 2\nS 3\n"
 PLANT_AT = 41
 PLANTED = {
@@ -146,7 +147,8 @@ PLANTED = {
     "next-layer-youngest": (lambda t: corrupt_next_layer(t, 1, 999), "divergence"),
     "next-layer-oldest": (lambda t: corrupt_next_layer(t, 22, None), "divergence"),
     "next-layer-interior": (lambda t: corrupt_next_layer(t, 30, 7), "divergence"),
-    "header-layer-count": (lambda t: corrupt_header(t, layer_count=4), "violation"),
+    "header-layer-count": (lambda t: corrupt_header(t, layer_count=4), "divergence"),
+    "header-last-size": (lambda t: corrupt_header(t, last_size=t.last_size + 1), "violation"),
 }
 
 

@@ -1,5 +1,7 @@
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,17 +24,15 @@ def assert_clean(tree, context=""):
 
 def tree_state(tree):
     """Everything a tree holds apart from its visit counter: every node's
-    key, colour, label, child keys and queue fields, the root and its
-    header, and the tree's size bookkeeping."""
+    key, colour, label, child keys and queue fields, the root, and the
+    tree's size bookkeeping."""
     nodes = [(n.key, n.red, n.layer,
               None if n.left is None else n.left.key,
               None if n.right is None else n.right.key,
               n.older, n.younger, n.next_layer)
              for n in tree.engine.iter_nodes()]
     root = tree.engine.root
-    header = None if root is None or root.header is None else \
-        (root.header.layer_count, root.header.last_size)
-    return (nodes, None if root is None else root.key, header, dict(tree.sizes),
+    return (nodes, None if root is None else root.key, dict(tree.sizes),
             tree.layer_count, tree.last_size, tree.size)
 
 
@@ -279,6 +279,37 @@ def test_full_tree_insert_leaves_no_trace(monkeypatch):
     assert_clean(tree)
 
 
+# Bad input to the public calls, each run under ``python -O``, which strips
+# asserts: every call must still raise, and leave the tree as it was.
+BAD_INPUT = """
+from layerws import LayeredTree, UnifiedBoundTracker, validate_tree
+assert False, "asserts are live"
+tree = LayeredTree()
+for k in range(1, 41):
+    tree.insert(k)
+layer_one = tree.layer_snapshot()[1][0]
+before = tree.layer_snapshot()
+for call in (lambda: tree.move_up(layer_one), lambda: tree.move_up(999),
+             lambda: tree.move_down(999), lambda: tree.youngest_in_layer(7),
+             lambda: tree.oldest_in_layer(0),
+             lambda: UnifiedBoundTracker().unified_bound(5)):
+    try:
+        print("returned", call())
+    except Exception as exc:
+        print(type(exc).__name__)
+print(tree.layer_snapshot() == before, len(validate_tree(tree)))
+"""
+
+
+def test_bad_input_raises_under_python_O():
+    proc = subprocess.run([sys.executable, "-O", "-c", BAD_INPUT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "ValueError", "MissingKeyError", "MissingKeyError", "ValueError",
+        "ValueError", "ValueError", "True 0", ""]
+
+
 # -- insert ------------------------------------------------------------------------
 
 def test_insert_into_empty():
@@ -287,7 +318,6 @@ def test_insert_into_empty():
     assert tree.layer_count == 1 and tree.last_size == 1
     root = tree.engine.root
     assert root.key == 42 and root.layer == 1 and not root.red
-    assert root.header is not None
     assert_clean(tree)
 
 

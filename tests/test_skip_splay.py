@@ -8,7 +8,7 @@ from layerws.engine import Engine
 from layerws.errors import DictError, MissingKeyError
 from layerws.layered_tree import capacity
 from layerws.skip_splay import _ancestor_at, _aux_root_key, _band_of_height, _band_size, _height
-from test_finger import nodes_state, skip_plan
+from test_finger import books, nodes_state, skip_plan
 
 
 def perfect_tree_heights(n):
@@ -191,6 +191,16 @@ def test_validate_reports_a_broken_aux_queue(k):
     assert any(v.kind == "queue-chain" for v in found), [str(v) for v in found]
 
 
+def test_validate_reports_order_before_membership():
+    """One walk finds both faults of a key moved out of the universe; the
+    order fault comes first, as when each had a walk of its own."""
+    s = SkipSplayTree(3)
+    next(n for n in s.engine.iter_nodes() if n.key == s.n).key = 0
+    assert [str(v) for v in s.validate()] == [
+        f"bst-order[0]: key 0 out of order after {s.n - 1}",
+        "aux-membership[0]: key outside every aux"]
+
+
 # -- band machines against one layered tree per auxiliary tree ------------------
 
 
@@ -219,8 +229,7 @@ class InsertBuiltSkipSplay(SkipSplayTree):
             base += layers_after_inserts(_band_size(band))
         self.auxes = {}
         for root_key, members in groups.items():
-            tree = LayeredTree(engine=Engine(), base=base_of_band[aux_band(root_key)],
-                               node_header=False)
+            tree = LayeredTree(engine=Engine(), base=base_of_band[aux_band(root_key)])
             for key in members:
                 tree.insert(key)
             self.auxes[root_key] = tree
@@ -265,18 +274,12 @@ def aux_band(root_key):
     return _band_of_height(_height(root_key))
 
 
-def band_books(tree):
-    """The books every auxiliary tree of a band shares with its machine;
-    ``last_touched`` names the band's latest search, not each aux's."""
-    return tree.sizes, tree.layer_count, tree.last_size, tree.size
-
-
 def assert_same_as_per_aux(tree, ref, where):
     """Links, colours, labels, queue fields, root and cursor node for node,
     and each aux tree's books equal to its band machine's."""
     assert nodes_state(tree.engine) == nodes_state(ref.engine), where
     for root_key, aux in ref.auxes.items():
-        assert band_books(tree.bands[aux_band(root_key)]) == band_books(aux), (where, root_key)
+        assert books(tree.bands[aux_band(root_key)]) == books(aux), (where, root_key)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
