@@ -19,7 +19,7 @@ def play(tree, tracker, kind, *keys):
 
 def show(tree, label):
     print(f"\n== {label}")
-    print(f"   layers t={tree.layer_count}, deepest holds {tree.last_size}")
+    print(f"   layers t={tree.layer_count}, deepest holds {tree.sizes[tree.layer_count]}")
     for j, order in sorted(tree.layer_snapshot().items()):
         print(f"   L{j} (youngest->oldest): {order}")
 

@@ -14,8 +14,8 @@ from . import layer_ops as ops
 
 
 class RedBlackBaseline:
-    def __init__(self, engine: Engine | None = None):
-        self.engine = engine if engine is not None else Engine()
+    def __init__(self):
+        self.engine = Engine()
         self.size = 0
 
     def __len__(self):

@@ -9,9 +9,9 @@ tree at the root costs one arrival.
 
 Nodes carry, besides the three links and the key: one color bit, a layer
 label, and three key-valued recency fields (older/younger/next_layer).
-A structure's own books (a layered tree's layer count and per-layer
-sizes) live beside the engine's root pointer, not on any node, so a
-rotation or splice that changes the root moves nothing but links.
+A structure's own books (a layered tree's per-layer sizes) live beside
+the engine's root pointer, not on any node, so a rotation or splice that
+changes the root moves nothing but links.
 """
 
 from __future__ import annotations
@@ -159,6 +159,13 @@ class Engine:
             parent.right = new
 
     # -- non-model helpers (bypass the cursor; test/report support only) ---
+
+    def lookup(self, key: int) -> Optional[Node]:
+        """The node holding ``key``, or None, by a plain descent from the root."""
+        node = self.root
+        while node is not None and node.key != key:
+            node = node.left if key < node.key else node.right
+        return node
 
     def inorder_keys(self) -> list[int]:
         return [node.key for node in self.iter_nodes()]

@@ -29,16 +29,20 @@ def corrupt_next_layer(tree: LayeredTree, key: int, value):
 
 
 def corrupt_header(tree: LayeredTree, layer_count=None, last_size=None):
+    """Rewrite the books: ``layer_count`` adds empty layers or drops the
+    deeper entries, ``last_size`` sets the deepest entry."""
+    sizes = tree.sizes
     if layer_count is not None:
-        tree.layer_count = layer_count
+        for m in range(len(sizes) + 1, layer_count + 1):
+            sizes[m] = 0
+        for m in range(layer_count + 1, len(sizes) + 1):
+            del sizes[m]
     if last_size is not None:
-        tree.last_size = last_size
+        sizes[len(sizes)] = last_size
 
 
 def _find(tree: LayeredTree, key: int) -> Node:
     """The node holding ``key``, by a plain descent that bypasses the cursor."""
-    node = tree.engine.root
-    while node is not None and node.key != key:
-        node = node.left if key < node.key else node.right
+    node = tree.engine.lookup(key)
     assert node is not None, f"corruption target {key} missing"
     return node

@@ -126,16 +126,16 @@ def compare_layers(tree: LayeredTree, ref: ReferenceStructure,
     older link the next, and an interior key names no next-layer key.  The
     queue's youngest names the youngest key of the layer below and its
     oldest the oldest key below (a lone member names the youngest below).
-    The layer count and the number of keys must agree too, so this pins
-    every layer's members, order and boundary links.  Snapshots are built
-    only to word the error.
+    The tree's books must equal the reference's level lengths, and the key
+    map must hold as many keys, so this pins every layer's members, order
+    and boundary links.  Snapshots are built only to word the error.
     """
     queues = ref.level_queues
     t = len(queues)
-    if tree.layer_count != t:
-        raise DivergenceError(f"tree has {tree.layer_count} layers, reference {t}")
+    levels = {j: len(q) for j, q in enumerate(queues, start=1)}
+    if tree.sizes != levels:
+        raise DivergenceError(f"tree's books say {tree.sizes}, reference levels hold {levels}")
     get = nodes.get
-    total = 0
     for j, q in enumerate(queues, start=1):
         younger = None
         for key, older in zip(q, chain(islice(q, 1, None), (None,))):
@@ -155,10 +155,9 @@ def compare_layers(tree: LayeredTree, ref: ReferenceStructure,
                 raise _divergence(
                     tree, ref, j,
                     f"key {key}, naming next-layer {nodes[key].next_layer} (expected {want})")
-        total += len(q)
-    if total != len(nodes) or total != tree.size:
-        raise DivergenceError(
-            f"reference holds {total} keys, tree reports {tree.size} and maps {len(nodes)}")
+    total = sum(levels.values())
+    if total != len(nodes):
+        raise DivergenceError(f"reference holds {total} keys, tree maps {len(nodes)}")
 
 
 def _key_divergence(tree: LayeredTree, ref: ReferenceStructure, j: int, key: int,
@@ -248,10 +247,7 @@ class _DictDriver:
         self.d.insert(key)
         if self.shadow is not None:
             self.shadow.insert(key)
-            node = self.engine.root  # a plain descent, not charged to the engine
-            while node.key != key:
-                node = node.left if key < node.key else node.right
-            self.nodes[key] = node
+            self.nodes[key] = self.engine.lookup(key)  # not charged to the engine
 
     def delete(self, key):
         self.d.delete(key)

@@ -5,9 +5,11 @@ along every root-to-leaf path.  Layer j holds exactly 2^(2^j) keys for
 j < t; the deepest layer holds the remainder.  Each layer is a forest of
 independently balanced red-black layer-subtrees, and an implicit recency
 queue threads through each layer via the older/younger/next_layer key
-fields stored in the nodes.  The tree's books, t and the per-layer sizes
-with the deepest layer's, are O(log log n) words kept beside the root
-pointer, so a rotation that changes the root moves no bookkeeping.
+fields stored in the nodes.  The tree's books are one record, ``sizes``:
+relative layer -> key count, naming exactly the layers 1..t between
+operations, so t is its length and n its sum.  It is O(log log n) words
+kept beside the root pointer, so a rotation that changes the root moves
+no bookkeeping.
 
 A search that finds its key in layer j costs O(2^j) cursor visits: the key
 is moved up to layer 1 and the oldest resident of each layer 1..j-1 is
@@ -100,24 +102,20 @@ def capacity(j: int) -> int:
 class LayeredTree:
     """Dictionary over integer keys with the worst-case working-set bound."""
 
-    def __init__(self, engine: Engine | None = None, base: int = 0):
-        self.engine = engine if engine is not None else Engine()
+    def __init__(self, base: int = 0):
+        self.engine = Engine()
         self.base = base
-        self.layer_count = 0
-        self.last_size = 0
         self.sizes: dict[int, int] = {}
-        self.size = 0
+
+    @property
+    def layer_count(self) -> int:
+        return len(self.sizes)
 
     def __len__(self):
-        return self.size
+        return sum(self.sizes.values())
 
     def __contains__(self, key):
-        node = self.engine.root
-        while node is not None:
-            if node.key == key:
-                return True
-            node = node.left if key < node.key else node.right
-        return False
+        return self.engine.lookup(key) is not None
 
     def keys(self) -> list[int]:
         return self.engine.inorder_keys()
@@ -494,23 +492,18 @@ class LayeredTree:
             eng.root = node
             eng.node = node
             eng.visits += 1
-            self.layer_count = self.last_size = 1
             self.sizes = {1: 1}
-            self.size = 1
             return
         if eng.descend_to(key) is not None:
             raise DuplicateKeyError(key)
-        t_old = self.layer_count
-        if self.last_size == capacity(t_old):
-            if t_old >= MAX_LAYERS:
+        sizes = self.sizes
+        deficit = t = len(sizes)
+        if sizes[t] == capacity(t):
+            if t >= MAX_LAYERS:
                 raise CapacityError(f"tree is full at {MAX_LAYERS} layers")
-            self.layer_count, self.last_size = t_old + 1, 1
-            self.sizes[t_old + 1] = 0
-            deficit = t_old + 1
-        else:
-            self.last_size += 1
-            deficit = t_old
-        temp = self.layer_count + 1
+            deficit = t + 1
+            sizes[deficit] = 0  # the push-down opens it
+        temp = deficit + 1
 
         parent = eng.node
         node = Node(key, self.base + temp, red=False)
@@ -521,13 +514,12 @@ class LayeredTree:
             parent.right = node
         node.parent = parent
         eng.arrive(node)
-        self.sizes[temp] = 1
-        self.size += 1
+        sizes[temp] = 1
         ends = _empty_ends()
         self._move_up(node, 1, ends)
         self._push_down(deficit, ends)
-        assert self.sizes[temp] == 0
-        del self.sizes[temp]
+        assert sizes[temp] == 0
+        del sizes[temp]
 
     def delete(self, key: int):
         """Remove ``key``: unlink it from its queue, sink it below the
@@ -545,30 +537,38 @@ class LayeredTree:
         assert node.left is None and node.right is None, "evictee must be a leaf"
         eng.replace_subtree(node, None)
         eng.visits += 1
-        eng.node = node.parent
-        self.size -= 1
+        eng.node = node.parent  # None once the lone key is gone
         self.sizes[j] -= 1
-        if self.size == 0:
-            self.layer_count = self.last_size = 0
-            self.sizes = {}
-            eng.node = None
-            return
         for m in range(j, t):
             self._move_up(self._extreme_in_layer(m + 1, True, ends), m, ends)
-        if self.last_size > 1:
-            self.last_size -= 1
-        else:  # layer t drained
+        if self.sizes[t] == 0:  # layer t drained
             del self.sizes[t]
-            self.layer_count, self.last_size = t - 1, self.sizes.get(t - 1, 0)
 
     # -- non-model inspection -----------------------------------------------------
 
     def layer_snapshot(self) -> dict[int, list[int]]:
         """Recency order (youngest first) of every layer; bypasses the cursor."""
-        root = self.engine.root
         if self.base != 0:
-            raise ValueError("snapshot of a band needs its subtree root; use band_snapshot")
-        return band_snapshot(root, self.base, self.layer_count or MAX_LAYERS + 1)
+            raise ValueError("a band's layers hang below its subtree root, not the engine's")
+        out: dict[int, list[int]] = {}
+        members = band_members(self.engine.root, 0, self.layer_count or MAX_LAYERS + 1)
+        for rel, nodes in sorted(members.items()):
+            heads = [n for n in nodes.values() if n.younger is None]
+            if len(heads) != 1:
+                raise AssertionError(f"layer {rel}: {len(heads)} queue heads")
+            order = []
+            n = heads[0]
+            seen = set()
+            while n is not None:
+                if n.key in seen:
+                    raise AssertionError(f"layer {rel}: recency cycle at {n.key}")
+                seen.add(n.key)
+                order.append(n.key)
+                n = nodes.get(n.older) if n.older is not None else None
+            if len(order) != len(nodes):
+                raise AssertionError(f"layer {rel}: queue reaches {len(order)} of {len(nodes)}")
+            out[rel] = order
+        return out
 
 
 def band_members(root: Node | None, base: int, t: int) -> dict[int, dict[int, Node]]:
@@ -589,24 +589,3 @@ def band_members(root: Node | None, base: int, t: int) -> dict[int, dict[int, No
                 stack.append(n.right)
     return members
 
-
-def band_snapshot(root: Node | None, base: int, t: int) -> dict[int, list[int]]:
-    """Recency order (youngest first) per layer for the band rooted at ``root``."""
-    out: dict[int, list[int]] = {}
-    for rel, nodes in sorted(band_members(root, base, t).items()):
-        heads = [n for n in nodes.values() if n.younger is None]
-        if len(heads) != 1:
-            raise AssertionError(f"layer {rel}: {len(heads)} queue heads")
-        order = []
-        n = heads[0]
-        seen = set()
-        while n is not None:
-            if n.key in seen:
-                raise AssertionError(f"layer {rel}: recency cycle at {n.key}")
-            seen.add(n.key)
-            order.append(n.key)
-            n = nodes.get(n.older) if n.older is not None else None
-        if len(order) != len(nodes):
-            raise AssertionError(f"layer {rel}: queue reaches {len(order)} of {len(nodes)}")
-        out[rel] = order
-    return out

@@ -16,7 +16,7 @@ built by inserting the ranks 0..m-1.  Its nodes are the template every
 auxiliary tree of the band is cloned from (rank r becomes the aux's r-th
 smallest key in the key and queue fields); the tree itself, moved onto the
 shared engine, is the band machine that runs the searches of all of them.
-Its books (layer sizes, layer count) are every aux tree's: a search moves
+Its books, the per-layer size record, are every aux tree's: a search moves
 one key up and pushes one per layer crossed down, leaving the sizes as
 they were.
 
@@ -82,7 +82,7 @@ class SkipSplayTree:
     def _build(self):
         base, templates = 0, []  # peel label ranges off the top band downward
         for band in range(self.k - 1, -1, -1):
-            tree = LayeredTree(engine=Engine(), base=base)
+            tree = LayeredTree(base=base)
             for rank in range(_band_size(band)):
                 tree.insert(rank)
             base += tree.layer_count
@@ -206,7 +206,7 @@ class SkipSplayTree:
         # each auxiliary tree passes the full layered-tree suite
         for aux_key, node in roots.items():
             band = self.bands[_band_of_height(_height(aux_key))]
-            out.extend(validate_band(node, band.base, band.layer_count, band.last_size))
+            out.extend(validate_band(node, band.base, band.sizes))
             members = band_members(node, band.base, band.layer_count)
             got = sorted(k for layer in members.values() for k in layer)
             if got != list(_members(aux_key)):

@@ -3,10 +3,10 @@
 Every invariant the structures promise is checkable here by plain
 traversal (no cursor accounting): search-tree order, label monotonicity,
 the layer size schedule, per-layer-subtree red-black validity, recency
-queue consistency, agreement of the tree's books (layer count, deepest
-size) with the walk, and the per-node depth bound.  Each failure is
-reported with a witness (a key or a layer index) so corruption can be
-pinpointed.
+queue consistency, agreement of every entry of the tree's books (its
+per-layer size record) with the walk, and the per-node depth bound.  Each
+failure is reported with a witness (a key or a layer index) so corruption
+can be pinpointed.
 """
 
 from __future__ import annotations
@@ -99,10 +99,12 @@ def check_red_black(root: Node, out: list[Violation]) -> int:
     return _black_heights(_subtree_order(root), lambda n, v: out.append(v))[root]
 
 
-def validate_band(root: Node | None, base: int, t: int, last_size: int,
+def validate_band(root: Node | None, base: int, sizes: dict[int, int],
                   complete: bool = False,
                   check_queues: bool = True) -> list[Violation]:
-    """Validate the band of labels base+1..base+t rooted at ``root``.
+    """Validate the band rooted at ``root`` against its books ``sizes``
+    (relative layer -> key count), which must name exactly the layers
+    1..t, labels base+1..base+t.
 
     ``complete`` means no deeper band may hang below this one (a plain
     standalone tree); inside a composition deeper bands are fine and are
@@ -113,12 +115,17 @@ def validate_band(root: Node | None, base: int, t: int, last_size: int,
     recency queue is followed once from its oldest member.
     """
     out: list[Violation] = []
+    t = len(sizes)
     if root is None:
         if t != 0:
-            out.append(Violation("header", "t", f"empty tree but layer count {t}"))
+            out.append(Violation("header", "t", f"empty tree but the books name layers {sorted(sizes)}"))
         return out
-    if t < 1 or t > MAX_LAYERS:
-        out.append(Violation("header", "t", f"layer count {t} outside 1..{MAX_LAYERS}"))
+    if not 1 <= t <= MAX_LAYERS or sorted(sizes) != list(range(1, t + 1)):
+        out.append(Violation("header", "t",
+                             f"the books name layers {sorted(sizes)}, not 1..t for t in 1..{MAX_LAYERS}"))
+        return out
+    if sizes[t] < 1:
+        out.append(Violation("header", "t", f"the books' deepest layer {t} holds {sizes[t]}"))
         return out
 
     if root.layer != base + 1:
@@ -183,9 +190,9 @@ def validate_band(root: Node | None, base: int, t: int, last_size: int,
         if m == t and not 1 <= got <= capacity(m):
             out.append(Violation("layer-size", m,
                                  f"deepest layer holds {got}, allowed 1..{capacity(m)}"))
-        if m == t and got != last_size:
-            out.append(Violation("header", "last_size",
-                                 f"deepest layer holds {got}, the books say {last_size}"))
+        if got != sizes[m]:
+            out.append(Violation("header", "last_size" if m == t else m,
+                                 f"layer {m} holds {got}, the books say {sizes[m]}"))
 
     first_roots = scans[1].roots
     if len(first_roots) != 1 or first_roots[0] is not root:
@@ -271,7 +278,7 @@ def _check_queue(m: int, scan: _LayerScan, below: _LayerScan | None,
 def validate_tree(tree: LayeredTree, check_queues: bool = True) -> list[Violation]:
     """Full invariant sweep of one layered tree."""
     return validate_band(
-        tree.engine.root, tree.base, tree.layer_count, tree.last_size,
+        tree.engine.root, tree.base, tree.sizes,
         complete=True,
         check_queues=check_queues,
     )

@@ -5,7 +5,7 @@ Criteria 1-3 share one 50-trace replay through ``harness.run`` (session
 fixture, two worker processes), the same loop the command runs.  After
 every single operation the layered tree is compared exactly against the
 reference structure by ``compare_layers`` (every key's label, both
-recency links and next-layer key, the layer count and the key count), and
+recency links and next-layer key, the per-layer sizes and the key count), and
 the structural suite runs (red-black validity of every layer-subtree,
 label monotonicity, the size schedule, header agreement, and the per-node
 depth bound).  The comparator pins every queue field, so the per-operation
@@ -153,7 +153,7 @@ def _matrix_worker(args) -> dict:
                 breaches.append(("S", op.key, ratio))
         else:
             # an insert is costed at the size after it, a delete before it
-            ratio = cost / math.log2(tree.size + (op.kind == "D") + 2)
+            ratio = cost / math.log2(len(tree) + (op.kind == "D") + 2)
             worst_update = max(worst_update, ratio)
             if ratio > c2:
                 breaches.append((op.kind, op.key, ratio))

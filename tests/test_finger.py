@@ -76,7 +76,8 @@ def nodes_state(engine, cursor=True):
 
 
 def books(tree):
-    return tree.sizes, tree.layer_count, tree.last_size, tree.size
+    """The tree's books: a copy of its per-layer size record."""
+    return dict(tree.sizes)
 
 
 def assert_never_dearer(sides, readers, steps):

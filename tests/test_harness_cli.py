@@ -131,11 +131,15 @@ def _set_field(tree, key, name, value):
     setattr(_find(tree, key), name, value)
 
 
+def _set_size(tree, layer, value):
+    tree.sizes[layer] = value
+
+
 # Each fault is planted by the search for key 1 (operation PLANT_AT), after
 # which the 40-key tree holds [1, 40, 39, 38], [37..22] and [21..2].  The
-# comparator reports a wrong key, label, queue field or layer count as a
-# divergence; the per-operation validator reports a colour fault or a
-# deepest-layer size the walk does not count as violations.
+# comparator reports a wrong key, label, queue field or entry of the books
+# as a divergence; the per-operation validator reports a colour fault as a
+# violation.
 PLANT_TRACE = "".join(f"I {k}\n" for k in range(1, 41)) + "S 40\nS 1\nS 2\nS 3\n"
 PLANT_AT = 41
 PLANTED = {
@@ -148,7 +152,8 @@ PLANTED = {
     "next-layer-oldest": (lambda t: corrupt_next_layer(t, 22, None), "divergence"),
     "next-layer-interior": (lambda t: corrupt_next_layer(t, 30, 7), "divergence"),
     "header-layer-count": (lambda t: corrupt_header(t, layer_count=4), "divergence"),
-    "header-last-size": (lambda t: corrupt_header(t, last_size=t.last_size + 1), "violation"),
+    "header-last-size": (lambda t: corrupt_header(t, last_size=t.sizes[3] + 1), "divergence"),
+    "header-middle-size": (lambda t: _set_size(t, 2, 1), "divergence"),
 }
 
 
@@ -219,9 +224,23 @@ def test_queue_swap_detected():
 
 def test_header_desync_detected():
     tree = fresh_tree()
-    corrupt_header(tree, last_size=tree.last_size + 1)
+    corrupt_header(tree, last_size=tree.sizes[3] + 1)
     found = verify_structure(tree)
     assert any(v.kind == "header" for v in found)
+
+
+# the 40-key tree's books read {1: 4, 2: 16, 3: 20}; a miscounted layer
+# is named by its index (the deepest by "last_size"), a record that does
+# not name exactly the layers 1..t, or whose deepest layer is empty, by "t"
+@pytest.mark.parametrize("sizes, witness", [
+    ({1: 4, 2: 1, 3: 20}, 2), ({1: 3, 2: 16, 3: 20}, 1), ({1: 4, 2: 16, 3: 19}, "last_size"),
+    ({1: 4, 3: 20}, "t"), ({1: 4, 2: 16, 3: 20, 4: 0}, "t"), ({1: 4, 2: 16, 3: 0}, "t"),
+    ({}, "t"), ({0: 4, 1: 16, 2: 20}, "t")])
+def test_books_checked_entry_by_entry(sizes, witness):
+    tree = fresh_tree()
+    tree.sizes = sizes
+    found = verify_structure(tree)
+    assert [(v.kind, v.witness) for v in found] == [("header", witness)], [str(v) for v in found]
 
 
 def test_next_layer_corruption_detected():

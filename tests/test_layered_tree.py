@@ -15,6 +15,7 @@ from layerws import layered_tree
 from layerws.engine import Engine
 from layerws.harness import RunConfig, run
 from layerws.workload import TraceOp
+from test_finger import tree_reader
 
 
 def assert_clean(tree, context=""):
@@ -22,25 +23,8 @@ def assert_clean(tree, context=""):
     assert not found, f"{context}: {[str(v) for v in found][:5]}"
 
 
-def tree_state(tree):
-    """Everything a tree holds apart from its visit counter: every node's
-    key, colour, label, child keys and queue fields, the root, and the
-    tree's size bookkeeping."""
-    nodes = [(n.key, n.red, n.layer,
-              None if n.left is None else n.left.key,
-              None if n.right is None else n.right.key,
-              n.older, n.younger, n.next_layer)
-             for n in tree.engine.iter_nodes()]
-    root = tree.engine.root
-    return (nodes, None if root is None else root.key, dict(tree.sizes),
-            tree.layer_count, tree.last_size, tree.size)
-
-
 def layer_of(tree, key):
-    node = tree.engine.root
-    while node.key != key:
-        node = node.left if key < node.key else node.right
-    return node.layer
+    return tree.engine.lookup(key).layer
 
 
 def scenario_a():
@@ -68,7 +52,7 @@ def test_layer_capacities():
 
 def test_scenario_a_layers():
     tree = scenario_a()
-    assert tree.layer_count == 2 and tree.last_size == 1
+    assert tree.sizes == {1: 4, 2: 1} and tree.layer_count == 2 and len(tree) == 5
     assert tree.layer_snapshot() == {1: [5, 4, 3, 2], 2: [1]}
     assert_clean(tree)
 
@@ -158,9 +142,9 @@ def test_move_down_oldest_of_first_layer():
     assert tree.keys() == inorder
     found = validate_tree(tree)
     # a lone inter-layer move leaves exactly the one-off size imbalance that
-    # the public operations restore; structure and queues must stay clean
-    assert all(v.kind == "layer-size" or (v.kind, v.witness) == ("header", "last_size")
-               for v in found), [str(v) for v in found]
+    # the public operations restore; the books follow the move, and
+    # structure and queues must stay clean
+    assert found and all(v.kind == "layer-size" for v in found), [str(v) for v in found]
 
 
 def test_interior_queue_splice():
@@ -209,7 +193,8 @@ def test_search_matches_step_by_step_moves(n, seed):
             twin.move_up(k)
         for m in range(1, j):
             twin.move_down(twin.oldest_in_layer(m))
-        assert tree_state(tree) == tree_state(twin), f"search({k}) from layer {j}"
+        assert tree_reader(tree, cursor=False)() == tree_reader(twin, cursor=False)(), \
+            f"search({k}) from layer {j}"
         assert spent <= twin.engine.visits - before
         checked += 1
     assert checked >= 50
@@ -248,21 +233,23 @@ def preloaded(n=300, seed=5):
 
 def test_duplicate_insert_leaves_no_trace():
     tree, keys = preloaded()
-    before = tree_state(tree)
+    state = tree_reader(tree, cursor=False)
+    before = state()
     for k in keys[::37]:
         with pytest.raises(DuplicateKeyError):
             tree.insert(k)
-        assert tree_state(tree) == before
+        assert state() == before
 
 
 def test_missing_delete_leaves_no_trace():
     tree, keys = preloaded()
-    before = tree_state(tree)
+    state = tree_reader(tree, cursor=False)
+    before = state()
     for k in (-1, 10 * len(keys) + 1, max(keys) + 1):
         assert k not in keys
         with pytest.raises(MissingKeyError):
             tree.delete(k)
-        assert tree_state(tree) == before
+        assert state() == before
 
 
 def test_full_tree_insert_leaves_no_trace(monkeypatch):
@@ -270,12 +257,13 @@ def test_full_tree_insert_leaves_no_trace(monkeypatch):
     tree = LayeredTree()
     for k in range(0, 2 * (capacity(1) + capacity(2)), 2):
         tree.insert(k)
-    assert (tree.layer_count, tree.last_size) == (2, capacity(2))
-    before = tree_state(tree)
+    assert tree.sizes == {1: capacity(1), 2: capacity(2)}
+    state = tree_reader(tree, cursor=False)
+    before = state()
     for k in (-1, 7, 1000):
         with pytest.raises(CapacityError):
             tree.insert(k)
-        assert tree_state(tree) == before
+        assert state() == before
     assert_clean(tree)
 
 
@@ -315,7 +303,7 @@ def test_bad_input_raises_under_python_O():
 def test_insert_into_empty():
     tree = LayeredTree()
     tree.insert(42)
-    assert tree.layer_count == 1 and tree.last_size == 1
+    assert tree.sizes == {1: 1} and len(tree) == 1
     root = tree.engine.root
     assert root.key == 42 and root.layer == 1 and not root.red
     assert_clean(tree)
@@ -345,8 +333,7 @@ def test_duplicate_insert_rejected():
 
 def test_insert_capacity_guard():
     tree = scenario_a()
-    tree.layer_count = 5
-    tree.last_size = capacity(5)
+    tree.sizes = {m: capacity(m) for m in range(1, 6)}
     with pytest.raises(CapacityError):
         tree.insert(999)
 
@@ -368,8 +355,8 @@ def test_delete_sole_element():
     tree = LayeredTree()
     tree.insert(7)
     tree.delete(7)
-    assert tree.size == 0
-    assert tree.engine.root is None
+    assert len(tree) == 0 and tree.sizes == {}
+    assert tree.engine.root is None and tree.engine.node is None
     assert tree.layer_count == 0
     with pytest.raises(MissingKeyError):
         tree.delete(7)
@@ -501,11 +488,40 @@ TestLayerEdges = LayerEdgeMachine.TestCase
 TestLayerEdges.settings = settings(max_examples=30, stateful_step_count=40, deadline=None)
 
 
+@pytest.mark.slow
+def test_fifth_layer_opens_and_closes():
+    """Layers 1-4 hold 65 812 keys; one more opens layer 5, and a delete
+    after a search of the oldest key closes it again."""
+    full = sum(capacity(m) for m in range(1, 5))
+    keys = random.Random(65).sample(range(10 * full), full + 1)
+    tree, ref = LayeredTree(), ReferenceStructure()
+
+    def crossing(t, where):
+        assert tree.layer_count == t and len(tree) == len(ref.level_of), where
+        assert_clean(tree, where)
+        assert tree.layer_snapshot() == ref.snapshot(), where
+
+    for k in keys[:full]:
+        tree.insert(k)
+        ref.insert(k)
+    crossing(4, f"{full} keys")
+    tree.insert(keys[full])
+    ref.insert(keys[full])
+    assert tree.sizes == {1: 4, 2: 16, 3: 256, 4: 65536, 5: 1}
+    crossing(5, "layer 5 opened")
+    assert tree.search(keys[0]) == ref.search(keys[0]) == 5
+    crossing(5, "oldest key searched")
+    tree.delete(keys[0])
+    ref.delete(keys[0])
+    crossing(4, "layer 5 closed")
+
+
 # -- operation-local state ----------------------------------------------------------------
 
 def test_operations_leave_no_state_behind():
-    """Queue-end records live only inside an operation: a skip-splay tree
-    holds tens of thousands of bands, so per-tree state costs memory."""
+    """Queue-end records live only inside an operation: the model allows
+    an operation O(log log n) words of local memory, but nothing of it may
+    outlive the operation, so a tree holds only its engine, base and books."""
     rng = random.Random(9)
     tree = LayeredTree()
     keys = rng.sample(range(1000), 300)
@@ -518,5 +534,5 @@ def test_operations_leave_no_state_behind():
     tree.move_down(tree.youngest_in_layer(1))
     tree.move_up(tree.youngest_in_layer(2))
     tree.oldest_in_layer(3)
-    assert vars(tree).keys() == vars(LayeredTree()).keys()
+    assert vars(tree).keys() == vars(LayeredTree()).keys() == {"engine", "base", "sizes"}
     assert Engine.__slots__ == ("root", "node", "visits")

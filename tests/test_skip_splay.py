@@ -4,7 +4,6 @@ import random
 import pytest
 
 from layerws import LayeredTree, SkipSplayTree
-from layerws.engine import Engine
 from layerws.errors import DictError, MissingKeyError
 from layerws.layered_tree import capacity
 from layerws.skip_splay import _ancestor_at, _aux_root_key, _band_of_height, _band_size, _height
@@ -229,7 +228,7 @@ class InsertBuiltSkipSplay(SkipSplayTree):
             base += layers_after_inserts(_band_size(band))
         self.auxes = {}
         for root_key, members in groups.items():
-            tree = LayeredTree(engine=Engine(), base=base_of_band[aux_band(root_key)])
+            tree = LayeredTree(base=base_of_band[aux_band(root_key)])
             for key in members:
                 tree.insert(key)
             self.auxes[root_key] = tree

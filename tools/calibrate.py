@@ -46,7 +46,7 @@ def replay_costs(trace):
             search_ratio = max(search_ratio, cost / lg(w))
         else:
             # an insert is costed at the size after it, a delete before it
-            update_ratio = max(update_ratio, cost / math.log2(tree.size + (op.kind == "D") + 2))
+            update_ratio = max(update_ratio, cost / math.log2(len(tree) + (op.kind == "D") + 2))
     return search_ratio, update_ratio
 
 
