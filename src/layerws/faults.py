@@ -28,6 +28,13 @@ def corrupt_next_layer(tree: LayeredTree, key: int, value):
     node.next_layer = value
 
 
+def corrupt_parent(tree: LayeredTree, key: int, parent):
+    """Point the parent link of ``key`` at the node holding ``parent``, or
+    at None."""
+    node = _find(tree, key)
+    node.parent = None if parent is None else _find(tree, parent)
+
+
 def corrupt_header(tree: LayeredTree, layer_count=None, last_size=None):
     """Rewrite the books: ``layer_count`` adds empty layers or drops the
     deeper entries, ``last_size`` sets the deepest entry."""

@@ -1,12 +1,21 @@
 """Structural validators.
 
 Every invariant the structures promise is checkable here by plain
-traversal (no cursor accounting): search-tree order, label monotonicity,
-the layer size schedule, per-layer-subtree red-black validity, recency
-queue consistency, agreement of every entry of the tree's books (its
-per-layer size record) with the walk, and the per-node depth bound.  Each
-failure is reported with a witness (a key or a layer index) so corruption
-can be pinpointed.
+traversal (no cursor accounting): search-tree order, parent links, label
+monotonicity, the layer size schedule, per-layer-subtree red-black
+validity, recency queue consistency, agreement of every entry of the
+tree's books (its per-layer size record) with the walk, and the per-node
+depth bound.  Each failure is reported with a witness (a key or a layer
+index) so corruption can be pinpointed.
+
+``validate_band`` applies these rules in two walks.  The fast walk keeps
+no report state and stops at the first broken rule, so a clean band,
+which is what every passing operation leaves, costs one recursion (and
+the queue pass, when asked for).  Only when the fast walk finds a fault
+does the reporting walk run: it applies the same rules to the same
+fields, lists every violation in a fixed order, and is the only writer
+of reports.  A report is therefore byte for byte what the reporting walk
+alone would give; the fast walk only decides whether one is written.
 """
 
 from __future__ import annotations
@@ -33,7 +42,8 @@ class Violation:
 
 
 class _LayerScan:
-    """What the pre-order walk gathers about one layer of a band."""
+    """What a walk gathers about one layer of a band (the fast walk leaves
+    ``roots`` empty)."""
 
     __slots__ = ("count", "roots", "oldest", "youngest", "carriers")
 
@@ -110,7 +120,130 @@ def validate_band(root: Node | None, base: int, sizes: dict[int, int],
     standalone tree); inside a composition deeper bands are fine and are
     validated separately.
 
-    One pre-order walk checks order, labels and depth and gathers, per layer, the counts, layer-subtree roots and queue ends;
+    The fast walk (``_clean_scans``) runs first.  On a clean band it
+    hands the queue pass the layer ends and key map it gathered, and the
+    queue pass's findings are the result; at a fault the reporting walk
+    (``_report_band``) writes the whole report.
+    """
+    nodes: dict[int, Node] | None = {} if check_queues else None
+    scans = _clean_scans(root, base, sizes, complete, nodes)
+    if scans is None:
+        return _report_band(root, base, sizes, complete, check_queues)
+    out: list[Violation] = []
+    if check_queues:
+        t = len(sizes)
+        for m in range(1, t + 1):
+            _check_queue(m, scans[m], scans[m + 1] if m < t else None,
+                         nodes, base + m, out)
+    return out
+
+
+class _Fault(Exception):
+    """The fast walk met a broken rule."""
+
+
+def _clean_scans(root: Node | None, base: int, sizes: dict[int, int],
+                 complete: bool,
+                 nodes: dict[int, Node] | None) -> list[_LayerScan] | None:
+    """The fast walk: every rule of ``_report_band`` except the queue pass,
+    in one recursion that hands black heights up the tree.
+
+    Returns None at the first broken rule (a RecursionError counts as one).
+    On a clean band it returns [] or, when ``nodes`` is given, the
+    per-layer scans (counts, queue ends and carriers, in the reporting
+    walk's order) after filling ``nodes`` with key -> node.
+    """
+    t = len(sizes)
+    if root is None:
+        return [] if t == 0 else None
+    if not 1 <= t <= MAX_LAYERS or sorted(sizes) != list(range(1, t + 1)) \
+            or sizes[t] < 1 or root.layer != base + 1:
+        return None
+    p = root.parent
+    if p is not None and (complete or p.layer >= root.layer):
+        return None
+    top = base + t
+    counts = [0] * (top + 1)  # by label
+    gather = nodes is not None
+    scans = [_LayerScan() for _ in range(t + 1)] if gather else None
+
+    def walk(n: Node, plab: int, room: int, lo, hi) -> int:
+        """Check ``n`` and the band below it.  ``n`` hangs from a node
+        labelled ``plab``, and ``room`` is the depth limit of that label
+        minus the depth of ``n``.  Returns the black height of ``n`` if
+        it shares its parent's layer, else 0.  The caller has checked
+        ``n.parent``."""
+        lab = n.layer
+        if lab != plab:
+            if lab > top:
+                if complete:
+                    raise _Fault
+                return 0  # deeper band: validated by its own tree
+            if lab < plab or n.red:
+                raise _Fault
+            room += DEPTH_LIMITS[lab - base] - DEPTH_LIMITS[plab - base]
+            red = False
+        else:
+            red = n.red
+            if red and n.parent.red:
+                raise _Fault
+        key = n.key
+        if room < 0 or not lo < key < hi:
+            raise _Fault
+        counts[lab] += 1
+        if gather:
+            nodes[key] = n
+            scan = scans[lab - base]
+            if n.older is None:
+                scan.oldest.append(n)
+            if n.younger is None:
+                scan.youngest.append(n)
+            if n.next_layer is not None:
+                scan.carriers.append(n)
+        room -= 1
+        # right before left: the reporting walk's pre-order
+        c = n.right
+        if c is None:
+            rbh = 0
+        elif c.parent is not n:
+            raise _Fault
+        else:
+            rbh = walk(c, lab, room, key, hi)
+        c = n.left
+        if c is None:
+            lbh = 0
+        elif c.parent is not n:
+            raise _Fault
+        else:
+            lbh = walk(c, lab, room, lo, key)
+        if lbh != rbh:
+            raise _Fault
+        if lab != plab:
+            return 0
+        return lbh if red else lbh + 1
+
+    inf = float("inf")
+    try:
+        walk(root, base, 0, -inf, inf)
+    except (_Fault, RecursionError):
+        return None
+    for m in range(1, t + 1):
+        got = counts[base + m]
+        if got != sizes[m] or not (got == capacity(m) if m < t else 1 <= got <= capacity(m)):
+            return None
+    if not gather:
+        return []
+    for m in range(1, t + 1):
+        scans[m].count = sizes[m]
+    return scans
+
+
+def _report_band(root: Node | None, base: int, sizes: dict[int, int],
+                 complete: bool, check_queues: bool) -> list[Violation]:
+    """The reporting walk: every violation of the band, in report order.
+
+    One pre-order walk checks order, labels, parent links and depth and
+    gathers, per layer, the counts, layer-subtree roots and queue ends;
     black heights then come from one reverse pass over the walk, and each
     recency queue is followed once from its oldest member.
     """
@@ -131,6 +264,9 @@ def validate_band(root: Node | None, base: int, sizes: dict[int, int],
     if root.layer != base + 1:
         out.append(Violation("layer-shape", root.key,
                              f"band root has label {root.layer}, wanted {base + 1}"))
+    if complete and root.parent is not None:
+        out.append(Violation("parent-link", root.key,
+                             f"tree root {root.key} names parent {root.parent.key}"))
 
     scans = [_LayerScan() for _ in range(t + 1)]
     nodes: dict[int, Node] = {}  # key -> node, for following the queues
@@ -176,10 +312,14 @@ def validate_band(root: Node | None, base: int, sizes: dict[int, int],
                 scan.youngest.append(n)
             if n.next_layer is not None:
                 scan.carriers.append(n)
-        if n.left is not None:
-            push((n.left, depth + 1, lo, key))
-        if n.right is not None:
-            push((n.right, depth + 1, key, hi))
+        for c, clo, chi in ((n.left, lo, key), (n.right, key, hi)):
+            if c is None:
+                continue
+            if c.parent is not n:
+                named = None if c.parent is None else c.parent.key
+                out.append(Violation("parent-link", c.key,
+                                     f"key {c.key} hangs from {key} but names parent {named}"))
+            push((c, depth + 1, clo, chi))
 
     # sizes
     for m in range(1, t + 1):

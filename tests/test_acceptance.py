@@ -7,10 +7,15 @@ every single operation the layered tree is compared exactly against the
 reference structure by ``compare_layers`` (every key's label, both
 recency links and next-layer key, the per-layer sizes and the key count), and
 the structural suite runs (red-black validity of every layer-subtree,
-label monotonicity, the size schedule, header agreement, and the per-node
-depth bound).  The comparator pins every queue field, so the per-operation
-sweep leaves out the validator's queue pass; the full sweep with it ends
-each trace.
+label monotonicity, parent links, the size schedule, header agreement, and
+the per-node depth bound).  The comparator pins every queue field, so the
+per-operation sweep leaves out the validator's queue pass; the full sweep
+with it ends each trace.  The validator decides each sweep in a fast walk
+that applies every rule, stops at the first broken one and keeps no report
+state; only a fault runs the reporting walk, which alone writes reports,
+so a clean operation pays for no report bookkeeping and a faulty one gets
+the reporting walk's report byte for byte (``tests/test_validate.py``
+checks that the two walks agree).
 
 Cost-bound criteria use the frozen constants from constants.json and run
 on seeds disjoint from the calibration seeds.  Set LWS_ACCEPT_SCALE=smoke
@@ -31,7 +36,8 @@ from layerws import (LayeredTree, SkipSplayTree, UnifiedBoundTracker,
                      WorkingSetTracker, lg, validate_tree)
 from layerws.constants import load_constants
 from layerws.faults import (corrupt_color, corrupt_header, corrupt_layer,
-                            corrupt_next_layer, corrupt_queue_swap)
+                            corrupt_next_layer, corrupt_parent,
+                            corrupt_queue_swap)
 from layerws.harness import RunConfig, cost_rows, run, verify_structure
 from layerws.workload import GeneratorSpec, TraceOp, generate
 
@@ -461,6 +467,14 @@ def _nextlayer_case(pick, value, layer):
         return ({"queue-nextlayer"}, {key, layer})
 
 
+def _parent_case(key, to):
+    @_case(f"parent-{key}-to-{to}")
+    def inject(tree):
+        grandparent = tree.engine.lookup(key).parent.parent.key
+        corrupt_parent(tree, key, grandparent if to == "grandparent" else None)
+        return {"parent-link"}, {key}
+
+
 def _header_case(name, **kwargs):
     @_case(f"header-{name}")
     def inject(tree):
@@ -479,6 +493,8 @@ _nextlayer_case("1:young", 999, 1)
 _nextlayer_case("1:old", None, 1)
 _nextlayer_case("2:young", 7, 2)
 _nextlayer_case("2:old", -1, 2)
+_parent_case(10, "grandparent")
+_parent_case(10, None)
 _header_case("t-up", layer_count=4)
 _header_case("t-down", layer_count=1)
 _header_case("size-up", last_size=25)
@@ -487,7 +503,7 @@ _header_case("size-down", last_size=2)
 
 @pytest.mark.parametrize("name,inject", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS])
 def test_criterion_10_fault_injection(name, inject):
-    assert len(CORRUPTIONS) == 20
+    assert len(CORRUPTIONS) == 22
     tree = _target_tree()
     expected_kinds, allowed_witnesses = inject(tree)
     found = verify_structure(tree)

@@ -1,3 +1,4 @@
+import inspect
 import pickle
 import random
 import subprocess
@@ -12,8 +13,9 @@ from layerws import (CapacityError, DuplicateKeyError, LayeredTree,
                      MissingKeyError, ReferenceStructure, capacity,
                      validate_tree)
 from layerws import layered_tree
-from layerws.engine import Engine
+from layerws.engine import Engine, Node
 from layerws.harness import RunConfig, run
+from layerws.validate import _report_band
 from layerws.workload import TraceOp
 from test_finger import tree_reader
 
@@ -268,9 +270,12 @@ def test_full_tree_insert_leaves_no_trace(monkeypatch):
 
 
 # Bad input to the public calls, each run under ``python -O``, which strips
-# asserts: every call must still raise, and leave the tree as it was.
+# asserts: every call must still raise, and leave the tree as it was.  The
+# validator's rules must still fire too: a colour flip and a parent link
+# that names no parent.
 BAD_INPUT = """
 from layerws import LayeredTree, UnifiedBoundTracker, validate_tree
+from layerws.faults import corrupt_color, corrupt_parent
 assert False, "asserts are live"
 tree = LayeredTree()
 for k in range(1, 41):
@@ -286,6 +291,11 @@ for call in (lambda: tree.move_up(layer_one), lambda: tree.move_up(999),
     except Exception as exc:
         print(type(exc).__name__)
 print(tree.layer_snapshot() == before, len(validate_tree(tree)))
+corrupt_color(tree, 10)
+print(*validate_tree(tree), sep="; ")
+corrupt_color(tree, 10)
+corrupt_parent(tree, 10, None)
+print(*validate_tree(tree), sep="; ")
 """
 
 
@@ -295,7 +305,38 @@ def test_bad_input_raises_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == [
         "ValueError", "MissingKeyError", "MissingKeyError", "ValueError",
-        "ValueError", "ValueError", "True 0", ""]
+        "ValueError", "ValueError", "True 0",
+        "rb-black-height[12]: black heights 1 vs 2 below key 12; "
+        "rb-red-red[12]: red 12 has red child 10; "
+        "rb-black-height[8]: black heights 2 vs 1 below key 8",
+        "parent-link[10]: key 10 hangs from 12 but names parent None", ""]
+
+
+def test_chain_deeper_than_the_recursion_limit_is_reported():
+    """A corrupted chain deeper than the recursion limit gets the reporting
+    walk's violations, not a RecursionError from the fast walk."""
+    tree = LayeredTree()
+    for k in range(1, 41):
+        tree.insert(k)
+    tail = tree.engine.root
+    while tail.right is not None:
+        tail = tail.right
+    # black layer-3 nodes hung right of the largest key: the limit is lowered
+    # below the chain's length and below the depth the depth rule allows
+    limit = len(inspect.stack(0)) + 20
+    for k in range(41, 41 + 2 * limit):
+        node = Node(k, 3)
+        node.parent, tail.right = tail, node
+        tail = node
+    want = [str(v) for v in _report_band(tree.engine.root, 0, tree.sizes, True, True)]
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        found = validate_tree(tree)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert [str(v) for v in found] == want
+    assert {"depth-bound", "header"} <= {v.kind for v in found}
 
 
 # -- insert ------------------------------------------------------------------------
