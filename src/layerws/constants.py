@@ -3,29 +3,23 @@
 The structures promise asymptotic bounds; the test suite asserts them with
 fixed multiplicative constants, calibrated once over the full workload
 matrix (1.25x the observed maxima) and then frozen in ``constants.json``.
-Set ``LWS_CONSTANTS`` to an alternate JSON path to override them when
-experimenting; the shipped file is the committed interface.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from functools import lru_cache
 from pathlib import Path
 
-_DEFAULT_PATH = Path(__file__).with_name("constants.json")
-
 
 @lru_cache(maxsize=None)
-def _load(path_text: str) -> dict:
-    with open(path_text, "r", encoding="ascii") as fh:
+def _load() -> dict:
+    with open(Path(__file__).with_name("constants.json"), "r", encoding="ascii") as fh:
         return json.load(fh)
 
 
 def load_constants() -> dict:
-    path = os.environ.get("LWS_CONSTANTS", str(_DEFAULT_PATH))
-    data = dict(_load(path))
+    data = dict(_load())
     for field in ("search_per_lgw", "update_per_lgn", "skip_per_lgn",
                   "skip_doubled_factor", "skip_doubled_additive",
                   "amortized_flag_threshold"):

@@ -582,7 +582,10 @@ def band_members(root: Node | None, base: int, t: int) -> dict[int, dict[int, No
             rel = n.layer - base
             if rel > t:
                 continue  # deeper band hanging below: not ours
-            members.setdefault(rel, {})[n.key] = n
+            layer = members.setdefault(rel, {})
+            if layer.get(n.key) is n:
+                raise AssertionError(f"key {n.key} is reached twice: the child links are not a tree")
+            layer[n.key] = n
             if n.left is not None:
                 stack.append(n.left)
             if n.right is not None:

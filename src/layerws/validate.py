@@ -8,14 +8,11 @@ tree's books (its per-layer size record) with the walk, and the per-node
 depth bound.  Each failure is reported with a witness (a key or a layer
 index) so corruption can be pinpointed.
 
-``validate_band`` applies these rules in two walks.  The fast walk keeps
-no report state and stops at the first broken rule, so a clean band,
-which is what every passing operation leaves, costs one recursion (and
-the queue pass, when asked for).  Only when the fast walk finds a fault
-does the reporting walk run: it applies the same rules to the same
-fields, lists every violation in a fixed order, and is the only writer
-of reports.  A report is therefore byte for byte what the reporting walk
-alone would give; the fast walk only decides whether one is written.
+``validate_band`` applies them in one recursive walk that appends each
+violation where it finds it and hands black heights up as return values.
+A clean band, which is what every passing operation leaves, costs that
+one recursion (and the queue pass, when asked for); only a faulty one
+gets a second, short pass over its layer-subtree roots.
 """
 
 from __future__ import annotations
@@ -42,45 +39,26 @@ class Violation:
 
 
 class _LayerScan:
-    """What a walk gathers about one layer of a band (the fast walk leaves
-    ``roots`` empty)."""
+    """What the walk gathers about one layer of a band for the queue pass:
+    its count, its members without an older link and without a younger
+    link, and its members holding a next_layer key."""
 
-    __slots__ = ("count", "roots", "oldest", "youngest", "carriers")
+    __slots__ = ("count", "oldest", "youngest", "carriers")
 
     def __init__(self):
-        self.count = 0
-        self.roots: list[Node] = []     # layer-subtree roots, in walk order
-        self.oldest: list[Node] = []    # members without an older link
-        self.youngest: list[Node] = []  # members without a younger link
-        self.carriers: list[Node] = []  # members holding a next_layer key
+        self.count, self.oldest, self.youngest, self.carriers = 0, [], [], []
 
 
-def _black_heights(order: list[Node], fault) -> dict[Node, int]:
-    """Black height of every node of ``order`` within its layer-subtree.
+def _outside(key: int, lo, hi) -> Violation:
+    return Violation("bst-order", key, f"key {key} outside interval ({lo}, {hi})")
 
-    ``order`` holds whole layer-subtrees in a pre-order that pushes left
-    before right, so read in reverse it is the left-first post-order: every
-    child comes before its parent.  Red-black faults go to
-    ``fault(node, violation)`` in that order.
-    """
-    bh: dict[Node, int] = {}
-    for n in reversed(order):
-        lab = n.layer
-        left, right = n.left, n.right
-        lbh = bh[left] if left is not None and left.layer == lab else 0
-        rbh = bh[right] if right is not None and right.layer == lab else 0
-        if lbh != rbh:
-            fault(n, Violation("rb-black-height", n.key,
-                               f"black heights {lbh} vs {rbh} below key {n.key}"))
-        if n.red:
-            for c in (left, right):
-                if c is not None and c.layer == lab and c.red:
-                    fault(n, Violation("rb-red-red", n.key,
-                                       f"red {n.key} has red child {c.key}"))
-            bh[n] = lbh
-        else:
-            bh[n] = lbh + 1
-    return bh
+
+def _red_red(n: Node, child: Node) -> Violation:
+    return Violation("rb-red-red", n.key, f"red {n.key} has red child {child.key}")
+
+
+def _unbalanced(n: Node, lbh: int, rbh: int) -> Violation:
+    return Violation("rb-black-height", n.key, f"black heights {lbh} vs {rbh} below key {n.key}")
 
 
 def _root_color(sub: Node, out: list[Violation]):
@@ -91,22 +69,151 @@ def _root_color(sub: Node, out: list[Violation]):
 def _subtree_order(root: Node) -> list[Node]:
     """Pre-order of the layer-subtree at ``root``, left pushed before right."""
     lab = root.layer
-    order = []
-    stack = [root]
+    order, stack = [], [root]
     while stack:
         n = stack.pop()
         order.append(n)
-        for c in (n.left, n.right):
-            if c is not None and c.layer == lab:
-                stack.append(c)
+        stack.extend(c for c in (n.left, n.right) if c is not None and c.layer == lab)
     return order
+
+
+def _layer_roots(root: Node, base: int, t: int) -> list[list[Node]]:
+    """Layer-subtree roots (no parent of their own label) by layer, in the walk's order."""
+    roots: list[list[Node]] = [[] for _ in range(t + 1)]
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        if base < n.layer <= base + t:
+            if n.parent is None or n.parent.layer != n.layer:
+                roots[n.layer - base].append(n)
+            stack.extend(c for c in (n.left, n.right) if c is not None)
+    return roots
 
 
 def check_red_black(root: Node, out: list[Violation]) -> int:
     """Red-black validity of the layer-subtree at ``root``; returns its
-    black height."""
+    black height.  Faults come in left-first post-order."""
     _root_color(root, out)
-    return _black_heights(_subtree_order(root), lambda n, v: out.append(v))[root]
+    lab = root.layer
+    bh: dict[Node, int] = {}
+    for n in reversed(_subtree_order(root)):  # every child before its parent
+        left, right = n.left, n.right
+        lbh = bh[left] if left is not None and left.layer == lab else 0
+        rbh = bh[right] if right is not None and right.layer == lab else 0
+        if lbh != rbh:
+            out.append(_unbalanced(n, lbh, rbh))
+        if n.red:
+            for c in (left, right):
+                if c is not None and c.layer == lab and c.red:
+                    out.append(_red_red(n, c))
+        bh[n] = lbh if n.red else lbh + 1
+    return bh[root]
+
+
+class _BandWalk:
+    """One walk over a band: its state is on an object, so each recursive call carries one reference."""
+
+    __slots__ = ("base", "top", "complete", "out", "limits", "counts", "faults", "nodes", "scans")
+
+    def __init__(self, base: int, t: int, complete: bool, out: list[Violation], check_queues: bool):
+        self.base, self.top, self.complete, self.out = base, base + t, complete, out
+        self.limits = [0] * base + DEPTH_LIMITS  # by label
+        self.counts = [0] * (base + t + 1)  # by label
+        # red-black faults by node, as found ([] for a red node where a label begins)
+        self.faults: dict[Node, list[Violation]] = {}
+        self.nodes: dict[int, Node] = {}  # key -> node, for following the queues
+        self.scans = [_LayerScan() for _ in range(t + 1)] if check_queues else None
+
+    def walk(self, n: Node, plab: int | None, room: int, lo, hi) -> int:
+        """Check ``n`` and the band below it.  ``n`` hangs from a node labelled
+        ``plab`` that its parent link names; ``room`` is that label's depth
+        limit minus the depth of ``n``.  For the band root and a child whose
+        parent link names another node, ``plab`` is None, ``room`` is minus
+        the depth, and the label rules read the parent link.  Returns the
+        black height of ``n`` if its label is ``plab`` or that is None, else 0."""
+        lab = n.layer
+        key = n.key
+        red = n.red
+        if lab != plab:
+            if lab > self.top:
+                if self.complete:
+                    self.out.append(Violation("layer-size", lab, f"key {key} labeled {lab} "
+                                              f"beyond deepest layer {self.top - self.base}"))
+                return 0  # deeper band: validated by its own tree
+            if lab <= self.base:
+                self.out.append(Violation("layer-monotone", key, f"label {lab} above the band base {self.base}"))
+                return 0
+            if red:
+                self.faults.setdefault(n, [])
+            if not lo < key < hi:
+                self.out.append(_outside(key, lo, hi))
+            if plab is None:
+                up = self.base if n.parent is None else n.parent.layer
+                room += self.limits[lab]
+                plab = lab  # hand the black height up; the caller decides if it counts
+            else:
+                up = plab
+                room += self.limits[lab] - self.limits[plab]
+            if up > lab:
+                self.out.append(Violation("layer-monotone", key, f"label {lab} under parent label {up}"))
+        else:
+            if red and n.parent.red:
+                self.faults.setdefault(n.parent, []).append(_red_red(n.parent, n))
+            if not lo < key < hi:
+                self.out.append(_outside(key, lo, hi))
+        if room < 0:
+            self.out.append(Violation("depth-bound", key, f"depth {self.limits[lab] - room} "
+                                      f"exceeds limit for layer {lab - self.base}"))
+        self.counts[lab] += 1
+        if self.scans:
+            self.nodes[key] = n
+            scan = self.scans[lab - self.base]
+            if n.older is None:
+                scan.oldest.append(n)
+            if n.younger is None:
+                scan.youngest.append(n)
+            if n.next_layer is not None:
+                scan.carriers.append(n)
+        left = n.left
+        right = n.right
+        # both parent links are checked before the right subtree is walked
+        if left is not None and left.parent is not n:
+            rbh, lbh = self.strays(n, room - 1, lo, hi)
+        elif right is None:
+            rbh = 0
+            lbh = 0 if left is None else self.walk(left, lab, room - 1, lo, key)
+        elif right.parent is not n:
+            rbh, lbh = self.strays(n, room - 1, lo, hi)
+        else:
+            rbh = self.walk(right, lab, room - 1, key, hi)
+            lbh = 0 if left is None else self.walk(left, lab, room - 1, lo, key)
+        if lbh != rbh:
+            self.faults.setdefault(n, []).append(_unbalanced(n, lbh, rbh))
+        if lab != plab:
+            return 0
+        return lbh if red else lbh + 1
+
+    def strays(self, n: Node, room: int, lo, hi) -> list[int]:
+        """Walk the children of ``n`` (``room`` is theirs) when a child's parent
+        link names another node: such links are reported, left first, then a
+        stray child is walked as the band root is, and its black height counts
+        only if it shares ``n``'s label.  Returns the right and left heights."""
+        key, lab = n.key, n.layer
+        for c in (n.left, n.right):
+            if c is not None and c.parent is not n:
+                named = getattr(c.parent, "key", None)
+                self.out.append(Violation("parent-link", c.key,
+                                          f"key {c.key} hangs from {key} but names parent {named}"))
+        heights = []
+        for c, clo, chi in ((n.right, key, hi), (n.left, lo, key)):
+            if c is None or c.parent is n:
+                heights.append(0 if c is None else self.walk(c, lab, room, clo, chi))
+            else:
+                bh = self.walk(c, None, room - self.limits[lab], clo, chi)
+                if c.layer == lab and n.red and c.red:
+                    self.faults.setdefault(n, []).append(_red_red(n, c))
+                heights.append(bh if c.layer == lab else 0)
+        return heights
 
 
 def validate_band(root: Node | None, base: int, sizes: dict[int, int],
@@ -120,132 +227,13 @@ def validate_band(root: Node | None, base: int, sizes: dict[int, int],
     standalone tree); inside a composition deeper bands are fine and are
     validated separately.
 
-    The fast walk (``_clean_scans``) runs first.  On a clean band it
-    hands the queue pass the layer ends and key map it gathered, and the
-    queue pass's findings are the result; at a fault the reporting walk
-    (``_report_band``) writes the whole report.
-    """
-    nodes: dict[int, Node] | None = {} if check_queues else None
-    scans = _clean_scans(root, base, sizes, complete, nodes)
-    if scans is None:
-        return _report_band(root, base, sizes, complete, check_queues)
-    out: list[Violation] = []
-    if check_queues:
-        t = len(sizes)
-        for m in range(1, t + 1):
-            _check_queue(m, scans[m], scans[m + 1] if m < t else None,
-                         nodes, base + m, out)
-    return out
-
-
-class _Fault(Exception):
-    """The fast walk met a broken rule."""
-
-
-def _clean_scans(root: Node | None, base: int, sizes: dict[int, int],
-                 complete: bool,
-                 nodes: dict[int, Node] | None) -> list[_LayerScan] | None:
-    """The fast walk: every rule of ``_report_band`` except the queue pass,
-    in one recursion that hands black heights up the tree.
-
-    Returns None at the first broken rule (a RecursionError counts as one).
-    On a clean band it returns [] or, when ``nodes`` is given, the
-    per-layer scans (counts, queue ends and carriers, in the reporting
-    walk's order) after filling ``nodes`` with key -> node.
-    """
-    t = len(sizes)
-    if root is None:
-        return [] if t == 0 else None
-    if not 1 <= t <= MAX_LAYERS or sorted(sizes) != list(range(1, t + 1)) \
-            or sizes[t] < 1 or root.layer != base + 1:
-        return None
-    p = root.parent
-    if p is not None and (complete or p.layer >= root.layer):
-        return None
-    top = base + t
-    counts = [0] * (top + 1)  # by label
-    gather = nodes is not None
-    scans = [_LayerScan() for _ in range(t + 1)] if gather else None
-
-    def walk(n: Node, plab: int, room: int, lo, hi) -> int:
-        """Check ``n`` and the band below it.  ``n`` hangs from a node
-        labelled ``plab``, and ``room`` is the depth limit of that label
-        minus the depth of ``n``.  Returns the black height of ``n`` if
-        it shares its parent's layer, else 0.  The caller has checked
-        ``n.parent``."""
-        lab = n.layer
-        if lab != plab:
-            if lab > top:
-                if complete:
-                    raise _Fault
-                return 0  # deeper band: validated by its own tree
-            if lab < plab or n.red:
-                raise _Fault
-            room += DEPTH_LIMITS[lab - base] - DEPTH_LIMITS[plab - base]
-            red = False
-        else:
-            red = n.red
-            if red and n.parent.red:
-                raise _Fault
-        key = n.key
-        if room < 0 or not lo < key < hi:
-            raise _Fault
-        counts[lab] += 1
-        if gather:
-            nodes[key] = n
-            scan = scans[lab - base]
-            if n.older is None:
-                scan.oldest.append(n)
-            if n.younger is None:
-                scan.youngest.append(n)
-            if n.next_layer is not None:
-                scan.carriers.append(n)
-        room -= 1
-        # right before left: the reporting walk's pre-order
-        c = n.right
-        if c is None:
-            rbh = 0
-        elif c.parent is not n:
-            raise _Fault
-        else:
-            rbh = walk(c, lab, room, key, hi)
-        c = n.left
-        if c is None:
-            lbh = 0
-        elif c.parent is not n:
-            raise _Fault
-        else:
-            lbh = walk(c, lab, room, lo, key)
-        if lbh != rbh:
-            raise _Fault
-        if lab != plab:
-            return 0
-        return lbh if red else lbh + 1
-
-    inf = float("inf")
-    try:
-        walk(root, base, 0, -inf, inf)
-    except (_Fault, RecursionError):
-        return None
-    for m in range(1, t + 1):
-        got = counts[base + m]
-        if got != sizes[m] or not (got == capacity(m) if m < t else 1 <= got <= capacity(m)):
-            return None
-    if not gather:
-        return []
-    for m in range(1, t + 1):
-        scans[m].count = sizes[m]
-    return scans
-
-
-def _report_band(root: Node | None, base: int, sizes: dict[int, int],
-                 complete: bool, check_queues: bool) -> list[Violation]:
-    """The reporting walk: every violation of the band, in report order.
-
-    One pre-order walk checks order, labels, parent links and depth and
-    gathers, per layer, the counts, layer-subtree roots and queue ends;
-    black heights then come from one reverse pass over the walk, and each
-    recency queue is followed once from its oldest member.
+    The report's order is fixed: in a pre-order walk, right before left,
+    each node's interval, label and depth faults, then its children's
+    parent links, left first; the per-layer counts; the first layer's
+    shape; the red-black faults, per layer-subtree root in walk order (a
+    red root, then the subtree's faults in left-first post-order); the
+    queue pass.  A walk past the recursion limit (a child-link cycle, or a
+    chain far past every depth limit) gives one ``depth-bound`` instead.
     """
     out: list[Violation] = []
     t = len(sizes)
@@ -262,96 +250,48 @@ def _report_band(root: Node | None, base: int, sizes: dict[int, int],
         return out
 
     if root.layer != base + 1:
-        out.append(Violation("layer-shape", root.key,
-                             f"band root has label {root.layer}, wanted {base + 1}"))
+        out.append(Violation("layer-shape", root.key, f"band root has label {root.layer}, wanted {base + 1}"))
     if complete and root.parent is not None:
-        out.append(Violation("parent-link", root.key,
-                             f"tree root {root.key} names parent {root.parent.key}"))
+        out.append(Violation("parent-link", root.key, f"tree root {root.key} names parent {root.parent.key}"))
 
-    scans = [_LayerScan() for _ in range(t + 1)]
-    nodes: dict[int, Node] = {}  # key -> node, for following the queues
-    order: list[Node] = []
-    limits = [0] + [DEPTH_LIMITS[min(m, MAX_LAYERS + 1)] for m in range(1, t + 1)]
-    inf = float("inf")
-    # pre-order walk carrying (node, depth, key interval); prune below the band
-    stack = [(root, 0, -inf, inf)]
-    pop, push, visit = stack.pop, stack.append, order.append
-    while stack:
-        n, depth, lo, hi = pop()
-        rel = n.layer - base
-        if rel > t:
-            if complete:
-                out.append(Violation("layer-size", n.layer,
-                                     f"key {n.key} labeled {n.layer} beyond deepest layer {t}"))
-            continue  # deeper band: validated by its own tree
-        if rel < 1:
-            out.append(Violation("layer-monotone", n.key,
-                                 f"label {n.layer} above the band base {base}"))
-            continue
-        key = n.key
-        if not lo < key < hi:
-            out.append(Violation("bst-order", key,
-                                 f"key {key} outside interval ({lo}, {hi})"))
-        p = n.parent
-        if p is not None and p.layer > n.layer:
-            out.append(Violation("layer-monotone", key,
-                                 f"label {n.layer} under parent label {p.layer}"))
-        if depth > limits[rel]:
-            out.append(Violation("depth-bound", key,
-                                 f"depth {depth} exceeds limit for layer {rel}"))
-        visit(n)
-        scan = scans[rel]
-        scan.count += 1
-        if p is None or p.layer != n.layer:
-            scan.roots.append(n)
-        if check_queues:
-            nodes[key] = n
-            if n.older is None:
-                scan.oldest.append(n)
-            if n.younger is None:
-                scan.youngest.append(n)
-            if n.next_layer is not None:
-                scan.carriers.append(n)
-        for c, clo, chi in ((n.left, lo, key), (n.right, key, hi)):
-            if c is None:
-                continue
-            if c.parent is not n:
-                named = None if c.parent is None else c.parent.key
-                out.append(Violation("parent-link", c.key,
-                                     f"key {c.key} hangs from {key} but names parent {named}"))
-            push((c, depth + 1, clo, chi))
+    band = _BandWalk(base, t, complete, out, check_queues)
+    try:
+        band.walk(root, None, 0, -float("inf"), float("inf"))
+    except RecursionError:
+        return [Violation("depth-bound", root.key, f"the band below key {root.key} is "
+                          "deeper than the walk can follow (a cycle of child links?)")]
 
-    # sizes
     for m in range(1, t + 1):
-        got = scans[m].count
-        if m < t and got != capacity(m):
-            out.append(Violation("layer-size", m,
-                                 f"layer {m} holds {got}, schedule wants {capacity(m)}"))
-        if m == t and not 1 <= got <= capacity(m):
-            out.append(Violation("layer-size", m,
-                                 f"deepest layer holds {got}, allowed 1..{capacity(m)}"))
+        got, cap = band.counts[base + m], capacity(m)
+        if check_queues:
+            band.scans[m].count = got
+        if m < t and got != cap:
+            out.append(Violation("layer-size", m, f"layer {m} holds {got}, schedule wants {cap}"))
+        if m == t and not 1 <= got <= cap:
+            out.append(Violation("layer-size", m, f"deepest layer holds {got}, allowed 1..{cap}"))
         if got != sizes[m]:
             out.append(Violation("header", "last_size" if m == t else m,
                                  f"layer {m} holds {got}, the books say {sizes[m]}"))
 
-    first_roots = scans[1].roots
-    if len(first_roots) != 1 or first_roots[0] is not root:
-        out.append(Violation("layer-shape", 1, "first layer is not a single subtree at the root"))
-
-    # red-black validity, reported per layer-subtree in left-first post-order
-    faults: dict[Node, list[Violation]] = {}
-    _black_heights(order, lambda n, v: faults.setdefault(n, []).append(v))
-    for m in range(1, t + 1):
-        for sub in scans[m].roots:
-            _root_color(sub, out)
-            if faults:
+    # a first-layer root besides the band root needs a label or parent-link
+    # fault; the band root is one unless its parent link names its label
+    faults = band.faults
+    p = root.parent
+    if out or faults or p is not None and p.layer == root.layer:
+        roots = _layer_roots(root, base, t)
+        if roots[1] != [root]:
+            out.append(Violation("layer-shape", 1, "first layer is not a single subtree at the root"))
+        for m in range(1, t + 1) if faults else ():
+            for sub in roots[m]:
+                _root_color(sub, out)
+                # listed as found (children's red-red, right first, then black heights): reverse
                 for n in reversed(_subtree_order(sub)):
-                    out.extend(faults.get(n, ()))
+                    out.extend(reversed(faults.get(n, ())))
 
     if check_queues:
         for m in range(1, t + 1):
-            _check_queue(m, scans[m], scans[m + 1] if m < t else None,
-                         nodes, base + m, out)
+            _check_queue(m, band.scans[m], band.scans[m + 1] if m < t else None,
+                         band.nodes, base + m, out)
     return out
 
 

@@ -10,12 +10,10 @@ the structural suite runs (red-black validity of every layer-subtree,
 label monotonicity, parent links, the size schedule, header agreement, and
 the per-node depth bound).  The comparator pins every queue field, so the
 per-operation sweep leaves out the validator's queue pass; the full sweep
-with it ends each trace.  The validator decides each sweep in a fast walk
-that applies every rule, stops at the first broken one and keeps no report
-state; only a fault runs the reporting walk, which alone writes reports,
-so a clean operation pays for no report bookkeeping and a faulty one gets
-the reporting walk's report byte for byte (``tests/test_validate.py``
-checks that the two walks agree).
+with it ends each trace.  The validator checks each sweep in one walk that
+applies every rule once and writes each violation where it finds it, so a
+clean operation costs one recursion and pays for no report bookkeeping
+(``tests/test_validate.py`` pins the reports of randomly corrupted trees).
 
 Cost-bound criteria use the frozen constants from constants.json and run
 on seeds disjoint from the calibration seeds.  Set LWS_ACCEPT_SCALE=smoke

@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 import subprocess
 import sys
 
@@ -189,6 +188,27 @@ def test_run_names_the_operation_of_a_planted_fault(fault, tmp_path, monkeypatch
         assert err.startswith(f"violation: op {PLANT_AT}: ")
 
 
+def test_run_reports_a_child_link_cycle_planted_by_the_last_operation(monkeypatch):
+    """The search for key 1, the trace's last operation, points key 1's
+    left link at the root.  The per-operation sweep and the final sweep
+    each report one depth-bound violation.  It is the last operation
+    because a later one could walk into the cycle."""
+    original = LayeredTree.search
+
+    def crooked(self, key, fresh=True):
+        layer = original(self, key, fresh)
+        if key == 1:
+            _find(self, 1).left = self.engine.root
+        return layer
+
+    monkeypatch.setattr(LayeredTree, "search", crooked)
+    trace = parse("".join(f"I {k}\n" for k in range(1, 41)) + "S 1\n")
+    result = run(RunConfig("lws", trace=trace, verify_every=1))
+    assert result.exit_code == 1
+    assert [(at, v.kind) for at, v in result.violations] == [(40, "depth-bound"), ("end", "depth-bound")]
+    assert "final_layers" not in result.summary  # no recency order to read off a cycle
+
+
 # -- fault injection --------------------------------------------------------------
 
 def fresh_tree(n=40):
@@ -345,23 +365,3 @@ def test_cli_entrypoint_subprocess(tmp_path):
          "--trace", trace],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_constants_env_override(tmp_path):
-    alt = tmp_path / "constants.json"
-    alt.write_text(json.dumps({
-        "search_per_lgw": 1e-9,
-        "update_per_lgn": 1e-9,
-        "skip_per_lgn": 1.0,
-        "skip_doubled_factor": 1.0,
-        "skip_doubled_additive": 0.0,
-        "amortized_flag_threshold": 1.0,
-    }))
-    env = dict(os.environ, LWS_CONSTANTS=str(alt))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "from layerws.constants import load_constants;"
-         "print(load_constants()['search_per_lgw'])"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert float(proc.stdout.strip()) == 1e-9

@@ -1,8 +1,10 @@
+import hashlib
 import inspect
 import pickle
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,6 @@ from layerws import (CapacityError, DuplicateKeyError, LayeredTree,
 from layerws import layered_tree
 from layerws.engine import Engine, Node
 from layerws.harness import RunConfig, run
-from layerws.validate import _report_band
 from layerws.workload import TraceOp
 from test_finger import tree_reader
 
@@ -312,31 +313,64 @@ def test_bad_input_raises_under_python_O():
         "parent-link[10]: key 10 hangs from 12 but names parent None", ""]
 
 
-def test_chain_deeper_than_the_recursion_limit_is_reported():
-    """A corrupted chain deeper than the recursion limit gets the reporting
-    walk's violations, not a RecursionError from the fast walk."""
+def forty_with_chain(length):
+    """The 40-key tree with ``length`` black layer-3 nodes hung, correctly
+    parented, in a right chain below its largest key."""
     tree = LayeredTree()
     for k in range(1, 41):
         tree.insert(k)
     tail = tree.engine.root
     while tail.right is not None:
         tail = tail.right
-    # black layer-3 nodes hung right of the largest key: the limit is lowered
-    # below the chain's length and below the depth the depth rule allows
-    limit = len(inspect.stack(0)) + 20
-    for k in range(41, 41 + 2 * limit):
+    for k in range(41, 41 + length):
         node = Node(k, 3)
         node.parent, tail.right = tail, node
         tail = node
-    want = [str(v) for v in _report_band(tree.engine.root, 0, tree.sizes, True, True)]
+    return tree
+
+
+def test_chain_the_walk_can_follow_keeps_its_report():
+    """A 60-node chain gets the report, byte for byte, that the validator
+    wrote while it checked a faulty band in a second walk (pinned then)."""
+    report = "".join(f"{v}\n" for v in validate_tree(forty_with_chain(60)))
+    assert report.count("\n") == 91
+    assert hashlib.sha256(report.encode()).hexdigest() == \
+        "c72bd11ea7006a60f00e58f7ff7571736a0afd5eb0a9100a32852cd9f94ee68f"
+
+
+def test_chain_deeper_than_the_recursion_limit_is_reported():
+    """A corrupted chain deeper than the recursion limit gets one
+    depth-bound violation, not a RecursionError."""
+    # the limit is lowered below the chain's length and below the depth the
+    # depth rule allows
+    limit = len(inspect.stack(0)) + 20
+    tree = forty_with_chain(2 * limit)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit)
     try:
         found = validate_tree(tree)
     finally:
         sys.setrecursionlimit(old_limit)
-    assert [str(v) for v in found] == want
-    assert {"depth-bound", "header"} <= {v.kind for v in found}
+    assert [(v.kind, v.witness) for v in found] == [("depth-bound", tree.engine.root.key)]
+
+
+def assert_one_depth_bound_within_a_second(tree):
+    start = time.perf_counter()
+    found = validate_tree(tree)
+    assert time.perf_counter() - start < 1.0
+    assert [(v.kind, v.witness) for v in found] == [("depth-bound", tree.engine.root.key)]
+
+
+def test_child_link_cycle_is_reported():
+    """Key 1's left link pointed at the root closes a cycle of child links;
+    the walk ends at the recursion limit with one depth-bound violation."""
+    tree = forty_with_chain(0)
+    tree.engine.lookup(1).left = tree.engine.root
+    assert_one_depth_bound_within_a_second(tree)
+
+
+def test_chain_past_the_default_recursion_limit_is_reported():
+    assert_one_depth_bound_within_a_second(forty_with_chain(5000))
 
 
 # -- insert ------------------------------------------------------------------------
