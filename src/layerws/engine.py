@@ -171,12 +171,22 @@ class Engine:
         return [node.key for node in self.iter_nodes()]
 
     def iter_nodes(self):
-        stack = []
-        node = self.root
-        while stack or node is not None:
-            while node is not None:
-                stack.append(node)
-                node = node.left
-            node = stack.pop()
-            yield node
-            node = node.right
+        return nodes_in_order(self.root, float("inf"))
+
+
+def nodes_in_order(root: Optional[Node], limit):
+    """The nodes below ``root`` in key order.  A walk that reaches more than
+    ``limit`` nodes (one too many, or a cycle of child links, which would
+    never end) yields None and stops."""
+    stack, node, reached = [], root, 0
+    while stack or node is not None:
+        while node is not None:
+            reached += 1
+            if reached > limit:
+                yield None
+                return
+            stack.append(node)
+            node = node.left
+        node = stack.pop()
+        yield node
+        node = node.right

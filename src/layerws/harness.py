@@ -26,7 +26,7 @@ from itertools import chain, islice
 
 from .baseline import RedBlackBaseline
 from .constants import load_constants
-from .engine import Node
+from .engine import Node, nodes_in_order
 from .errors import DivergenceError, IncompatibleTraceError
 from .layered_tree import LayeredTree
 from .reference import ReferenceStructure, UnifiedBoundTracker, level_capacity, lg
@@ -83,11 +83,14 @@ def verify_structure(obj) -> list[Violation]:
 def _verify_baseline(tree: RedBlackBaseline) -> list[Violation]:
     out: list[Violation] = []
     prev = None
-    for node in tree.engine.iter_nodes():
+    root = tree.engine.root
+    for node in nodes_in_order(root, len(tree)):
+        if node is None:
+            return [Violation("depth-bound", root.key, f"the walk from the root reached more "
+                              f"than {len(tree)} nodes (a cycle of child links?)")]
         if prev is not None and node.key <= prev:
             out.append(Violation("bst-order", node.key, "keys out of order"))
         prev = node.key
-    root = tree.engine.root
     if root is not None:
         check_red_black(root, out)
     return out

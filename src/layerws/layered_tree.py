@@ -74,7 +74,8 @@ The tree can also operate as a band inside a larger tree (``base`` label
 offset); labels then run base+1..base+t and the machinery anchors at the
 band's subtree root instead of the global root.  The skip-splay
 composition stacks such bands; its band searches (``fresh=False``) start
-where the cursor already is.
+where the cursor already is, and it runs one only when the key there is
+not already the youngest of the band's first layer.
 """
 
 from __future__ import annotations

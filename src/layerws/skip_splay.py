@@ -22,15 +22,20 @@ they were.
 
 An access descends to the key, searches it inside its auxiliary tree, then
 repeatedly skips to the parent of the just-rearranged band and searches
-that parent in its own band, the next band up, to the root.  Each band
-search starts at the cursor, which already sits on the key it looks for,
-so it pays no climb to the band root and no descent back.  Keys never move
-between auxiliary trees.  Insertions and deletions are not supported.
+that parent in its own band, the next band up, to the root.  It is one
+walk: each band search starts at the cursor, which already sits on the key
+it looks for, so it pays no climb to the band root and no descent back,
+and the climb from where the search leaves the cursor to the band root and
+one step out pays one visit per node.  A band search that finds the
+youngest key of the band's first layer changes nothing and costs nothing,
+so the walk enters a band machine only when the key it holds is elsewhere
+in its band.  Keys never move between auxiliary trees.  Insertions and
+deletions are not supported.
 """
 
 from __future__ import annotations
 
-from .engine import Engine, Node
+from .engine import Engine, Node, nodes_in_order
 from .errors import DictError, MissingKeyError
 from .layered_tree import LayeredTree, band_members
 from .validate import Violation, validate_band
@@ -140,17 +145,29 @@ class SkipSplayTree:
         assert node is not None
         bands = self.bands
         band = ((key & -key).bit_length() - 1).bit_length()
-        tree = bands[band]
-        tree.search(key, fresh=False)
+        climbed = 0  # visits of the climbs the engine has not been charged yet
         while True:
-            band_root = eng.ascend_to_subtree_root(tree.base)
-            parent = band_root.parent
+            tree = bands[band]
+            base = tree.base
+            # the youngest of layer 1 is a band search that changes nothing
+            if node.layer != base + 1 or node.younger is not None:
+                eng.node = node
+                eng.visits += climbed
+                climbed = 0
+                tree.search(node.key, fresh=False)
+                node = eng.node
+            parent = node.parent  # climb to the band root, then one step out
+            while parent is not None and parent.layer > base:
+                node = parent
+                parent = node.parent
+                climbed += 1
             if parent is None:
                 break
-            eng.arrive(parent)
+            node = parent
+            climbed += 1
             band += 1
-            tree = bands[band]
-            tree.search(parent.key, fresh=False)
+        eng.node = node
+        eng.visits += climbed
         return eng.visits - start
 
     def access_doubled(self, key: int) -> int:
@@ -180,7 +197,11 @@ class SkipSplayTree:
         # count, and each auxiliary tree's subtree root
         prev = None
         count = 0
-        for node in self.engine.iter_nodes():
+        root = self.engine.root
+        for node in nodes_in_order(root, self.n):
+            if node is None:
+                return [Violation("depth-bound", root.key, f"the walk from the root reached more "
+                                  f"than {self.n} nodes (a cycle of child links?)")]
             count += 1
             key = node.key
             if prev is not None and key <= prev:

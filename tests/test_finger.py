@@ -8,6 +8,9 @@ equivalence tests replay traces on a tree and on a twin that walks the
 old way (``RootWalkTree``: every ``_goto`` up to the band root and down,
 ``_refront`` always scanning layer 1, every ``fresh=False`` search
 anchored at the band root) and compare the two after every operation.
+The skip-splay twin also enters every band machine on an access's root
+path (``EveryBandSkipSplay``), as the access did before it learned to pass
+over a band whose search would find the youngest of layer 1.
 """
 
 import random
@@ -16,6 +19,7 @@ import pytest
 
 from layerws import LayeredTree, SkipSplayTree
 from layerws.layered_tree import _empty_ends
+from layerws.skip_splay import _band_of_height, _height
 from layerws.workload import DELETE, INSERT, GeneratorSpec, generate
 
 
@@ -137,10 +141,36 @@ def skip_plan(family, n, count, rng):
     return out[:count]
 
 
+class EveryBandSkipSplay(SkipSplayTree):
+    """The access that enters the band machine of every band on the root
+    path, also where its search finds the youngest of layer 1 and changes
+    nothing, and climbs through the engine's own walks."""
+
+    def machine(self, key):
+        """The layered tree that runs the band search of ``key``."""
+        return self.bands[_band_of_height(_height(key))]
+
+    def access(self, key):
+        eng = self.engine
+        start = eng.visits
+        eng.begin_access()
+        assert eng.descend_to(key) is not None
+        tree = self.machine(key)
+        tree.search(key, fresh=False)
+        while True:
+            parent = eng.ascend_to_subtree_root(tree.base).parent
+            if parent is None:
+                break
+            eng.arrive(parent)
+            tree = self.machine(parent.key)
+            tree.search(parent.key, fresh=False)
+        return eng.visits - start
+
+
 def skip_splay_pair(k, twin=RootWalkTree):
-    """Two skip-splay trees over the same universe; every band of the
-    second runs as ``twin``."""
-    tree, other = SkipSplayTree(k), SkipSplayTree(k)
+    """Two skip-splay trees over the same universe; the second enters every
+    band machine on the root path, and every band of it runs as ``twin``."""
+    tree, other = SkipSplayTree(k), EveryBandSkipSplay(k)
     for band in other.bands:
         band.__class__ = twin
     return tree, other

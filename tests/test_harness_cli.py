@@ -2,10 +2,11 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from layerws import LayeredTree, ReferenceStructure
+from layerws import LayeredTree, RedBlackBaseline, ReferenceStructure
 from layerws.cli import main
 from layerws.errors import DivergenceError, IncompatibleTraceError
 from layerws.faults import (_find, corrupt_color, corrupt_header, corrupt_layer,
@@ -240,6 +241,24 @@ def test_queue_swap_detected():
     corrupt_queue_swap(tree, victim)
     found = verify_structure(tree)
     assert any(v.kind in ("queue-chain", "queue-nextlayer") for v in found)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_baseline_child_link_cycle_is_one_violation(side):
+    """An outer key's free child link pointed at the root closes a cycle;
+    the baseline's verifier stops after more nodes than the tree holds,
+    reports one depth-bound violation and skips the red-black check, which
+    would follow the cycle too."""
+    tree = RedBlackBaseline()
+    for k in range(1, 41):
+        tree.insert(k)
+    assert not verify_structure(tree)
+    root = tree.engine.root
+    setattr(tree.engine.lookup(1 if side == "left" else 40), side, root)
+    start = time.perf_counter()
+    found = verify_structure(tree)
+    assert time.perf_counter() - start < 1.0
+    assert [(v.kind, v.witness) for v in found] == [("depth-bound", root.key)]
 
 
 def test_header_desync_detected():

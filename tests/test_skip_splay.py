@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -7,7 +8,8 @@ from layerws import LayeredTree, SkipSplayTree
 from layerws.errors import DictError, MissingKeyError
 from layerws.layered_tree import capacity
 from layerws.skip_splay import _ancestor_at, _aux_root_key, _band_of_height, _band_size, _height
-from test_finger import books, nodes_state, skip_plan
+from test_finger import (EveryBandSkipSplay, books, nodes_state, skip_plan, skip_splay_pair,
+                         skip_state_reader)
 
 
 def perfect_tree_heights(n):
@@ -200,6 +202,94 @@ def test_validate_reports_order_before_membership():
         "aux-membership[0]: key outside every aux"]
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_validate_reports_a_child_link_cycle(side):
+    """An outer key's free child link pointed at the root closes a cycle;
+    the walk stops after more nodes than the universe holds and reports
+    one depth-bound violation instead of walking forever."""
+    s = SkipSplayTree(3)
+    root = s.engine.root
+    setattr(s.engine.lookup(1 if side == "left" else s.n), side, root)
+    start = time.perf_counter()
+    found = s.validate()
+    assert time.perf_counter() - start < 1.0
+    assert [(v.kind, v.witness) for v in found] == [("depth-bound", root.key)]
+
+
+# -- which band machines an access enters -------------------------------------
+
+
+# after how many accesses of a key in a row its next access enters no band
+# machine: each band above the key's own hangs the band below from one of
+# the two keys bracketing it, and lifting that key into the first layer can
+# re-hang it under the other; the third access then re-fronts inside the
+# first layer at most, which moves no link
+WARM_AFTER = {3: 1, 4: 3, 5: 3}
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_a_warm_key_enters_no_band_machine(k, monkeypatch):
+    s = SkipSplayTree(k)
+    entered = []  # one key per band machine entered
+    original = LayeredTree.search
+
+    def counted(self, key, fresh=True):
+        entered.append(key)
+        return original(self, key, fresh)
+
+    monkeypatch.setattr(LayeredTree, "search", counted)
+    keys = list(range(1, s.n + 1))
+    random.Random(k).shuffle(keys)
+    last_entering = 0  # the latest access of a run that entered a band machine
+    for x in keys[:600]:
+        for i in range(1, WARM_AFTER[k] + 3):
+            entered.clear()
+            s.access(x)
+            if entered:
+                last_entering = max(last_entering, i)
+    assert last_entering == WARM_AFTER[k]
+
+
+@pytest.mark.parametrize("k,count", [(3, 600), (4, 1500)])
+@pytest.mark.parametrize("family", ["repeat_block", "uniform"])
+def test_a_passed_band_search_is_one_that_changes_nothing(k, count, family, monkeypatch):
+    """Against a twin that enters every band machine on the root path, each
+    band search the access passes over is one where the twin's search paid
+    no visit and left every node field, the root and the books as they were."""
+    tree, twin = skip_splay_pair(k, LayeredTree)
+    twin_state = skip_state_reader(twin, cursor=False)
+    entered, twin_entered = [], []  # keys; (key, visits, state moved) on the twin
+    original = LayeredTree.search
+
+    def logged(self, key, fresh=True):
+        if self.engine is tree.engine:
+            entered.append(key)
+            return original(self, key, fresh)
+        before = self.engine.visits, twin_state()
+        layer = original(self, key, fresh)
+        twin_entered.append((key, self.engine.visits - before[0], twin_state() != before[1]))
+        return layer
+
+    monkeypatch.setattr(LayeredTree, "search", logged)
+    plan = skip_plan(family, tree.n, count, random.Random(3 * k + len(family)))
+    passed = paid = 0
+    for x in plan:
+        for _ in range(2):
+            entered.clear()
+            twin_entered.clear()
+            assert tree.access(x) == twin.access(x)
+            # the keys entered, in order, are the twin's minus those passed over
+            assert entered == [key for key, _, _ in twin_entered if key in entered]
+            for key, visits, moved in twin_entered:
+                if key not in entered:
+                    assert (visits, moved) == (0, False), (x, key)
+                    passed += 1
+                else:
+                    paid += visits > 0
+    assert passed and paid
+    assert skip_state_reader(tree, cursor=False)() == twin_state()
+
+
 # -- band machines against one layered tree per auxiliary tree ------------------
 
 
@@ -211,7 +301,7 @@ def layers_after_inserts(m):
     return t
 
 
-class InsertBuiltSkipSplay(SkipSplayTree):
+class InsertBuiltSkipSplay(EveryBandSkipSplay):
     """The construction the band machines replace: one LayeredTree on an
     engine of its own per auxiliary tree, filled by inserting its members in
     ascending order, hung into its parent's boundary slot by a descent, and
@@ -252,21 +342,8 @@ class InsertBuiltSkipSplay(SkipSplayTree):
             tree.engine = self.engine
         self.aux_of = {key: self.auxes[root] for root, keys in groups.items() for key in keys}
 
-    def access(self, key):
-        eng = self.engine
-        start = eng.visits
-        eng.begin_access()
-        assert eng.descend_to(key) is not None
-        tree = self.aux_of[key]
-        tree.search(key, fresh=False)
-        while True:
-            parent = eng.ascend_to_subtree_root(tree.base).parent
-            if parent is None:
-                break
-            eng.arrive(parent)
-            tree = self.aux_of[parent.key]
-            tree.search(parent.key, fresh=False)
-        return eng.visits - start
+    def machine(self, key):
+        return self.aux_of[key]
 
 
 def aux_band(root_key):
