@@ -7,8 +7,8 @@ links, and books that miscount the deepest layer.
 """
 
 from layerws import LayeredTree
-from layerws.faults import (corrupt_color, corrupt_header, corrupt_layer,
-                            corrupt_queue_swap)
+from layerws.faults import (corrupt_color, corrupt_layer, corrupt_queue_swap,
+                            corrupt_sizes)
 from layerws.harness import verify_structure
 
 
@@ -40,7 +40,7 @@ def main():
     show("older/younger swapped on key 8:", t)
 
     t = fresh()
-    corrupt_header(t, last_size=7)
+    corrupt_sizes(t, deepest=7)
     show("the tree's books claim the deepest layer holds 7:", t)
 
 

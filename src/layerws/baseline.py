@@ -22,7 +22,7 @@ class RedBlackBaseline:
         return self.size
 
     def keys(self):
-        return self.engine.inorder_keys()
+        return self.engine.inorder_keys(self.size)
 
     def search(self, key) -> int | None:
         eng = self.engine

@@ -167,8 +167,16 @@ class Engine:
             node = node.left if key < node.key else node.right
         return node
 
-    def inorder_keys(self) -> list[int]:
-        return [node.key for node in self.iter_nodes()]
+    def inorder_keys(self, limit=float("inf")) -> list[int]:
+        """The keys in order.  A walk that reaches more than ``limit`` nodes
+        raises AssertionError rather than following a cycle of child links."""
+        keys = []
+        for node in nodes_in_order(self.root, limit):
+            if node is None:
+                raise AssertionError(f"the walk from the root reached more than {limit} "
+                                     f"nodes: a cycle of child links?")
+            keys.append(node.key)
+        return keys
 
     def iter_nodes(self):
         return nodes_in_order(self.root, float("inf"))

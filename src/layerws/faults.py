@@ -35,17 +35,18 @@ def corrupt_parent(tree: LayeredTree, key: int, parent):
     node.parent = None if parent is None else _find(tree, parent)
 
 
-def corrupt_header(tree: LayeredTree, layer_count=None, last_size=None):
-    """Rewrite the books: ``layer_count`` adds empty layers or drops the
-    deeper entries, ``last_size`` sets the deepest entry."""
+def corrupt_sizes(tree: LayeredTree, layers=None, deepest=None):
+    """Rewrite the books, the per-layer ``sizes`` record: ``layers`` adds
+    empty layers or drops the deeper entries, ``deepest`` sets the deepest
+    entry."""
     sizes = tree.sizes
-    if layer_count is not None:
-        for m in range(len(sizes) + 1, layer_count + 1):
+    if layers is not None:
+        for m in range(len(sizes) + 1, layers + 1):
             sizes[m] = 0
-        for m in range(layer_count + 1, len(sizes) + 1):
+        for m in range(layers + 1, len(sizes) + 1):
             del sizes[m]
-    if last_size is not None:
-        sizes[len(sizes)] = last_size
+    if deepest is not None:
+        sizes[len(sizes)] = deepest
 
 
 def _find(tree: LayeredTree, key: int) -> Node:

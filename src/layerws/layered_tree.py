@@ -119,7 +119,7 @@ class LayeredTree:
         return self.engine.lookup(key) is not None
 
     def keys(self) -> list[int]:
-        return self.engine.inorder_keys()
+        return self.engine.inorder_keys(len(self))
 
     # -- cursor-paid lookups --------------------------------------------------
 

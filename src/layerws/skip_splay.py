@@ -18,7 +18,11 @@ smallest key in the key and queue fields); the tree itself, moved onto the
 shared engine, is the band machine that runs the searches of all of them.
 Its books, the per-layer size record, are every aux tree's: a search moves
 one key up and pushes one per layer crossed down, leaving the sizes as
-they were.
+they were.  Each template is read once, into labels, colours and links by
+rank, so a clone reads no template node.  The aux trees of bands 0 and 1
+hold one key each, 49 152 of the 53 505 at k = 5; they are not cloned one
+by one, but hung, each a fresh node with its band's label and colour, in
+the boundary slots of the band-2 aux tree being cloned.
 
 An access descends to the key, searches it inside its auxiliary tree, then
 repeatedly skips to the parent of the just-rearranged band and searches
@@ -72,6 +76,23 @@ def _members(root_key: int) -> range:
     return range(root_key - half + step, root_key + half, step)
 
 
+def _template(tree: LayeredTree):
+    """A band's clone plan, by rank (the node of rank r holds key r): each
+    node's (label, colour); its child links as (parent, child) rank pairs,
+    left and right; its queue fields as (rank, older, younger, next_layer);
+    the boundary slot of each gap, left to right, as (rank, right side); and
+    the root's rank."""
+    nodes = list(tree.engine.iter_nodes())
+    shape = [(t.layer, t.red) for t in nodes]
+    lefts = [(t.key, t.left.key) for t in nodes if t.left is not None]
+    rights = [(t.key, t.right.key) for t in nodes if t.right is not None]
+    queues = [(t.key, t.older, t.younger, t.next_layer) for t in nodes
+              if (t.older, t.younger, t.next_layer) != (None, None, None)]
+    slots = [(t.key, right) for t in nodes
+             for right, c in ((False, t.left), (True, t.right)) if c is None]
+    return shape, lefts, rights, queues, slots, tree.engine.root.key
+
+
 class SkipSplayTree:
     def __init__(self, k: int):
         if not 2 <= k <= 5:
@@ -91,45 +112,51 @@ class SkipSplayTree:
             for rank in range(_band_size(band)):
                 tree.insert(rank)
             base += tree.layer_count
-            template = list(tree.engine.iter_nodes())  # the node of rank r at r
-            # the boundary slot of each gap, left to right: (rank, right side)
-            slots = [(t.key, right) for t in template
-                     for right, c in ((False, t.left), (True, t.right)) if c is None]
-            templates.insert(0, (template, slots, tree.engine.root.key))
+            templates.insert(0, _template(tree))
             tree.engine = self.engine
             self.bands.insert(0, tree)
         self.engine.root = self._clone(templates, self.k - 1, (self.n + 1) >> 1)
 
     def _clone(self, templates, band: int, root_key: int) -> Node:
         """Clone the auxiliary tree rooted at ``root_key`` from its band's
-        template, hang the clones of the aux trees below it at the boundary
-        slots, and return its root node."""
-        template, slots, root_rank = templates[band]
+        template, hang the aux trees below it at the boundary slots, and
+        return its root node.  The aux trees of bands 1 and 0 hold one key
+        each, so a band-2 clone hangs them itself, each a fresh node with
+        its band's label and colour, instead of cloning them one call each."""
+        shape, lefts, rights, queues, slots, root_rank = templates[band]
         keys = _members(root_key)
-        nodes = [Node(key, t.layer, t.red) for key, t in zip(keys, template)]
-        for node, t in zip(nodes, template):
-            if t.left is not None:
-                node.left = c = nodes[t.left.key]
-                c.parent = node
-            if t.right is not None:
-                node.right = c = nodes[t.right.key]
-                c.parent = node
-            if t.older is not None:
-                node.older = keys[t.older]
-            if t.younger is not None:
-                node.younger = keys[t.younger]
-            if t.next_layer is not None:
-                node.next_layer = keys[t.next_layer]
+        nodes = [Node(key, layer, red) for key, (layer, red) in zip(keys, shape)]
+        for p, c in lefts:
+            parent, child = nodes[p], nodes[c]
+            parent.left = child
+            child.parent = parent
+        for p, c in rights:
+            parent, child = nodes[p], nodes[c]
+            parent.right = child
+            child.parent = parent
+        for r, older, younger, next_layer in queues:
+            node = nodes[r]
+            node.older = None if older is None else keys[older]
+            node.younger = None if younger is None else keys[younger]
+            node.next_layer = None if next_layer is None else keys[next_layer]
         if band:  # a child aux root sits halfway between two members
             step = keys.step
             children = range(keys.start - (step >> 1), keys.stop, step)
-            for (rank, right), child_key in zip(slots, children):
-                node, child = nodes[rank], self._clone(templates, band - 1, child_key)
-                if right:
-                    node.right = child
+            (one,), (leaf,) = templates[1][0], templates[0][0]  # (label, colour)
+            for (rank, right), key in zip(slots, children):
+                if band == 2:  # a band-1 node over its two band-0 leaves
+                    child = Node(key, *one)
+                    child.left = lo = Node(key - 1, *leaf)
+                    child.right = hi = Node(key + 1, *leaf)
+                    lo.parent = hi.parent = child
                 else:
-                    node.left = child
-                child.parent = node
+                    child = self._clone(templates, band - 1, key)
+                parent = nodes[rank]
+                if right:
+                    parent.right = child
+                else:
+                    parent.left = child
+                child.parent = parent
         return nodes[root_rank]
 
     # -- access -----------------------------------------------------------------

@@ -40,9 +40,16 @@ class TraceOp:
     kind: str
     key: int
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown op kind {self.kind!r}")
+    def __init__(self, kind: str, key: int):
+        # the slots are written through their descriptors: a frozen class's
+        # own __setattr__ refuses, and its usual way round costs two calls
+        if kind not in _KINDS:
+            raise ValueError(f"unknown op kind {kind!r}")
+        _set_kind(self, kind)
+        _set_key(self, key)
+
+
+_set_kind, _set_key = TraceOp.kind.__set__, TraceOp.key.__set__
 
 
 def parse(text: str) -> list[TraceOp]:

@@ -33,9 +33,8 @@ import pytest
 from layerws import (LayeredTree, SkipSplayTree, UnifiedBoundTracker,
                      WorkingSetTracker, lg, validate_tree)
 from layerws.constants import load_constants
-from layerws.faults import (corrupt_color, corrupt_header, corrupt_layer,
-                            corrupt_next_layer, corrupt_parent,
-                            corrupt_queue_swap)
+from layerws.faults import (corrupt_color, corrupt_layer, corrupt_next_layer,
+                            corrupt_parent, corrupt_queue_swap, corrupt_sizes)
 from layerws.harness import RunConfig, cost_rows, run, verify_structure
 from layerws.workload import GeneratorSpec, TraceOp, generate
 
@@ -476,7 +475,7 @@ def _parent_case(key, to):
 def _header_case(name, **kwargs):
     @_case(f"header-{name}")
     def inject(tree):
-        corrupt_header(tree, **kwargs)
+        corrupt_sizes(tree, **kwargs)
         return ({"header", "layer-size"}, {"t", "last_size", 1, 2})
 
 
@@ -493,10 +492,10 @@ _nextlayer_case("2:young", 7, 2)
 _nextlayer_case("2:old", -1, 2)
 _parent_case(10, "grandparent")
 _parent_case(10, None)
-_header_case("t-up", layer_count=4)
-_header_case("t-down", layer_count=1)
-_header_case("size-up", last_size=25)
-_header_case("size-down", last_size=2)
+_header_case("t-up", layers=4)
+_header_case("t-down", layers=1)
+_header_case("size-up", deepest=25)
+_header_case("size-down", deepest=2)
 
 
 @pytest.mark.parametrize("name,inject", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS])

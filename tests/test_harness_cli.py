@@ -9,8 +9,8 @@ import pytest
 from layerws import LayeredTree, RedBlackBaseline, ReferenceStructure
 from layerws.cli import main
 from layerws.errors import DivergenceError, IncompatibleTraceError
-from layerws.faults import (_find, corrupt_color, corrupt_header, corrupt_layer,
-                            corrupt_next_layer, corrupt_queue_swap)
+from layerws.faults import (_find, corrupt_color, corrupt_layer, corrupt_next_layer,
+                            corrupt_queue_swap, corrupt_sizes)
 from layerws.harness import RunConfig, compare_layers, run, verify_structure
 from layerws.workload import GeneratorSpec, TraceOp, parse
 
@@ -151,8 +151,8 @@ PLANTED = {
     "next-layer-youngest": (lambda t: corrupt_next_layer(t, 1, 999), "divergence"),
     "next-layer-oldest": (lambda t: corrupt_next_layer(t, 22, None), "divergence"),
     "next-layer-interior": (lambda t: corrupt_next_layer(t, 30, 7), "divergence"),
-    "header-layer-count": (lambda t: corrupt_header(t, layer_count=4), "divergence"),
-    "header-last-size": (lambda t: corrupt_header(t, last_size=t.sizes[3] + 1), "divergence"),
+    "header-layer-count": (lambda t: corrupt_sizes(t, layers=4), "divergence"),
+    "header-last-size": (lambda t: corrupt_sizes(t, deepest=t.sizes[3] + 1), "divergence"),
     "header-middle-size": (lambda t: _set_size(t, 2, 1), "divergence"),
 }
 
@@ -261,9 +261,21 @@ def test_baseline_child_link_cycle_is_one_violation(side):
     assert [(v.kind, v.witness) for v in found] == [("depth-bound", root.key)]
 
 
+def test_baseline_keys_report_a_child_link_cycle():
+    tree = RedBlackBaseline()
+    for k in range(1, 41):
+        tree.insert(k)
+    assert tree.keys() == list(range(1, 41))
+    tree.engine.lookup(1).left = tree.engine.root
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="cycle of child links"):
+        tree.keys()
+    assert time.perf_counter() - start < 1.0
+
+
 def test_header_desync_detected():
     tree = fresh_tree()
-    corrupt_header(tree, last_size=tree.sizes[3] + 1)
+    corrupt_sizes(tree, deepest=tree.sizes[3] + 1)
     found = verify_structure(tree)
     assert any(v.kind == "header" for v in found)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -365,6 +366,15 @@ def test_band_build_equals_per_aux_inserts(k):
     assert len(tree.bands) == k
     assert len(ref.auxes) == sum(1 << ((1 << (k - 1)) - (1 << b)) for b in range(k))
     assert_same_as_per_aux(tree, ref, "after the build")
+
+
+def test_k5_build_digest():
+    """The k = 5 build node for node, as the per-aux inserts build it (the
+    ``slow`` case above): a sha256 of every node's key, colour, label,
+    parent, child and queue fields, the root and the cursor."""
+    state = repr(nodes_state(SkipSplayTree(5).engine)).encode()
+    assert hashlib.sha256(state).hexdigest() == (
+        "0dc78736572069329a686d97b2e0a5f5b73390d2a287c039cfd9207cd4a78c43")
 
 
 @pytest.mark.parametrize("k,count", [(2, 200), (3, 600), (4, 1500),

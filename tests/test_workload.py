@@ -23,6 +23,9 @@ def test_trace_op_is_a_frozen_slotted_value():
     with pytest.raises(dataclasses.FrozenInstanceError):
         op.key = 6
     assert not hasattr(op, "__dict__")  # slots: no per-op dict
+    for kind in ("X", "s"):
+        with pytest.raises(ValueError, match="unknown op kind"):
+            TraceOp(kind, 1)
 
 
 def test_parse_empty_and_comments():
