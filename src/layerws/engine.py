@@ -198,3 +198,15 @@ def nodes_in_order(root: Optional[Node], limit):
         node = stack.pop()
         yield node
         node = node.right
+
+
+def band_nodes(root: Optional[Node], base: int, t: int):
+    """The nodes labelled base+1..base+t that ``root`` reaches through such
+    nodes alone, in pre-order, right subtree before left.  It keeps no
+    visited set: a caller that may meet a child-link cycle must stop it."""
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        if n is not None and base < n.layer <= base + t:
+            yield n
+            stack += n.left, n.right

@@ -73,14 +73,15 @@ fields.  The last step writes everything at once.
 The tree can also operate as a band inside a larger tree (``base`` label
 offset); labels then run base+1..base+t and the machinery anchors at the
 band's subtree root instead of the global root.  The skip-splay
-composition stacks such bands; its band searches (``fresh=False``) start
-where the cursor already is, and it runs one only when the key there is
-not already the youngest of the band's first layer.
+composition stacks such bands.  Its band searches pass ``fresh=False``,
+which means the cursor is on the key: the search starts there.  It runs
+one only when that key is not already the youngest of the band's first
+layer.
 """
 
 from __future__ import annotations
 
-from .engine import Engine, Node
+from .engine import Engine, Node, band_nodes
 from .errors import CapacityError, DuplicateKeyError, MissingKeyError
 from . import layer_ops as ops
 
@@ -460,18 +461,16 @@ class LayeredTree:
         """Look up ``key``; on a hit, returns the layer it was found in and
         promotes it to the recency front.  A miss changes nothing.
 
-        A fresh search enters at the root.  With ``fresh=False`` the search
-        continues from the cursor: it starts there when the cursor already
-        sits on ``key``, and otherwise walks up to the band root first."""
+        A fresh search enters at the root.  ``fresh=False`` means the
+        cursor is on the key: the search starts there and pays no walk to
+        reach it."""
         eng = self.engine
         if fresh:
             eng.begin_access()
             node = eng.descend_to(key)
         else:
             node = eng.node
-            if node.key != key:
-                eng.ascend_to_subtree_root(self.base)
-                node = eng.descend_to(key)
+            assert node.key == key, f"a band search for {key} starts on key {node.key}"
         if node is None:
             return None
         j = node.layer - self.base
@@ -552,7 +551,12 @@ class LayeredTree:
         if self.base != 0:
             raise ValueError("a band's layers hang below its subtree root, not the engine's")
         out: dict[int, list[int]] = {}
-        members = band_members(self.engine.root, 0, self.layer_count or MAX_LAYERS + 1)
+        members: dict[int, dict[int, Node]] = {}  # key -> node, by layer
+        for n in band_nodes(self.engine.root, 0, self.layer_count or MAX_LAYERS + 1):
+            layer = members.setdefault(n.layer, {})
+            if layer.get(n.key) is n:
+                raise AssertionError(f"the walk reaches key {n.key} twice: a cycle of child links?")
+            layer[n.key] = n
         for rel, nodes in sorted(members.items()):
             heads = [n for n in nodes.values() if n.younger is None]
             if len(heads) != 1:
@@ -570,26 +574,3 @@ class LayeredTree:
                 raise AssertionError(f"layer {rel}: queue reaches {len(order)} of {len(nodes)}")
             out[rel] = order
         return out
-
-
-def band_members(root: Node | None, base: int, t: int) -> dict[int, dict[int, Node]]:
-    """Key -> node per relative layer of the band rooted at ``root``, read
-    from the labels alone."""
-    members: dict[int, dict[int, Node]] = {}
-    if root is not None:
-        stack = [root]
-        while stack:
-            n = stack.pop()
-            rel = n.layer - base
-            if rel > t:
-                continue  # deeper band hanging below: not ours
-            layer = members.setdefault(rel, {})
-            if layer.get(n.key) is n:
-                raise AssertionError(f"key {n.key} is reached twice: the child links are not a tree")
-            layer[n.key] = n
-            if n.left is not None:
-                stack.append(n.left)
-            if n.right is not None:
-                stack.append(n.right)
-    return members
-

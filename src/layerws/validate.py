@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Node
+from .engine import Node, band_nodes
 from .layered_tree import LayeredTree, capacity, MAX_LAYERS
 
 # depth(x) <= sum_{k=1..layer(x)} (2*2^k + 2), depth in edges from the band root
@@ -66,37 +66,13 @@ def _root_color(sub: Node, out: list[Violation]):
         out.append(Violation("rb-root-red", sub.key, "layer-subtree root is red"))
 
 
-def _subtree_order(root: Node) -> list[Node]:
-    """Pre-order of the layer-subtree at ``root``, left pushed before right."""
-    lab = root.layer
-    order, stack = [], [root]
-    while stack:
-        n = stack.pop()
-        order.append(n)
-        stack.extend(c for c in (n.left, n.right) if c is not None and c.layer == lab)
-    return order
-
-
-def _layer_roots(root: Node, base: int, t: int) -> list[list[Node]]:
-    """Layer-subtree roots (no parent of their own label) by layer, in the walk's order."""
-    roots: list[list[Node]] = [[] for _ in range(t + 1)]
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        if base < n.layer <= base + t:
-            if n.parent is None or n.parent.layer != n.layer:
-                roots[n.layer - base].append(n)
-            stack.extend(c for c in (n.left, n.right) if c is not None)
-    return roots
-
-
 def check_red_black(root: Node, out: list[Violation]) -> int:
     """Red-black validity of the layer-subtree at ``root``; returns its
     black height.  Faults come in left-first post-order."""
     _root_color(root, out)
     lab = root.layer
     bh: dict[Node, int] = {}
-    for n in reversed(_subtree_order(root)):  # every child before its parent
+    for n in reversed(list(band_nodes(root, lab - 1, 1))):  # every child before its parent
         left, right = n.left, n.right
         lbh = bh[left] if left is not None and left.layer == lab else 0
         rbh = bh[right] if right is not None and right.layer == lab else 0
@@ -278,14 +254,17 @@ def validate_band(root: Node | None, base: int, sizes: dict[int, int],
     faults = band.faults
     p = root.parent
     if out or faults or p is not None and p.layer == root.layer:
-        roots = _layer_roots(root, base, t)
+        roots: list[list[Node]] = [[] for _ in range(t + 1)]  # by layer, in the walk's order
+        for n in band_nodes(root, base, t):
+            if n.parent is None or n.parent.layer != n.layer:  # a layer-subtree root
+                roots[n.layer - base].append(n)
         if roots[1] != [root]:
             out.append(Violation("layer-shape", 1, "first layer is not a single subtree at the root"))
         for m in range(1, t + 1) if faults else ():
             for sub in roots[m]:
                 _root_color(sub, out)
                 # listed as found (children's red-red, right first, then black heights): reverse
-                for n in reversed(_subtree_order(sub)):
+                for n in reversed(list(band_nodes(sub, sub.layer - 1, 1))):
                     out.extend(reversed(faults.get(n, ())))
 
     if check_queues:

@@ -1,13 +1,14 @@
 """Finger cursor moves: ``_goto`` climbs only until an ancestor brackets
-its target, a band search with ``fresh=False`` starts on the cursor when
-it already holds the key, and a layer-1 hit that is already the youngest
-skips the layer-1 scan.
+its target, a band search with ``fresh=False`` starts on the cursor, which
+holds the key, and a layer-1 hit that is already the youngest skips the
+layer-1 scan.
 
 None of the three may change the tree or make an operation dearer.  The
 equivalence tests replay traces on a tree and on a twin that walks the
 old way (``RootWalkTree``: every ``_goto`` up to the band root and down,
 ``_refront`` always scanning layer 1, every ``fresh=False`` search
-anchored at the band root) and compare the two after every operation.
+climbing from its key to the band root and descending back to it) and
+compare the two after every operation.
 The skip-splay twin also enters every band machine on an access's root
 path (``EveryBandSkipSplay``), as the access did before it learned to pass
 over a band whose search would find the youngest of layer 1.
@@ -320,25 +321,12 @@ def test_goto_stays_inside_a_band(k, accesses):
     assert checked and left_escapes
 
 
-def test_band_search_away_from_its_key_climbs_to_the_band_root():
-    """``search(fresh=False)`` with the cursor elsewhere walks up to the band
-    root and on as a fresh search would: the same tree after every search,
-    hit or miss, for the climb in place of the root entry."""
-    def build():
-        rng = random.Random(4)
-        tree = LayeredTree()
-        for key in rng.sample(range(2, 3000, 2), 300):
-            tree.insert(key)
-        return tree
-
-    cont, fresh = build(), build()
-    rng = random.Random(5)
-    keys = cont.keys()
-    for key in [rng.choice(keys) for _ in range(100)] + [1, 3001, 777]:
-        start = rng.choice([n for n in cont.engine.iter_nodes() if n.key != key])
-        cont.engine.node = start
-        climb = len(band_path(start, 0)) - 1
-        before = cont.engine.visits, fresh.engine.visits
-        assert cont.search(key, fresh=False) == fresh.search(key)
-        assert cont.engine.visits - before[0] == fresh.engine.visits - before[1] - 1 + climb
-        assert nodes_state(cont.engine) == nodes_state(fresh.engine)
+def test_band_search_must_start_on_its_key():
+    """``search(fresh=False)`` means the cursor is on the key: with the
+    cursor on another node it raises instead of searching from there."""
+    tree = LayeredTree()
+    for key in range(1, 41):
+        tree.insert(key)
+    tree.engine.node = tree.engine.lookup(7)
+    with pytest.raises(AssertionError, match="starts on key 7"):
+        tree.search(8, fresh=False)

@@ -369,14 +369,16 @@ def test_child_link_cycle_is_reported():
     assert_one_depth_bound_within_a_second(tree)
 
 
-def test_keys_report_a_child_link_cycle():
-    """keys() walks at most as many nodes as the tree holds, so a cycle of
+@pytest.mark.parametrize("read", ["keys", "layer_snapshot"])
+def test_keys_report_a_child_link_cycle(read):
+    """keys() walks at most as many nodes as the tree holds, and
+    layer_snapshot() stops at the first node it reaches twice, so a cycle of
     child links raises instead of walking forever."""
     tree = forty_with_chain(0)
     tree.engine.lookup(1).left = tree.engine.root
     start = time.perf_counter()
     with pytest.raises(AssertionError, match="cycle of child links"):
-        tree.keys()
+        getattr(tree, read)()
     assert time.perf_counter() - start < 1.0
 
 

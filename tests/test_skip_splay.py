@@ -11,6 +11,7 @@ from layerws.layered_tree import capacity
 from layerws.skip_splay import _ancestor_at, _aux_root_key, _band_of_height, _band_size, _height
 from test_finger import (EveryBandSkipSplay, books, nodes_state, skip_plan, skip_splay_pair,
                          skip_state_reader)
+from test_validate import _reaches
 
 
 def perfect_tree_heights(n):
@@ -215,6 +216,75 @@ def test_validate_reports_a_child_link_cycle(side):
     found = s.validate()
     assert time.perf_counter() - start < 1.0
     assert [(v.kind, v.witness) for v in found] == [("depth-bound", root.key)]
+
+
+@pytest.mark.parametrize("k,key,band", [(3, 2, 0), (4, 2, 0), (4, 4, 1)])
+def test_validate_reports_a_key_labelled_in_another_band(k, key, band):
+    """A key relabelled with the first label of another band has left its
+    aux tree's label range: an aux-membership violation."""
+    s = SkipSplayTree(k)
+    s.engine.lookup(key).layer = s.bands[band].base + 1
+    found = s.validate()
+    assert any(v.kind == "aux-membership" for v in found), [str(v) for v in found]
+
+
+def test_validate_reports_a_root_that_names_a_parent():
+    """A root whose parent link names its own child registers no subtree
+    root for the top aux tree, so only a check of the root's link sees it."""
+    s = SkipSplayTree(3)
+    root = s.engine.root
+    root.parent = root.left
+    assert [(v.kind, v.witness) for v in s.validate()] == [("parent-link", root.key)]
+
+
+def _plant_one(rng, nodes):
+    """One random field corruption: a label one off, two labels or two keys
+    swapped, a colour flipped, a parent or child link, or a queue field.
+    Returns the undo log.  A child link never closes a cycle, which gets one
+    depth-bound violation (``test_validate_reports_a_child_link_cycle``)."""
+    n, other = rng.choice(nodes), rng.choice(nodes)
+    kind = rng.choice(("label", "label-swap", "red", "key-swap", "parent", "child", "queue"))
+    if kind == "label":
+        changes = [(n, "layer", n.layer + rng.choice((-1, 1)))]
+    elif kind == "label-swap":
+        changes = [(n, "layer", other.layer), (other, "layer", n.layer)]
+    elif kind == "red":
+        changes = [(n, "red", not n.red)]
+    elif kind == "key-swap":
+        changes = [(n, "key", other.key), (other, "key", n.key)]
+    elif kind == "parent":
+        changes = [(n, "parent", rng.choice((None, other)))]
+    elif kind == "child":
+        new = None if _reaches(other, n) or rng.random() < 0.3 else other
+        changes = [(n, rng.choice(("left", "right")), new)]
+    else:
+        changes = [(n, rng.choice(("older", "younger", "next_layer")), rng.choice((None, other.key)))]
+    undo = [(obj, field, getattr(obj, field)) for obj, field, _ in changes]
+    for obj, field, value in changes:
+        setattr(obj, field, value)
+    return undo
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_validate_reports_every_planted_fault_that_changes_the_tree(k):
+    """Between random accesses, one random field corruption at a time: the
+    validator must report every one that changed a node field or the root."""
+    s = SkipSplayTree(k)
+    rng = random.Random(k)
+    nodes = list(s.engine.iter_nodes())
+    changed = 0
+    for i in range(500):
+        for _ in range(3):
+            s.access(rng.randint(1, s.n))
+        before = nodes_state(s.engine, cursor=False)
+        undo = _plant_one(rng, nodes)
+        if nodes_state(s.engine, cursor=False) != before:
+            changed += 1
+            assert s.validate(), (i, undo)
+        for obj, field, old in reversed(undo):
+            setattr(obj, field, old)
+    assert changed > 300
+    assert not s.validate()
 
 
 # -- which band machines an access enters -------------------------------------

@@ -18,6 +18,7 @@ import pytest
 
 from layerws import LayeredTree, SkipSplayTree, validate_tree
 from layerws import skip_splay, validate
+from layerws.engine import band_nodes
 from layerws.validate import validate_band
 
 FIELDS = ("red", "layer", "key", "left", "right", "parent",
@@ -59,16 +60,6 @@ class _Reports:
 
     def pinned(self, case):
         assert (self.sha.hexdigest(), self.clean, self.faulty) == PINNED[case]
-
-
-def _band_nodes(root, base, t):
-    out, stack = [], [root]
-    while stack:
-        n = stack.pop()
-        if base < n.layer <= base + t:
-            out.append(n)
-            stack.extend(c for c in (n.left, n.right) if c is not None)
-    return out
 
 
 def _reaches(src, dst) -> bool:
@@ -144,7 +135,7 @@ def _undo(undo):
 
 def _corrupt_and_check(rng, root, base, sizes, complete, reports):
     before = reports.check(root, base, sizes, complete)
-    nodes = _band_nodes(root, base, len(sizes))
+    nodes = list(band_nodes(root, base, len(sizes)))
     undo = []
     for _ in range(rng.randint(0, 3)):
         _plant(rng, nodes, sizes, undo, reports.fields)
