@@ -40,6 +40,11 @@ GOLDEN = {
     ("finger_walk", 250, 1200, 7): (
         "6897e05eab13142e3f12925a79f0027d8f84ccf7e12af50f8621956d0dadf63a",
         "59df0a94bbada7d77ffe59cb2b5646e8fadf3b786e2642c8b6232bd5a0444287"),
+    # the one cell whose tree reaches layer 4: it pins the layer-4 pushes,
+    # splits and refills (609 layer-4 hits among inserts and deletes)
+    ("uniform", 2000, 6000, 13): (
+        "20bc117f631ca68a4810a487634cc32534d81aad2058e1d2209c091993f04892",
+        "45cd49b8e196d5ab831cb143ae24ac4e956ad6d69161c78533b732ced37595f4"),
 }
 
 
