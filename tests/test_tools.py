@@ -1,5 +1,6 @@
-"""The calibration tool still runs against the package: its replay reads
-the tree's books, and nothing else exercises it."""
+"""The tools still run against the package: the calibration replay reads
+the tree's books, the opcode count traces its inserts and searches, and
+nothing else exercises either."""
 
 import pathlib
 import runpy
@@ -22,3 +23,21 @@ def test_calibrate_replays_a_small_matrix_cell():
     assert all(1 <= k <= tree.n for k in keys)
     assert all(tree.access(k) > 0 for k in keys)
     assert not tree.validate()
+
+
+OPCOUNT = pathlib.Path(__file__).parent.parent / "tools" / "opcount.py"
+
+
+def test_opcount_repeats_and_its_parts_sum_to_the_total(capsys):
+    tool = runpy.run_path(str(OPCOUNT))
+    first = tool["profile"](300, 200, 100, 1)
+    assert first == tool["profile"](300, 200, 100, 1)
+    for ops, by_name, total in first.values():
+        assert total > 0 and sum(by_name.values()) == total
+    assert first["search"][0] == 200 and first["insert"][0] == 100
+
+    assert tool["main"](["--n", "300", "--searches", "200", "--inserts", "100"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    *parts, (_, *total) = rows
+    for col, want in enumerate(total, start=1):
+        assert abs(sum(float(r[col]) for r in parts) - float(want)) < 0.05 * len(parts)
