@@ -39,6 +39,8 @@ deletions are not supported.
 
 from __future__ import annotations
 
+import gc
+
 from .engine import Engine, Node, nodes_in_order
 from .errors import DictError, MissingKeyError
 from .layered_tree import LayeredTree
@@ -101,7 +103,14 @@ class SkipSplayTree:
         self.n = (1 << (1 << (k - 1))) - 1
         self.engine = Engine()
         self.bands: list[LayeredTree] = []  # band machines, bottom band first
-        self._build()
+        # the build's new nodes would set off collections that walk them all
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._build()
+        finally:
+            if collecting:
+                gc.enable()
 
     # -- construction -------------------------------------------------------
 

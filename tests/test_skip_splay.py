@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -465,3 +466,26 @@ def test_band_machines_replay_like_per_aux_trees(k, count, family):
     assert_same_as_per_aux(tree, ref, "at the end")
     assert tree.engine.visits == ref.engine.visits
     assert not tree.validate()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_build_leaves_the_collector_as_it_found_it(collecting):
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        SkipSplayTree(3)
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_failed_build_still_restores_the_collector(monkeypatch):
+    def broken(self):
+        assert not gc.isenabled(), "the build runs with the collector paused"
+        raise RuntimeError("build failed")
+
+    monkeypatch.setattr(SkipSplayTree, "_build", broken)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="build failed"):
+        SkipSplayTree(3)
+    assert gc.isenabled()
