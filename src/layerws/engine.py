@@ -71,25 +71,6 @@ class Engine:
         self.visits += 1
         return nxt
 
-    def ascend_to_subtree_root(self, base: int) -> Node:
-        """Walk parent links until the current node heads its label band.
-
-        A band is the label range (base, ...]; the walk stops at the node
-        whose parent is absent or carries a label <= base.  For base 0 this
-        is the global root.
-        """
-        node = self.node
-        visits = 0
-        while True:
-            p = node.parent
-            if p is None or p.layer <= base:
-                break
-            node = p
-            visits += 1
-        self.node = node
-        self.visits += visits
-        return node
-
     def descend_to(self, key: int) -> Optional[Node]:
         """Standard BST descent from the cursor; returns the hit or None.
 

@@ -12,29 +12,23 @@ of the inter-layer moves free of color case analysis.
 The red-black steps have a left and a right form; each routine here runs
 one code path for both and takes the side as a flag (``left`` in the
 rotations, ``right_side`` for a short slot, ``succ`` for the successor
-side, ``tall_left`` inside ``join3``).  Two steps with more than one caller
-live here once: ``splice_nearest`` puts a node's in-layer successor or
-predecessor in its place, for the layered tree's sink to a layer boundary
-and the baseline's delete; ``_rehang`` hangs a rebuilt layer-subtree in
-the slot the old one hung in, for ``split`` and ``join_at``.
+side, ``tall_left`` inside ``join3``).  Three steps with more than one
+caller live here once: ``splice_nearest`` puts a node's in-layer successor
+or predecessor in its place, for the layered tree's sink to a layer
+boundary and the baseline's delete; ``_detach`` readies a subtree as a
+fragment for ``join3`` and ``_rehang`` hangs a rebuilt layer-subtree in the
+slot the old one hung in, both for ``split`` and ``join_at``.  Those two
+count black heights on their own walks down in-layer left spines, and
+``split`` joins each ancestor as its climb reaches it.
+
+``perfbench/tracer.py`` counts the calls of ``split``, ``join_at``, the
+fixups and ``Engine.rotate`` by wrapping those names, so callers reach them
+through the module or class, never through a local alias.
 """
 
 from __future__ import annotations
 
 from .engine import Engine, Node
-
-
-def black_height(eng: Engine, node, layer: int) -> int:
-    """Black count from ``node`` down its within-layer left spine."""
-    bh = 0
-    steps = 0
-    while node is not None and node.layer == layer:
-        if not node.red:
-            bh += 1
-        node = node.left
-        steps += 1
-    eng.visits += steps
-    return bh
 
 
 def insert_fixup(eng: Engine, x: Node) -> bool:
@@ -129,16 +123,19 @@ def delete_fixup(eng: Engine, parent: Node, right_side: bool):
 
 def spine_end(eng: Engine, node: Node, leftward: bool):
     """Walk from ``node`` down its in-layer left (``leftward``) or right
-    spine.  Returns the last node reached and its child on that side, which
-    is absent or carries a deeper label."""
+    spine; the cursor arrives at ``node`` and each step costs a visit.
+    Returns the last node reached and its child on that side, which is
+    absent or carries a deeper label."""
     lab = node.layer
-    eng.arrive(node)
+    eng.node = node
+    steps = 1
     while True:
         c = node.left if leftward else node.right
         if c is None or c.layer != lab:
+            eng.visits += steps
             return node, c
         node = c
-        eng.visits += 1
+        steps += 1
 
 
 def splice_nearest(eng: Engine, x: Node, succ: bool):
@@ -182,50 +179,51 @@ def splice_nearest(eng: Engine, x: Node, succ: bool):
     return s, near, short
 
 
+def _detach(eng: Engine, root, bh: int, j: int) -> int:
+    """Make ``root`` a join fragment: detached, and black if it is an
+    in-layer red root.  Returns its black height: ``bh``, one more for a
+    blackened root, and 0 for an absent or deeper-layer fragment."""
+    if root is None:
+        return 0
+    root.parent = None
+    if root.layer != j:
+        return 0
+    if root.red:
+        root.red = False
+        eng.visits += 1
+        return bh + 1
+    return bh
+
+
 def join3(eng: Engine, left_root, left_bh: int, mid: Node, right_root, right_bh: int, j: int):
     """Glue left fragment < ``mid`` < right fragment into one valid subtree.
 
-    Fragments are either within-layer red-black trees, deeper-layer
-    subtrees (black height 0), or absent.  Returns (root, black height);
-    the returned root is detached (parent None) and always black.
+    Fragments are as ``_detach`` leaves them: within-layer red-black trees
+    with a detached black root, deeper-layer subtrees (black height 0), or
+    absent.  Returns (root, black height); the returned root is detached
+    (parent None) and always black.
     """
-    if left_root is None or left_root.layer != j:
-        left_bh = 0
-    if right_root is None or right_root.layer != j:
-        right_bh = 0
-    if left_root is not None:
-        left_root.parent = None
-        if left_root.layer == j and left_root.red:
-            left_root.red = False
-            left_bh += 1
-            eng.visits += 1
-    if right_root is not None:
-        right_root.parent = None
-        if right_root.layer == j and right_root.red:
-            right_root.red = False
-            right_bh += 1
-            eng.visits += 1
     mid.parent = None
-
     walked = 0
     if left_bh == right_bh:
         lo, hi, slot_parent = left_root, right_root, None
     else:
-        # walk the inner spine of the taller side down to the shorter side's height
+        # walk the inner spine of the taller side down to the shorter side's
+        # height, and on past red nodes
         tall_left = left_bh > right_bh
         if tall_left:
             occ, occ_bh, short_bh = left_root, left_bh, right_bh
         else:
             occ, occ_bh, short_bh = right_root, right_bh, left_bh
-        while occ_bh > short_bh or (occ is not None and occ.layer == j and occ.red):
-            assert occ is not None and occ.layer == j
-            slot_parent = occ
+        while occ is not None and occ.layer == j:
             if not occ.red:
+                if occ_bh == short_bh:
+                    break
                 occ_bh -= 1
+            slot_parent = occ
             occ = occ.right if tall_left else occ.left
-            if occ is not None and occ.layer != j:
-                occ_bh = 0
             walked += 1
+        assert occ is not None or occ_bh <= short_bh, "join spine ends above the short side"
         if tall_left:
             lo, hi = occ, right_root
         else:
@@ -281,46 +279,53 @@ def split(eng: Engine, x: Node):
     the layer-subtree size: the per-step joins telescope along the path.
     """
     j = x.layer
-    if x.parent is None or x.parent.layer != j:
-        return  # already heads its layer-subtree
-    bh = black_height(eng, x, j)
-
-    path = [x]
-    top = x
-    while True:
-        q = top.parent
-        if q is None or q.layer != j:
-            break
-        path.append(q)
-        top = q
-    eng.visits += len(path) - 1
-    anchor = top.parent
+    v = x.parent
+    if v is None or v.layer != j:  # already heads its layer-subtree
+        for c in (x.left, x.right):
+            if c is not None and c.layer == j:
+                c.red = False  # side roots head their own layer-subtrees next
+        return
+    bh = steps = 0
+    n = x
+    # x's black height, down its in-layer left spine
+    while n is not None and n.layer == j:
+        if not n.red:
+            bh += 1
+        n = n.left
+        steps += 1
+    child_bh = bh - (0 if x.red else 1)
+    left_root, right_root = x.left, x.right  # they head their own layer-subtrees next
+    left_bh = _detach(eng, left_root, child_bh, j)
+    right_bh = _detach(eng, right_root, child_bh, j)
 
     key = x.key
-    child_bh = bh - (0 if x.red else 1)
-    left_root, left_bh = x.left, child_bh
-    right_root, right_bh = x.right, child_bh
-    orig_bh = bh
-    for v in path[1:]:
+    top = x
+    # join each in-layer ancestor into the side it brackets; its parent is
+    # read before the join relinks it
+    while v is not None and v.layer == j:
+        up = v.parent
         v_was_black = not v.red  # joins recolor v; the old subtree heights need its old color
         if v.key < key:
-            left_root, left_bh = join3(eng, v.left, orig_bh, v, left_root, left_bh, j)
+            left_root, left_bh = join3(eng, v.left, _detach(eng, v.left, bh, j),
+                                       v, left_root, left_bh, j)
         else:
-            right_root, right_bh = join3(eng, right_root, right_bh, v, v.right, orig_bh, j)
+            right_root, right_bh = join3(eng, right_root, right_bh,
+                                         v, v.right, _detach(eng, v.right, bh, j), j)
         if v_was_black:
-            orig_bh += 1
+            bh += 1
+        top = v
+        v = up
+        steps += 1
 
     x.left = left_root
+    if left_root is not None:
+        left_root.parent = x
     x.right = right_root
-    for side_root in (left_root, right_root):
-        if side_root is not None:
-            side_root.parent = x
-            if side_root.layer == j and side_root.red:
-                side_root.red = False  # side roots head their own layer-subtrees next
-                eng.visits += 1
+    if right_root is not None:
+        right_root.parent = x
     x.red = False
-    _rehang(eng, top, x, anchor)
-    eng.visits += 2
+    _rehang(eng, top, x, v)
+    eng.visits += steps + 2
 
 
 def join_at(eng: Engine, x: Node) -> Node:
@@ -332,16 +337,26 @@ def join_at(eng: Engine, x: Node) -> Node:
     """
     j = x.layer
     left, right = x.left, x.right
-    l_in = left is not None and left.layer == j
-    r_in = right is not None and right.layer == j
-    if not l_in and not r_in:
+    lbh = rbh = steps = 0
+    n = left
+    # each side's black height, down its in-layer left spine
+    while n is not None and n.layer == j:
+        if not n.red:
+            lbh += 1
+        n = n.left
+        steps += 1
+    n = right
+    while n is not None and n.layer == j:
+        if not n.red:
+            rbh += 1
+        n = n.left
+        steps += 1
+    if not steps:  # neither child shares x's label
         x.red = False
         eng.visits += 1
         return x
     anchor = x.parent
-    lbh = black_height(eng, left, j) if l_in else 0
-    rbh = black_height(eng, right, j) if r_in else 0
-    root, _ = join3(eng, left, lbh, x, right, rbh, j)
+    root, _ = join3(eng, left, _detach(eng, left, lbh, j), x, right, _detach(eng, right, rbh, j), j)
     _rehang(eng, x, root, anchor)
-    eng.visits += 1
+    eng.visits += steps + 1
     return root

@@ -128,7 +128,7 @@ class LayeredTree:
         """Walk the cursor to ``key``'s node by finger search: nowhere when
         it already sits there, else up the parent links to the first
         ancestor whose key brackets ``key`` from the far side, or to the
-        band root if none does, and down from there.
+        band root if none does, and down from there by a plain descent.
 
         Every node on the way is a paid arrival.  The walk is exact: an
         ancestor reached from its left child has every key between it and
@@ -162,10 +162,17 @@ class LayeredTree:
                 visits += 1
                 if p.key <= key:
                     break
+        k = node.key
+        try:
+            # the descent
+            while k != key:
+                node = node.left if key < k else node.right
+                k = node.key
+                visits += 1
+        except AttributeError:  # the descent ran off the tree
+            raise AssertionError(f"key {key} vanished from the tree") from None
         eng.node = node
         eng.visits += visits
-        node = eng.descend_to(key)
-        assert node is not None, f"key {key} vanished from the tree"
         return node
 
     def _scan_first_layer(self, youngest: bool, ends) -> Node:
@@ -173,10 +180,19 @@ class LayeredTree:
         and record it in ``ends``; the other end goes into the record too
         when the walk passes it on the way."""
         eng = self.engine
-        eng.ascend_to_subtree_root(self.base)
+        base = self.base
         root = eng.node
-        lab = self.base + 1
-        assert root is not None and root.layer == lab, "layer 1 must hold the root"
+        climbed = 0
+        # the climb to the band root
+        while True:
+            p = root.parent
+            if p is None or p.layer <= base:
+                break
+            root = p
+            climbed += 1
+        eng.visits += climbed
+        lab = base + 1
+        assert root.layer == lab, "layer 1 must hold the root"
         stack = [root]
         walked = 0
         found = None
@@ -209,7 +225,9 @@ class LayeredTree:
         ``next_layer`` down, recording every end it passes.
         """
         known = ends[youngest]
-        level = j
+        if known[j] is not None:
+            return self._goto(known[j])
+        level = j - 1
         while level and known[level] is None:
             level -= 1
         if level:
@@ -289,7 +307,7 @@ class LayeredTree:
         recv+1, goes into the record.  Returns the (older, next_layer) pair
         ``x`` takes."""
         key = x.key
-        if self.sizes.get(recv, 0) == 0:
+        if not self.sizes.get(recv):
             ends[0][recv] = ends[1][recv] = key
             return None, None
         y = self._extreme_in_layer(recv, True, ends)
@@ -311,8 +329,9 @@ class LayeredTree:
         ``younger == key``, is in no queue to leave.
         """
         j = x.layer - self.base
+        sizes = self.sizes
         assert 1 <= to < j, f"no upward move from layer {j} to {to}"
-        assert self.sizes.get(to, 0) > 0, "moving up into an empty layer"
+        assert sizes.get(to, 0) > 0, "moving up into an empty layer"
         if x.younger != x.key:
             self._queue_remove(x, j, ends)
         y_key, x_next = self._file_youngest(x, to, ends)
@@ -320,14 +339,12 @@ class LayeredTree:
             self._extreme_in_layer(to - 1, True, ends).next_layer = x.key
 
         eng = self.engine
+        lab = x.layer
         for _ in range(j - to):
             ops.split(eng, x)
-            for c in (x.left, x.right):
-                if c is not None and c.layer == x.layer and c.red:
-                    c.red = False  # covers the split-was-a-no-op path
-            x.layer -= 1
+            x.layer = lab = lab - 1
             p = x.parent
-            if p is not None and p.layer == x.layer:
+            if p is not None and p.layer == lab:
                 ops.insert_fixup(eng, x)
             else:
                 x.red = False
@@ -335,8 +352,8 @@ class LayeredTree:
         x.older = y_key
         x.younger = None
         x.next_layer = x_next
-        self.sizes[j] -= 1
-        self.sizes[to] = self.sizes.get(to, 0) + 1
+        sizes[j] -= 1
+        sizes[to] += 1
 
     def _sink_to_boundary(self, x: Node):
         """Turn ``x`` into a boundary leaf of its layer-subtree, relabel it
@@ -402,13 +419,15 @@ class LayeredTree:
         recv = j + 1
         if recv > MAX_LAYERS + 1:
             raise CapacityError(f"no layer below {MAX_LAYERS}")
+        sizes = self.sizes
         self._queue_remove(x, j, ends, ahead)
         y_key, x_next = self._file_youngest(x, recv, ends)
-        if self.sizes[j] > 1:  # layer j keeps members once x is gone
+        if sizes[j] > 1:  # layer j keeps members once x is gone
+            key = x.key
             if ahead is None or j == 1:
-                self._extreme_in_layer(j, True, ends).next_layer = x.key
+                self._extreme_in_layer(j, True, ends).next_layer = key
             if y_key is None:  # x opens layer recv: it is its oldest too
-                self._extreme_in_layer(j, False, ends).next_layer = x.key
+                self._extreme_in_layer(j, False, ends).next_layer = key
 
         self._sink_to_boundary(x)
         ops.join_at(self.engine, x)
@@ -417,8 +436,8 @@ class LayeredTree:
         x.younger = None
         if not ahead:  # ahead, x keeps its link: see the module docstring
             x.next_layer = x_next
-        self.sizes[j] -= 1
-        self.sizes[recv] = self.sizes.get(recv, 0) + 1
+        sizes[j] -= 1
+        sizes[recv] = sizes.get(recv, 0) + 1
 
     def move_up(self, key: int):
         node = self._find(key)
@@ -466,7 +485,8 @@ class LayeredTree:
         reach it."""
         eng = self.engine
         if fresh:
-            eng.begin_access()
+            eng.visits += 1  # the pointer is handed in at the root
+            eng.node = eng.root
             node = eng.descend_to(key)
         else:
             node = eng.node

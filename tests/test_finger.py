@@ -24,6 +24,17 @@ from layerws.skip_splay import _band_of_height, _height
 from layerws.workload import DELETE, INSERT, GeneratorSpec, generate
 
 
+def climb_to_band_root(eng, base):
+    """Walk the cursor up parent links to the node heading the band of
+    labels above ``base``, one visit per step, and return that node."""
+    node = eng.node
+    while node.parent is not None and node.parent.layer > base:
+        node = node.parent
+        eng.visits += 1
+    eng.node = node
+    return node
+
+
 class RootWalkTree(LayeredTree):
     """The cursor moves every walk paid before finger search."""
 
@@ -31,7 +42,7 @@ class RootWalkTree(LayeredTree):
         eng = self.engine
         node = eng.node
         if node.key != key:
-            eng.ascend_to_subtree_root(self.base)
+            climb_to_band_root(eng, self.base)
             node = eng.descend_to(key)
             assert node is not None
         return node
@@ -54,7 +65,7 @@ class RootWalkTree(LayeredTree):
         if fresh:
             eng.begin_access()
         else:
-            eng.ascend_to_subtree_root(self.base)
+            climb_to_band_root(eng, self.base)
         node = eng.descend_to(key)
         if node is None:
             return None
@@ -159,7 +170,7 @@ class EveryBandSkipSplay(SkipSplayTree):
         tree = self.machine(key)
         tree.search(key, fresh=False)
         while True:
-            parent = eng.ascend_to_subtree_root(tree.base).parent
+            parent = climb_to_band_root(eng, tree.base).parent
             if parent is None:
                 break
             eng.arrive(parent)

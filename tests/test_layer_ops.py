@@ -206,15 +206,26 @@ def test_intra_layer_costs_stay_logarithmic(m):
         assert join_cost <= budget, (m, target, join_cost, budget)
 
 
-def test_black_height_measure():
+def black_height(root):
+    """Black nodes on the left spine of a one-layer tree."""
+    bh = 0
+    while root is not None:
+        bh += not root.red
+        root = root.left
+    return bh
+
+
+def test_join_of_equal_black_heights_grows_one():
     tree = build_baseline(list(range(31)))
     eng = tree.engine
-    h = ops.black_height(eng, eng.root, 1)
+    h = black_height(eng.root)
     assert h >= 1
     # joining two equal trees under a fresh middle grows the height by one
     other = build_baseline(list(range(100, 131)))
+    assert black_height(other.engine.root) == h
     mid = Node(50, 1)
-    root, bh = ops.join3(eng, eng.root, h, mid, other.engine.root,
-                         ops.black_height(other.engine, other.engine.root, 1), 1)
+    visits = eng.visits
+    root, bh = ops.join3(eng, eng.root, h, mid, other.engine.root, h, 1)
     assert bh == h + 1 and root is mid
+    assert eng.visits - visits == 3
     assert_valid_rb(root)

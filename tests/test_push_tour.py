@@ -24,8 +24,8 @@ from layerws.errors import CapacityError
 from layerws.layered_tree import MAX_LAYERS
 from layerws.workload import INSERT, SEARCH, GeneratorSpec, TraceOp, generate
 
-from test_finger import (GOLDEN_CELLS, assert_never_dearer, skip_plan, skip_splay_pair,
-                         skip_state_reader, step_of, tree_reader)
+from test_finger import (GOLDEN_CELLS, assert_never_dearer, climb_to_band_root, skip_plan,
+                         skip_splay_pair, skip_state_reader, step_of, tree_reader)
 
 
 class StepwisePushTree(LayeredTree):
@@ -34,7 +34,7 @@ class StepwisePushTree(LayeredTree):
 
     def _scan_first_layer(self, youngest, ends):
         eng = self.engine
-        eng.ascend_to_subtree_root(self.base)
+        climb_to_band_root(eng, self.base)
         lab = self.base + 1
         stack, walked = [eng.node], 0
         while stack:

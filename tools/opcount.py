@@ -14,6 +14,7 @@ where wall clock is too noisy to.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from collections import Counter
 from pathlib import Path
@@ -27,7 +28,9 @@ from layerws.workload import GeneratorSpec, generate
 def count_opcodes(fn, keys) -> tuple[Counter, int]:
     """Run ``fn(key)`` for each key under an opcode tracer: (opcodes by
     function, total opcodes).  Each frame counts its own opcodes and adds
-    them to both tallies when it returns or yields."""
+    them to both tallies when it returns or yields.  The cyclic collector
+    is paused meanwhile: a collection could run callbacks, which would be
+    counted too, at no fixed point of the run."""
     by_code: Counter = Counter()
     total = 0
 
@@ -46,12 +49,16 @@ def count_opcodes(fn, keys) -> tuple[Counter, int]:
             return local
         return local
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.settrace(on_call)
     try:
         for key in keys:
             fn(key)
     finally:
         sys.settrace(None)
+        if collecting:
+            gc.enable()
     by_name: Counter = Counter()
     for code, n in by_code.items():
         by_name[f"{Path(code.co_filename).stem}.{code.co_qualname}"] += n
