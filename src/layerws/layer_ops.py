@@ -274,7 +274,8 @@ def split(eng: Engine, x: Node):
     """Bring ``x`` to the root of its layer-subtree.
 
     The remaining nodes end up under ``x`` with each side independently
-    valid (the subtree as a whole need not balance across ``x``).  Hanging
+    valid and its root black, as it heads a layer-subtree of its own next
+    (the subtree as a whole need not balance across ``x``).  Hanging
     deeper-layer subtrees are preserved.  Worst-case cost logarithmic in
     the layer-subtree size: the per-step joins telescope along the path.
     """
@@ -283,7 +284,7 @@ def split(eng: Engine, x: Node):
     if v is None or v.layer != j:  # already heads its layer-subtree
         for c in (x.left, x.right):
             if c is not None and c.layer == j:
-                c.red = False  # side roots head their own layer-subtrees next
+                c.red = False
         return
     bh = steps = 0
     n = x
@@ -294,7 +295,7 @@ def split(eng: Engine, x: Node):
         n = n.left
         steps += 1
     child_bh = bh - (0 if x.red else 1)
-    left_root, right_root = x.left, x.right  # they head their own layer-subtrees next
+    left_root, right_root = x.left, x.right
     left_bh = _detach(eng, left_root, child_bh, j)
     right_bh = _detach(eng, right_root, child_bh, j)
 

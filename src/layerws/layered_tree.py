@@ -176,9 +176,9 @@ class LayeredTree:
         return node
 
     def _scan_first_layer(self, youngest: bool, ends) -> Node:
-        """Find the queue head/tail of layer 1 by walking its few members,
-        and record it in ``ends``; the other end goes into the record too
-        when the walk passes it on the way."""
+        """Climb to the band root and find the queue head/tail of layer 1 by
+        walking its few members, and record it in ``ends``; the other end
+        goes into the record too when the walk passes it on the way."""
         eng = self.engine
         base = self.base
         root = eng.node

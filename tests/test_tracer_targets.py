@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from layerws.layered_tree import LayeredTree
+from layerws.workload import GeneratorSpec, generate
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -36,9 +39,6 @@ def test_tracer_target_resolves(module_name, path):
 def test_tracer_counts_the_balance_steps():
     """A zipf preload and its searches, then a mixed trace with deletes:
     the traced call counts of the balance steps, as the tree makes them."""
-    from layerws.layered_tree import LayeredTree
-    from layerws.workload import GeneratorSpec, generate
-
     tracer = load_tracer().Tracer()
     tracer.install()
     tracer.set_phase("run")
