@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import pickle
 import random
 
@@ -195,3 +196,89 @@ def test_zipf_recency_single_key_and_no_searches():
     for spec in (GeneratorSpec("zipf_recency", universe=1, ops=5, seed=4),
                  GeneratorSpec("zipf_recency", universe=7, ops=3, seed=4)):
         assert generate(spec) == _zipf_recency_by_list(spec)
+
+# sha256 of serialize(generate(GeneratorSpec(family, universe, ops, seed,
+# theta, width))), recorded before the generators shared records: every
+# family at universe 1, ops < universe, ops 0 and a middle cell, repeat_block
+# wider than its universe and at width 1, and the benchmark's own specs
+# (perfbench/workloads.py: the skip-splay stream, lws_mixed, lws_zipf and
+# verify_cli's six traces at seed 1, each at seeds 1 and 1009 where it has one).
+GENERATED_DIGESTS = [
+    (("uniform", 1, 10, 3, 1.0, 8),
+     "f75cbd9fadecb3ca432a1a9ce2cfc5c591f3848b0b9ca637e73c09a9227c999e"),
+    (("uniform", 100, 40, 2, 1.0, 8),
+     "121fca341b48a3e417be8793f8203071282d1f6b518dcdc97ebaf2cc3b49866c"),
+    (("uniform", 10, 0, 0, 1.0, 8),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("uniform", 50, 500, 7, 1.0, 8),
+     "571dff36d1b65502a3267caa6169981d85bdf30180618faa0fa6cf18be6e0d90"),
+    (("zipf_recency", 1, 10, 3, 1.0, 8),
+     "c315686f1ca374d48ac8a7f9cf911b8d22173d3476a3a809880c41abd68f95d3"),
+    (("zipf_recency", 100, 40, 2, 1.0, 8),
+     "bffea7c6242552e84e07ffb65208235eeabb4d48c655358daeac312f45c74c6f"),
+    (("zipf_recency", 10, 0, 0, 1.0, 8),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("zipf_recency", 50, 500, 7, 1.0, 8),
+     "c95674e1a94e99e684fbe24f0f100bbbd997efe8b38c5a58cbead92f32fd34b3"),
+    (("sequential_scan", 1, 10, 3, 1.0, 8),
+     "415481baba8eba21e775b44236fae11ca3916617c58c63e82efc2fe004f4f3e2"),
+    (("sequential_scan", 100, 40, 2, 1.0, 8),
+     "e889800061ecf6be9b135177b33657e24203ffd9eb0070a4058ac9acae7df61a"),
+    (("sequential_scan", 10, 0, 0, 1.0, 8),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("sequential_scan", 50, 500, 7, 1.0, 8),
+     "56443c758cfba3e5edc81e5f8b803f07346a90cb2e4d2da87a3f655cd16a8a82"),
+    (("finger_walk", 1, 10, 3, 1.0, 8),
+     "c315686f1ca374d48ac8a7f9cf911b8d22173d3476a3a809880c41abd68f95d3"),
+    (("finger_walk", 100, 40, 2, 1.0, 8),
+     "bffea7c6242552e84e07ffb65208235eeabb4d48c655358daeac312f45c74c6f"),
+    (("finger_walk", 10, 0, 0, 1.0, 8),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("finger_walk", 50, 500, 7, 1.0, 8),
+     "87cac58a4914356e955071168168641e094158b10960ff26d2a20e0bd64dec40"),
+    (("repeat_block", 1, 10, 3, 1.0, 8),
+     "c315686f1ca374d48ac8a7f9cf911b8d22173d3476a3a809880c41abd68f95d3"),
+    (("repeat_block", 100, 40, 2, 1.0, 8),
+     "bffea7c6242552e84e07ffb65208235eeabb4d48c655358daeac312f45c74c6f"),
+    (("repeat_block", 10, 0, 0, 1.0, 8),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("repeat_block", 50, 500, 7, 1.0, 8),
+     "75bc00a6c6d2b09f3a7f85e24dbba449e17bfac673dc8b1fb8874c5535391d15"),
+    (("zipf_recency", 50, 500, 7, 2.0, 8),
+     "7c94a6a3e8115dc6dfa06e80fe410c734e5a3e5a5bd5bcef21fa5e88081720f9"),
+    (("repeat_block", 5, 60, 4, 1.0, 8),
+     "f296bb5f73804f270867f59767495d0e4ee8bb54ad0598cec655f105b775573b"),
+    (("repeat_block", 30, 300, 9, 1.0, 1),
+     "b9229822a06fad82794f5527f0f65d937a1b04ac7147e26c0614555e4d6bcec1"),
+    (("repeat_block", 65535, 115535, 1, 1.0, 4),
+     "4067603aa6fc20db0f6f94162a39cc67180fcf5232446fea31b35c30068485c8"),
+    (("uniform", 10000, 20000, 1, 1.0, 8),
+     "dde97f69bf44946fc6f567d3c44a53f2dea6f700986da46e4b6c2974ff452205"),
+    (("zipf_recency", 10000, 20000, 1, 1.0, 8),
+     "93a9fd2b0bb90570aef8230efc86909b0f4521792ebe28a3f8148fe0ed36b8e2"),
+    (("repeat_block", 65535, 115535, 1009, 1.0, 4),
+     "6282f7bc49030d877f329a3c0dc9404b2833237ab8e1792658c49f83a7e6a745"),
+    (("uniform", 10000, 20000, 1009, 1.0, 8),
+     "718e616225c5d64d6ca7bf5a5bfc6399c854adc3a4b09301e3647e401816411e"),
+    (("zipf_recency", 10000, 20000, 1009, 1.0, 8),
+     "fa783a329f727b566ce00136bbff772362ec5ec96c1b7859327f94fc478557d0"),
+    (("uniform", 1000, 2000, 6, 1.0, 8),
+     "555bbabe508672bc75c33768a17aefaccce3c32af2744b0c621127b589a65ab3"),
+    (("uniform", 1000, 2000, 7, 1.0, 8),
+     "f58501b59054ba53b5800bd727e5765adc3fea702b53f73b41819a03191f8ea0"),
+    (("uniform", 1000, 2000, 8, 1.0, 8),
+     "6c210ea3248d16eaf9bef30a0a43a16a5bdf2c50ea971175a4aeb4adae9926ea"),
+    (("uniform", 1000, 2000, 9, 1.0, 8),
+     "61beb0980bc1a823533ce4709db3eda8e93170df4b4247d4b8c09ff49dab8f03"),
+    (("uniform", 1000, 2000, 10, 1.0, 8),
+     "4e5d8f48156cf534968d8fba3c56f4d5a3c4c57658705e7573ab8acf30308af1"),
+    (("uniform", 1000, 2000, 11, 1.0, 8),
+     "80b46278ab211d03c772ac12f38a4c509e4ea73202e97d6b07804160231f54eb"),
+]
+
+
+@pytest.mark.parametrize("cell, digest", GENERATED_DIGESTS,
+                         ids=["-".join(map(str, cell)) for cell, _ in GENERATED_DIGESTS])
+def test_generated_traces_are_pinned(cell, digest):
+    text = serialize(generate(GeneratorSpec(*cell)))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
