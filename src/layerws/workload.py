@@ -4,7 +4,8 @@ A trace is a list of (kind, key) operations.  The text form is one
 operation per line, ``S``/``I``/``D`` followed by a decimal key (an
 optional ``-`` and ASCII digits, within the signed 64-bit range), newline
 separated; ``#`` starts a comment.  Parsing and serialization round-trip
-exactly.
+exactly.  Records are immutable values: a generated trace may hold one
+record object at many positions.
 
 Generator families (deterministic for a given seed):
 
@@ -50,6 +51,29 @@ class TraceOp:
 
 
 _set_kind, _set_key = TraceOp.kind.__set__, TraceOp.key.__set__
+_new = object.__new__
+
+
+def _op(kind: str, key: int) -> TraceOp:
+    """A record whose kind is already known to be one of ``_KINDS``, at half
+    the cost of the class call."""
+    op = _new(TraceOp)
+    _set_kind(op, kind)
+    _set_key(op, key)
+    return op
+
+
+class _Records(dict):
+    """key -> the record (kind, key), built at its first lookup and shared
+    by every later one."""
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str):
+        self.kind = kind
+
+    def __missing__(self, key: int) -> TraceOp:
+        op = self[key] = _op(self.kind, key)
+        return op
 
 
 def parse(text: str) -> list[TraceOp]:
@@ -75,7 +99,7 @@ def parse(text: str) -> list[TraceOp]:
         key = int(key_text)
         if not _KEY_MIN <= key <= _KEY_MAX:
             raise TraceError(f"key {key_text} outside the signed 64-bit range", lineno, key_col)
-        ops.append(TraceOp(kind, key))
+        ops.append(_op(kind, key))
     return ops
 
 
@@ -117,39 +141,43 @@ class GeneratorSpec:
 
 def generate(spec: GeneratorSpec) -> list[TraceOp]:
     ops = FAMILIES[spec.family](spec)
-    return ops[: spec.ops]
+    del ops[spec.ops:]
+    return ops
 
 
 def _preamble(spec: GeneratorSpec) -> list[TraceOp]:
-    return [TraceOp(INSERT, k) for k in range(1, spec.universe + 1)]
+    """The ascending inserts of the whole universe, as far as the trace keeps them."""
+    return [_op(INSERT, k) for k in range(1, min(spec.universe, spec.ops) + 1)]
 
 
 def _gen_uniform(spec: GeneratorSpec) -> list[TraceOp]:
     """Mixed stream: roughly 60% searches, 25% inserts, 15% deletes, all
     valid against the evolving key set."""
     rng = random.Random(spec.seed)
+    u = spec.universe
     present: list[int] = []
     in_set = set()
+    inserts, deletes, searches = _Records(INSERT), _Records(DELETE), _Records(SEARCH)
     ops = []
     for _ in range(spec.ops):
         r = rng.random()
-        key = rng.randint(1, spec.universe)
-        if (r < 0.25 or not present) and len(present) < spec.universe:
+        key = rng.randrange(u) + 1  # randint(1, u), one call shorter
+        if (r < 0.25 or not present) and len(present) < u:
             while key in in_set:
-                key = rng.randint(1, spec.universe)
+                key = rng.randrange(u) + 1
             insort(present, key)
             in_set.add(key)
-            ops.append(TraceOp(INSERT, key))
+            ops.append(inserts[key])
         elif r < 0.40 and present:
             victim = present.pop(rng.randrange(len(present)))
             in_set.discard(victim)
-            ops.append(TraceOp(DELETE, victim))
+            ops.append(deletes[victim])
         else:
             # mostly hits, occasionally a miss
             if rng.random() < 0.05 or not present:
-                ops.append(TraceOp(SEARCH, key))
+                ops.append(searches[key])
             else:
-                ops.append(TraceOp(SEARCH, present[rng.randrange(len(present))]))
+                ops.append(searches[present[rng.randrange(len(present))]])
     return ops
 
 
@@ -168,12 +196,13 @@ def _gen_zipf_recency(spec: GeneratorSpec) -> list[TraceOp]:
     for r in range(1, n + 1):
         weights.append(weights[-1] + r ** -spec.theta)
     total = weights[-1]
-    searches = max(0, spec.ops - len(ops))
+    searches = max(0, spec.ops - n)
     size = n + searches
     key_at = list(range(size + 1))  # stamp -> key; stamps 1..n are the inserts
     # Fenwick counts of live stamps: node i covers stamps (i - lowbit(i), i]
     live = [0] + [max(0, min(i, n) - i + (i & -i)) for i in range(1, size + 1)]
     top = 1 << (size.bit_length() - 1)
+    records = _Records(SEARCH)
     for stamp in range(n + 1, size + 1):
         rank = bisect_left(weights, rng.random() * total, 1, n)
         # the rank-th youngest is the (n + 1 - rank)-th smallest live stamp
@@ -186,7 +215,7 @@ def _gen_zipf_recency(spec: GeneratorSpec) -> list[TraceOp]:
             step >>= 1
         old = pos + 1
         key = key_at[old]
-        ops.append(TraceOp(SEARCH, key))
+        ops.append(records[key])
         key_at[stamp] = key
         while old <= size:
             live[old] -= 1
@@ -199,34 +228,29 @@ def _gen_zipf_recency(spec: GeneratorSpec) -> list[TraceOp]:
 
 
 def _gen_sequential(spec: GeneratorSpec) -> list[TraceOp]:
-    return [TraceOp(SEARCH, 1 + i % spec.universe) for i in range(spec.ops)]
+    ramp = [_op(SEARCH, k) for k in range(1, min(spec.universe, spec.ops) + 1)]
+    return ramp * (spec.ops // spec.universe + 1)  # generate cuts the last ramp short
 
 
 def _gen_finger(spec: GeneratorSpec) -> list[TraceOp]:
     rng = random.Random(spec.seed)
     ops = _preamble(spec)
+    records = _Records(SEARCH)
     pos = (spec.universe + 1) // 2
     for _ in range(max(0, spec.ops - len(ops))):
         pos += rng.choice((-1, 1))
         pos = max(1, min(spec.universe, pos))
-        ops.append(TraceOp(SEARCH, pos))
+        ops.append(records[pos])
     return ops
 
 
 def _gen_repeat_block(spec: GeneratorSpec) -> list[TraceOp]:
     rng = random.Random(spec.seed)
     ops = _preamble(spec)
-    remaining = max(0, spec.ops - len(ops))
     width = min(spec.width, spec.universe)
-    while remaining > 0:
+    while len(ops) < spec.ops:  # generate cuts the last sweep short
         start = rng.randint(1, spec.universe - width + 1)
-        sweeps = rng.randint(2, 5)
-        for _ in range(sweeps):
-            for k in range(start, start + width):
-                if remaining == 0:
-                    break
-                ops.append(TraceOp(SEARCH, k))
-                remaining -= 1
+        ops += [_op(SEARCH, k) for k in range(start, start + width)] * rng.randint(2, 5)
     return ops
 
 

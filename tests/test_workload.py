@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from layerws import GeneratorSpec, TraceOp, TraceError, generate, parse, serialize
+from layerws import workload
+from layerws.workload import load, save
 from layerws.reference import WorkingSetTracker
 
 
@@ -149,6 +151,65 @@ def test_generator_spec_validation():
         GeneratorSpec("uniform", universe=0, ops=5)
     with pytest.raises(ValueError):
         GeneratorSpec("zipf_recency", universe=10, ops=5, theta=0.0)
+    with pytest.raises(ValueError, match="op count"):
+        GeneratorSpec("uniform", universe=10, ops=-1)
+    with pytest.raises(ValueError, match="block width"):
+        GeneratorSpec("repeat_block", universe=10, ops=5, width=0)
+
+
+@pytest.mark.parametrize("width, seed", [(1, 3), (3, 1), (8, 2)])
+def test_repeat_block_sweeps_blocks_of_width_keys(width, seed):
+    n = 400
+    trace = generate(GeneratorSpec("repeat_block", n, n + 2001, seed=seed, width=width))
+    keys = [op.key for op in trace[n:]]
+    assert all(op.kind == "S" for op in trace[n:])
+    runs = [keys[i:i + width] for i in range(0, len(keys), width)]
+    assert all(run == list(range(run[0], run[0] + width)) for run in runs[:-1])
+    assert runs[-1] == list(range(runs[-1][0], runs[-1][0] + len(runs[-1])))
+    # consecutive equal runs are one block's sweeps; only the last block may
+    # stop before its second sweep or part-way through a sweep
+    sweeps = []
+    for i, run in enumerate(runs):
+        if i and run[0] == runs[i - 1][0]:
+            sweeps[-1] += 1
+        else:
+            sweeps.append(1)
+    assert all(2 <= count <= 5 for count in sweeps[:-1]), sweeps
+    assert 1 <= sweeps[-1] <= 5
+
+
+def test_save_load_roundtrip(tmp_path):
+    trace = generate(GeneratorSpec("uniform", universe=40, ops=300, seed=5))
+    path = tmp_path / "trace.txt"
+    save(trace, path)
+    assert path.read_text(encoding="ascii") == serialize(trace)
+    assert load(path) == trace
+
+
+def test_generators_share_records():
+    skip = generate(GeneratorSpec("repeat_block", 65535, 115535, seed=1, width=4))
+    assert len({id(op) for op in skip}) <= 80_000
+    scan = generate(GeneratorSpec("sequential_scan", universe=50, ops=500))
+    assert len({id(op) for op in scan}) == 50
+    shared = scan[0]
+    assert shared is scan[50] and shared == TraceOp("S", 1)
+    assert hash(shared) == hash(TraceOp("S", 1)) and type(shared) is TraceOp
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shared.key = 2
+
+
+@pytest.mark.parametrize("family", ["zipf_recency", "finger_walk", "repeat_block",
+                                    "sequential_scan"])
+def test_generators_build_only_the_records_they_return(family, monkeypatch):
+    built, make = [], workload._op
+
+    def counting_op(kind, key):
+        built.append(key)
+        return make(kind, key)
+
+    monkeypatch.setattr(workload, "_op", counting_op)
+    trace = generate(GeneratorSpec(family, universe=65535, ops=10, seed=1))
+    assert len(trace) == len(built) == 10
 
 
 def _zipf_recency_by_list(spec):
