@@ -25,6 +25,7 @@ import random
 import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import TraceError
 
@@ -55,18 +56,24 @@ _new = object.__new__
 
 
 def _op(kind: str, key: int) -> TraceOp:
-    """A record whose kind is already known to be one of ``_KINDS``, at half
-    the cost of the class call."""
+    """A record whose kind is already known to be one of ``_KINDS``."""
     op = _new(TraceOp)
     _set_kind(op, kind)
     _set_key(op, key)
     return op
 
 
+def _ramp(kind: str, n: int) -> list[TraceOp]:
+    """The records (kind, 1), ..., (kind, n), at half the cost of class calls:
+    C-level loops fill their slots, as ``_op`` does one record's."""
+    ops = list(map(_new, repeat(TraceOp, n)))
+    any(map(_set_kind, ops, repeat(kind)))  # each call returns None: any() runs them all
+    any(map(_set_key, ops, range(1, n + 1)))
+    return ops
+
+
 class _Records(dict):
-    """key -> the record (kind, key), built at its first lookup and shared
-    by every later one."""
-    __slots__ = ("kind",)
+    """key -> the record (kind, key), built at its first lookup and shared after."""
 
     def __init__(self, kind: str):
         self.kind = kind
@@ -141,30 +148,29 @@ class GeneratorSpec:
 
 def generate(spec: GeneratorSpec) -> list[TraceOp]:
     ops = FAMILIES[spec.family](spec)
-    del ops[spec.ops:]
+    del ops[spec.ops:]  # a family may run on to the end of its last ramp or sweep
     return ops
 
 
 def _preamble(spec: GeneratorSpec) -> list[TraceOp]:
     """The ascending inserts of the whole universe, as far as the trace keeps them."""
-    return [_op(INSERT, k) for k in range(1, min(spec.universe, spec.ops) + 1)]
+    return _ramp(INSERT, min(spec.universe, spec.ops))
 
 
 def _gen_uniform(spec: GeneratorSpec) -> list[TraceOp]:
     """Mixed stream: roughly 60% searches, 25% inserts, 15% deletes, all
     valid against the evolving key set."""
     rng = random.Random(spec.seed)
-    u = spec.universe
     present: list[int] = []
     in_set = set()
     inserts, deletes, searches = _Records(INSERT), _Records(DELETE), _Records(SEARCH)
     ops = []
     for _ in range(spec.ops):
         r = rng.random()
-        key = rng.randrange(u) + 1  # randint(1, u), one call shorter
-        if (r < 0.25 or not present) and len(present) < u:
+        key = rng.randrange(spec.universe) + 1  # randint(1, universe), one call shorter
+        if (r < 0.25 or not present) and len(present) < spec.universe:
             while key in in_set:
-                key = rng.randrange(u) + 1
+                key = rng.randrange(spec.universe) + 1
             insort(present, key)
             in_set.add(key)
             ops.append(inserts[key])
@@ -228,8 +234,7 @@ def _gen_zipf_recency(spec: GeneratorSpec) -> list[TraceOp]:
 
 
 def _gen_sequential(spec: GeneratorSpec) -> list[TraceOp]:
-    ramp = [_op(SEARCH, k) for k in range(1, min(spec.universe, spec.ops) + 1)]
-    return ramp * (spec.ops // spec.universe + 1)  # generate cuts the last ramp short
+    return _ramp(SEARCH, min(spec.universe, spec.ops)) * (spec.ops // spec.universe + 1)
 
 
 def _gen_finger(spec: GeneratorSpec) -> list[TraceOp]:
@@ -248,7 +253,7 @@ def _gen_repeat_block(spec: GeneratorSpec) -> list[TraceOp]:
     rng = random.Random(spec.seed)
     ops = _preamble(spec)
     width = min(spec.width, spec.universe)
-    while len(ops) < spec.ops:  # generate cuts the last sweep short
+    while len(ops) < spec.ops:
         start = rng.randint(1, spec.universe - width + 1)
         ops += [_op(SEARCH, k) for k in range(start, start + width)] * rng.randint(2, 5)
     return ops

@@ -201,13 +201,13 @@ def test_generators_share_records():
 @pytest.mark.parametrize("family", ["zipf_recency", "finger_walk", "repeat_block",
                                     "sequential_scan"])
 def test_generators_build_only_the_records_they_return(family, monkeypatch):
-    built, make = [], workload._op
+    built, make = [], workload._new
 
-    def counting_op(kind, key):
-        built.append(key)
-        return make(kind, key)
+    def counting_new(cls):
+        built.append(cls)
+        return make(cls)
 
-    monkeypatch.setattr(workload, "_op", counting_op)
+    monkeypatch.setattr(workload, "_new", counting_new)
     trace = generate(GeneratorSpec(family, universe=65535, ops=10, seed=1))
     assert len(trace) == len(built) == 10
 
