@@ -148,8 +148,7 @@ class GeneratorSpec:
 
 def generate(spec: GeneratorSpec) -> list[TraceOp]:
     ops = FAMILIES[spec.family](spec)
-    del ops[spec.ops:]  # a family may run on to the end of its last ramp or sweep
-    return ops
+    return ops[: spec.ops]  # a family may run on to the end of its last ramp or sweep
 
 
 def _preamble(spec: GeneratorSpec) -> list[TraceOp]:
