@@ -64,8 +64,8 @@ def _op(kind: str, key: int) -> TraceOp:
 
 
 def _ramp(kind: str, n: int) -> list[TraceOp]:
-    """The records (kind, 1), ..., (kind, n), at half the cost of class calls:
-    C-level loops fill their slots, as ``_op`` does one record's."""
+    """The records (kind, 1), ..., (kind, n) for a kind as ``_op`` takes it: C-level
+    loops fill their slots as ``_op`` does one record's, at half the cost of class calls."""
     ops = list(map(_new, repeat(TraceOp, n)))
     any(map(_set_kind, ops, repeat(kind)))  # each call returns None: any() runs them all
     any(map(_set_key, ops, range(1, n + 1)))

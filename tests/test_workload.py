@@ -258,12 +258,14 @@ def test_zipf_recency_single_key_and_no_searches():
                  GeneratorSpec("zipf_recency", universe=7, ops=3, seed=4)):
         assert generate(spec) == _zipf_recency_by_list(spec)
 
+
 # sha256 of serialize(generate(GeneratorSpec(family, universe, ops, seed,
 # theta, width))), recorded before the generators shared records: every
-# family at universe 1, ops < universe, ops 0 and a middle cell, repeat_block
-# wider than its universe and at width 1, and the benchmark's own specs
-# (perfbench/workloads.py: the skip-splay stream, lws_mixed, lws_zipf and
-# verify_cli's six traces at seed 1, each at seeds 1 and 1009 where it has one).
+# family at universe 1, ops < universe, ops 0 and a middle cell, zipf_recency
+# at theta 2, repeat_block wider than its universe and at width 1, and the
+# benchmark's own specs (perfbench/workloads.py): the skip-splay stream and
+# the lws_mixed and lws_zipf traces at seeds 1 and 1009, and verify_cli's six
+# traces at seed 1.
 GENERATED_DIGESTS = [
     (("uniform", 1, 10, 3, 1.0, 8),
      "f75cbd9fadecb3ca432a1a9ce2cfc5c591f3848b0b9ca637e73c09a9227c999e"),
