@@ -138,10 +138,19 @@ OTHER_GOLDEN = {
         lambda tmp_path: ["--gen", "uniform", "--n", "300", "--ops", "1500", "--seed", "3"],
         "ebc3b640e8f04816d39a0cb103ec4bc2730c5a2e08dc855004aa231d42425f1f",
         "c5354a21cb9611c58a094d14df10fd3f726dfaa20522e88a26ea43d5cea83f61"),
+    # the only cell whose CSV carries the skip_per_lgn bound
+    "skip_splay": (
+        lambda tmp_path: ["--trace", _band_searches(tmp_path / "searches.txt")],
+        "d52082eed6df94ee20ad811e0297c4753755d12fab9cba6ebeac32cfc2854eb5",
+        "0c74db9e9bbc43694f91d7732981da1a736ad0fb71198cd62b4213efe01b6be3"),
     "skip_splay_doubled": (
         lambda tmp_path: ["--trace", _band_searches(tmp_path / "searches.txt")],
         "376d517618be40ab6e528d24777bd76edfa7498795dd3ec6a2263f4767fd1909",
         "beb990ba5d6c439337b6dc75d5f67d65723fa30ac734ff78602667fb70f3962c"),
+    "ws_reference": (
+        lambda tmp_path: ["--gen", "uniform", "--n", "300", "--ops", "1500", "--seed", "3"],
+        "a4252fd3b33c8590ab09e5d4f8c4a54f4c139ca82809a6f6f627d177cb6fc771",
+        "87a9faf59a7f195273e3c07a4ad6203ae3e0f9d666968c25a0f57bbedde39be7"),
 }
 
 
