@@ -25,7 +25,7 @@ import random
 import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .errors import TraceError
 
@@ -42,13 +42,9 @@ class TraceOp:
     kind: str
     key: int
 
-    def __init__(self, kind: str, key: int):
-        # the slots are written through their descriptors: a frozen class's
-        # own __setattr__ refuses, and its usual way round costs two calls
-        if kind not in _KINDS:
-            raise ValueError(f"unknown op kind {kind!r}")
-        _set_kind(self, kind)
-        _set_key(self, key)
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown op kind {self.kind!r}")
 
 
 _set_kind, _set_key = TraceOp.kind.__set__, TraceOp.key.__set__
@@ -190,45 +186,21 @@ def _gen_zipf_recency(spec: GeneratorSpec) -> list[TraceOp]:
     """Searches pick the r-th most recently touched key with probability
     proportional to r^-theta.
 
-    Recency is kept as touch stamps: key k starts with stamp k (ascending
-    inserts), each search restamps its key past every stamp so far, and a
-    Fenwick tree over live stamps finds the r-th youngest in O(log n).
+    ``order`` holds the keys oldest first, so the r-th youngest is
+    ``order[-r]``; a search moves its key to the end.  Each search costs
+    r - 1 pointer moves, where r is the drawn rank.
     """
     rng = random.Random(spec.seed)
     ops = _preamble(spec)
     n = spec.universe
-    weights = [0.0]
-    for r in range(1, n + 1):
-        weights.append(weights[-1] + r ** -spec.theta)
+    weights = list(accumulate((r ** -spec.theta for r in range(1, n + 1)), initial=0.0))
     total = weights[-1]
-    searches = max(0, spec.ops - n)
-    size = n + searches
-    key_at = list(range(size + 1))  # stamp -> key; stamps 1..n are the inserts
-    # Fenwick counts of live stamps: node i covers stamps (i - lowbit(i), i]
-    live = [0] + [max(0, min(i, n) - i + (i & -i)) for i in range(1, size + 1)]
-    top = 1 << (size.bit_length() - 1)
+    order = list(range(1, n + 1))  # ascending inserts: key n is the youngest
     records = _Records(SEARCH)
-    for stamp in range(n + 1, size + 1):
-        rank = bisect_left(weights, rng.random() * total, 1, n)
-        # the rank-th youngest is the (n + 1 - rank)-th smallest live stamp
-        want, pos, step = n + 1 - rank, 0, top
-        while step:
-            nxt = pos + step
-            if nxt <= size and live[nxt] < want:
-                pos = nxt
-                want -= live[nxt]
-            step >>= 1
-        old = pos + 1
-        key = key_at[old]
+    for _ in range(spec.ops - n):
+        key = order.pop(-bisect_left(weights, rng.random() * total, 1, n))
+        order.append(key)
         ops.append(records[key])
-        key_at[stamp] = key
-        while old <= size:
-            live[old] -= 1
-            old += old & -old
-        i = stamp
-        while i <= size:
-            live[i] += 1
-            i += i & -i
     return ops
 
 

@@ -213,8 +213,8 @@ def test_generators_build_only_the_records_they_return(family, monkeypatch):
 
 
 def _zipf_recency_by_list(spec):
-    """The list-reindexing zipf generator, kept as the reference for the
-    Fenwick-tree version: O(rank) work per search."""
+    """An independent zipf generator, the reference for ``zipf_recency``:
+    youngest first, with an index map rebuilt over the moved prefix."""
     rng = random.Random(spec.seed)
     ops = [TraceOp("I", k) for k in range(1, spec.universe + 1)]
     n = spec.universe
