@@ -43,11 +43,10 @@ def insert_fixup(eng: Engine, x: Node) -> bool:
     while True:
         p = x.parent
         if p is None or p.layer != j:
-            if x.red:
-                x.red = False
-                eng.visits += 1
-                return True
-            return False
+            # x is red here: it entered red and only climbs to a grandparent it reddened
+            x.red = False
+            eng.visits += 1
+            return True
         if not p.red:
             return False
         g = p.parent
