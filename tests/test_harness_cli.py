@@ -189,6 +189,22 @@ def test_run_names_the_operation_of_a_planted_fault(fault, tmp_path, monkeypatch
         assert err.startswith(f"violation: op {PLANT_AT}: ")
 
 
+def test_run_reports_a_search_layer_the_reference_disagrees_with(monkeypatch):
+    """The search for key 1 reports one layer deeper than it found, and the
+    tree is left as it is: only the lockstep layer check can tell."""
+    original = LayeredTree.search
+
+    def crooked(self, key, fresh=True):
+        layer = original(self, key, fresh)
+        return layer + 1 if key == 1 else layer
+
+    monkeypatch.setattr(LayeredTree, "search", crooked)
+    result = run(RunConfig("lws", trace=parse(PLANT_TRACE), verify_every=1))
+    assert result.exit_code == 1
+    assert result.summary["divergence"] == (
+        f"op {PLANT_AT}: search 1: tree found layer 4, reference level 3")
+
+
 def test_run_reports_a_child_link_cycle_planted_by_the_last_operation(monkeypatch):
     """The search for key 1, the trace's last operation, points key 1's
     left link at the root.  The per-operation sweep and the final sweep
@@ -278,6 +294,53 @@ def test_header_desync_detected():
     corrupt_sizes(tree, deepest=tree.sizes[3] + 1)
     found = verify_structure(tree)
     assert any(v.kind == "header" for v in found)
+
+
+def _baseline_nodes(n=40):
+    tree = RedBlackBaseline()
+    for k in range(1, n + 1):
+        tree.insert(k)
+    assert not verify_structure(tree)
+    return tree, list(tree.engine.iter_nodes())
+
+
+def test_baseline_validators_report_order_and_colour_faults():
+    tree, nodes = _baseline_nodes()
+    nodes[9].key, nodes[19].key = nodes[19].key, nodes[9].key
+    assert {v.kind for v in verify_structure(tree)} == {"bst-order"}
+
+    tree, nodes = _baseline_nodes()
+    root = tree.engine.root
+    red = next(n for n in nodes if n.red and n.parent is not root)
+    red.parent.red = True
+    assert ("rb-red-red", red.parent.key) in {(v.kind, v.witness) for v in verify_structure(tree)}
+
+    tree, nodes = _baseline_nodes()
+    next(n for n in nodes if n.left is None and n.right is None and not n.red).red = True
+    assert {v.kind for v in verify_structure(tree)} == {"rb-black-height"}
+
+
+def _reference(n=40):
+    ref = ReferenceStructure()
+    for k in range(1, n + 1):
+        ref.insert(k)
+    assert not verify_structure(ref)
+    return ref
+
+
+def test_reference_validator_reports_an_empty_deepest_level_and_a_stray_key():
+    ref = _reference()
+    deepest = ref.level_queues[-1]
+    for k in deepest:
+        del ref.level_of[k]
+    deepest.clear()
+    assert [str(v) for v in verify_structure(ref)] == [
+        f"layer-size[{ref.levels}]: deepest level holds 0"]
+
+    ref = _reference()
+    ref.level_of[41] = 1
+    assert [str(v) for v in verify_structure(ref)] == [
+        f"queue-chain[{ref.levels}]: queues hold 40 keys, the level map 41"]
 
 
 # the 40-key tree's books read {1: 4, 2: 16, 3: 20}; a miscounted layer
