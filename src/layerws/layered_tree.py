@@ -116,9 +116,6 @@ class LayeredTree:
     def __len__(self):
         return sum(self.sizes.values())
 
-    def __contains__(self, key):
-        return self.engine.lookup(key) is not None
-
     def keys(self) -> list[int]:
         return self.engine.inorder_keys(len(self))
 

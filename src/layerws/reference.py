@@ -51,9 +51,6 @@ class ReferenceStructure:
     def __len__(self):
         return len(self.level_of)
 
-    def __contains__(self, key):
-        return key in self.level_of
-
     def _add_youngest(self, idx: int, key):
         self.level_of[key] = idx + 1
         self.level_queues[idx].insert(0, key)
