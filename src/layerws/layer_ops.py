@@ -153,18 +153,17 @@ def splice_nearest(eng: Engine, x: Node, succ: bool):
     else:
         short = (s, succ) if q is x else (q, not succ)
     if q is not x:
-        # s leaves its parent q: q adopts s's far child, s takes x's subtree
-        far = s.right if succ else s.left
+        # a predecessor is spliced only when x has no in-layer right child;
+        # then x's in-layer left child is a red leaf, the predecessor itself
+        assert succ, f"predecessor {s.key} of {x.key} below x's child"
+        # s leaves q: q adopts s's right child, s takes x's right subtree
+        far = s.right
         if far is not None:
             far.parent = q
-        sub = x.right if succ else x.left
+        sub = x.right
         sub.parent = s
-        if succ:
-            q.left = far
-            s.right = sub
-        else:
-            q.right = far
-            s.left = sub
+        q.left = far
+        s.right = sub
     eng.replace_subtree(x, s)
     other = x.left if succ else x.right
     if other is not None:
