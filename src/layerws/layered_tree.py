@@ -255,10 +255,9 @@ class LayeredTree:
 
     # -- implicit queue maintenance -------------------------------------------
 
-    def _queue_remove(self, x: Node, j: int, ends=None, ahead: bool = False):
+    def _queue_remove(self, x: Node, j: int, ends, ahead: bool = False):
         """Unlink ``x`` from layer j's recency queue, repairing neighbours
-        and the boundary pointers held one layer up.  ``ends`` may be None
-        only for an interior or oldest member of layer 1 (a re-front).
+        and the boundary pointers held one layer up.
 
         ``ahead``: ``x`` is the oldest of j in a push-down step followed by
         one from layer j+1, which is left the unlink of x's younger
@@ -284,9 +283,8 @@ class LayeredTree:
                 y = self._goto(xy)
                 y.older = None
                 y.next_layer = xn
-            if ends is not None:
-                ends[0][j] = xy
-                ends[0][j + 1] = xn
+            ends[0][j] = xy
+            ends[0][j + 1] = xn
             if j >= 2:
                 o = self._extreme_in_layer(j - 1, False, ends)
                 o.older = None  # in a tour, o's unlink was left to this step
@@ -457,8 +455,9 @@ class LayeredTree:
     def _refront(self, x: Node):
         if x.younger is None:  # already the youngest: the cursor reads it free
             return
-        y_key, x_next = self._file_youngest(x, 1, _empty_ends())
-        self._queue_remove(x, 1)
+        ends = _empty_ends()
+        y_key, x_next = self._file_youngest(x, 1, ends)
+        self._queue_remove(x, 1, ends)
         x.older = y_key
         x.younger = None
         x.next_layer = x_next

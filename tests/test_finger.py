@@ -48,11 +48,12 @@ class RootWalkTree(LayeredTree):
         return node
 
     def _refront(self, x):
-        y0 = self._scan_first_layer(True, _empty_ends())
+        ends = _empty_ends()
+        y0 = self._scan_first_layer(True, ends)
         if y0 is x:
             return
         y0_next = y0.next_layer
-        self._queue_remove(x, 1)
+        self._queue_remove(x, 1, ends)
         x.older = y0.key
         x.younger = None
         x.next_layer = y0_next

@@ -156,7 +156,7 @@ def test_interior_queue_splice():
     node = tree.engine.root
     while node.key != 4:
         node = node.left if 4 < node.key else node.right
-    tree._queue_remove(node, 1)
+    tree._queue_remove(node, 1, layered_tree._empty_ends())
     snap_order = []
     walk = [n for n in tree.engine.iter_nodes() if n.layer == 1 and n.younger is None]
     assert len(walk) == 1
