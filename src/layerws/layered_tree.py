@@ -241,18 +241,6 @@ class LayeredTree:
             known[level] = key
         return node
 
-    def youngest_in_layer(self, j: int) -> int:
-        return self._end_of_layer(j, True)
-
-    def oldest_in_layer(self, j: int) -> int:
-        return self._end_of_layer(j, False)
-
-    def _end_of_layer(self, j: int, youngest: bool) -> int:
-        if j < 1 or self.sizes.get(j, 0) == 0:
-            raise ValueError(f"layer {j} is empty")
-        self.engine.begin_access()
-        return self._extreme_in_layer(j, youngest, _empty_ends()).key
-
     # -- implicit queue maintenance -------------------------------------------
 
     def _queue_remove(self, x: Node, j: int, ends, ahead: bool = False):
@@ -434,22 +422,6 @@ class LayeredTree:
         sizes[j] -= 1
         sizes[recv] = sizes.get(recv, 0) + 1
 
-    def move_up(self, key: int):
-        node = self._find(key)
-        if node.layer - self.base == 1:
-            raise ValueError(f"key {key} is in layer 1: no layer above")
-        self._move_up(node, node.layer - self.base - 1, _empty_ends())
-
-    def move_down(self, key: int):
-        self._move_down(self._find(key), _empty_ends())
-
-    def _find(self, key: int) -> Node:
-        self.engine.begin_access()
-        node = self.engine.descend_to(key)
-        if node is None:
-            raise MissingKeyError(key)
-        return node
-
     # -- recency re-front for a hit already in layer 1 ---------------------------
 
     def _refront(self, x: Node):
@@ -542,7 +514,10 @@ class LayeredTree:
         deepest layer, unlink the leaf, then refill each drained layer with
         the youngest of the layer below."""
         eng = self.engine
-        node = self._find(key)
+        eng.begin_access()
+        node = eng.descend_to(key)
+        if node is None:
+            raise MissingKeyError(key)
         t = self.layer_count
         j = node.layer - self.base
         ends = _empty_ends()

@@ -30,6 +30,29 @@ def layer_of(tree, key):
     return tree.engine.lookup(key).layer
 
 
+# One-layer moves and queue-end lookups, each a fresh access with its own
+# record of queue ends.  A lone move leaves the size schedule off by one
+# key, for the public operations to restore.
+
+def move_up(tree, key):
+    """Move ``key`` up one layer; it becomes the youngest there."""
+    tree.engine.begin_access()
+    node = tree.engine.descend_to(key)
+    tree._move_up(node, node.layer - tree.base - 1, layered_tree._empty_ends())
+
+
+def move_down(tree, key):
+    """Move ``key`` down one layer; it becomes the youngest there."""
+    tree.engine.begin_access()
+    tree._move_down(tree.engine.descend_to(key), layered_tree._empty_ends())
+
+
+def layer_end(tree, j, youngest):
+    """The youngest (else the oldest) key of layer ``j``."""
+    tree.engine.begin_access()
+    return tree._extreme_in_layer(j, youngest, layered_tree._empty_ends()).key
+
+
 def scenario_a():
     """Insert 1..5 into an empty tree."""
     tree = LayeredTree()
@@ -110,19 +133,19 @@ def test_youngest_oldest_single_layer():
     tree = LayeredTree()
     for k in (1, 2, 3):
         tree.insert(k)
-    assert tree.youngest_in_layer(1) == 3
-    assert tree.oldest_in_layer(1) == 1
+    assert layer_end(tree, 1, youngest=True) == 3
+    assert layer_end(tree, 1, youngest=False) == 1
 
 
 def test_oldest_in_second_layer():
     tree = scenario_a()
-    assert tree.oldest_in_layer(2) == 1
-    assert tree.youngest_in_layer(2) == 1  # singleton deepest layer
+    assert layer_end(tree, 2, youngest=False) == 1
+    assert layer_end(tree, 2, youngest=True) == 1  # singleton deepest layer
 
 
 def test_move_up_from_second_layer():
     tree = scenario_a()
-    tree.move_up(1)
+    move_up(tree, 1)
     snap = tree.layer_snapshot()
     assert snap[1] == [1, 5, 4, 3, 2]  # transiently overfull, 1 youngest
     assert 2 not in snap
@@ -138,7 +161,7 @@ def test_move_down_oldest_of_first_layer():
     before = tree.layer_snapshot()
     victim = before[1][-1]
     inorder = tree.keys()
-    tree.move_down(victim)
+    move_down(tree, victim)
     after = tree.layer_snapshot()
     assert after[1] == before[1][:-1]
     assert after[2][0] == victim  # youngest of the layer below
@@ -152,7 +175,7 @@ def test_move_down_oldest_of_first_layer():
 
 def test_interior_queue_splice():
     tree = scenario_a()
-    tree.move_up(1)  # layer 1 recency: 1,5,4,3,2
+    move_up(tree, 1)  # layer 1 recency: 1,5,4,3,2
     node = tree.engine.root
     while node.key != 4:
         node = node.left if 4 < node.key else node.right
@@ -173,8 +196,8 @@ def test_search_matches_step_by_step_moves(n, seed):
     """The paper's order of steps for a hit in layer j: move the key to
     layer 1, then push the oldest of each layer 1..j-1 down one layer.
     ``search`` takes the key up in one move; replaying the move one layer
-    at a time with the public methods must give the same tree node for
-    node, and cost no fewer visits."""
+    at a time with ``move_up`` and ``move_down`` must give the same tree
+    node for node, and cost no fewer visits."""
     rng = random.Random(seed)
     keys = rng.sample(range(10 * n), n)
     tree = LayeredTree()
@@ -193,9 +216,9 @@ def test_search_matches_step_by_step_moves(n, seed):
         spent = tree.engine.visits - before
         before = twin.engine.visits
         for _ in range(j - 1):
-            twin.move_up(k)
+            move_up(twin, k)
         for m in range(1, j):
-            twin.move_down(twin.oldest_in_layer(m))
+            move_down(twin, layer_end(twin, m, youngest=False))
         assert tree_reader(tree, cursor=False)() == tree_reader(twin, cursor=False)(), \
             f"search({k}) from layer {j}"
         assert spent <= twin.engine.visits - before
@@ -281,12 +304,8 @@ assert False, "asserts are live"
 tree = LayeredTree()
 for k in range(1, 41):
     tree.insert(k)
-layer_one = tree.layer_snapshot()[1][0]
 before = tree.layer_snapshot()
-for call in (lambda: tree.move_up(layer_one), lambda: tree.move_up(999),
-             lambda: tree.move_down(999), lambda: tree.youngest_in_layer(7),
-             lambda: tree.oldest_in_layer(0),
-             lambda: UnifiedBoundTracker().unified_bound(5)):
+for call in (lambda: tree.delete(999), lambda: UnifiedBoundTracker().unified_bound(5)):
     try:
         print("returned", call())
     except Exception as exc:
@@ -305,8 +324,7 @@ def test_bad_input_raises_under_python_O():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == [
-        "ValueError", "MissingKeyError", "MissingKeyError", "ValueError",
-        "ValueError", "ValueError", "True 0",
+        "MissingKeyError", "ValueError", "True 0",
         "rb-black-height[12]: black heights 1 vs 2 below key 12; "
         "rb-red-red[12]: red 12 has red child 10; "
         "rb-black-height[8]: black heights 2 vs 1 below key 8",
@@ -619,8 +637,8 @@ def test_operations_leave_no_state_behind():
         tree.search(rng.choice(keys))
     for k in keys[:150]:
         tree.delete(k)
-    tree.move_down(tree.youngest_in_layer(1))
-    tree.move_up(tree.youngest_in_layer(2))
-    tree.oldest_in_layer(3)
+    move_down(tree, layer_end(tree, 1, youngest=True))
+    move_up(tree, layer_end(tree, 2, youngest=True))
+    layer_end(tree, 3, youngest=False)
     assert vars(tree).keys() == vars(LayeredTree()).keys() == {"engine", "base", "sizes"}
     assert Engine.__slots__ == ("root", "node", "visits")
