@@ -8,6 +8,7 @@ import pytest
 
 from layerws import LayeredTree, RedBlackBaseline, ReferenceStructure
 from layerws.cli import main
+from layerws.engine import Node
 from layerws.errors import DivergenceError, IncompatibleTraceError
 from layerws.faults import (_find, corrupt_color, corrupt_layer, corrupt_next_layer,
                             corrupt_queue_swap, corrupt_sizes)
@@ -357,6 +358,29 @@ def test_books_checked_entry_by_entry(sizes, witness):
     assert [(v.kind, v.witness) for v in found] == [("header", witness)], [str(v) for v in found]
 
 
+def test_books_of_an_empty_tree_name_no_layer():
+    tree = LayeredTree()
+    assert not verify_structure(tree)
+    corrupt_sizes(tree, layers=2)
+    assert [str(v) for v in verify_structure(tree)] == [
+        "header[t]: empty tree but the books name layers [1, 2]"]
+
+
+def test_queue_that_returns_to_a_key_it_passed_cycles():
+    """A second node takes the key of layer 1's oldest and names it as
+    both recency links, and the oldest names its own key as younger.  The
+    key map holds the second node, which the walk reaches after the
+    oldest, so the queue walk from the oldest runs on that node forever."""
+    tree = fresh_tree()
+    tree.search(37)
+    assert tree.layer_snapshot()[1] == [37, 40, 39, 38]
+    oldest, second = tree.engine.lookup(38), tree.engine.lookup(40)
+    second.key = second.older = second.younger = oldest.younger = 38
+    assert [str(v) for v in verify_structure(tree)] == [
+        "bst-order[38]: key 38 outside interval (39, inf)",
+        "queue-chain[1]: layer 1 queue cycles"]
+
+
 def test_next_layer_corruption_detected():
     tree = fresh_tree()
     youngest = tree.layer_snapshot()[1][0]
@@ -382,6 +406,19 @@ def test_compare_layers_accepts_lockstep_pair():
         tree.delete(k)
         ref.delete(k)
         compare_layers(tree, ref, node_map(tree))
+
+
+def test_compare_layers_counts_the_node_map():
+    """A key the reference lacks, mapped beside every queued key, passes the
+    queue checks; only the final count tells."""
+    tree, ref = LayeredTree(), ReferenceStructure()
+    for k in range(1, 41):
+        tree.insert(k)
+        ref.insert(k)
+    nodes = node_map(tree)
+    nodes[41] = Node(41, 3)
+    with pytest.raises(DivergenceError, match="^reference holds 40 keys, tree maps 41$"):
+        compare_layers(tree, ref, nodes)
 
 
 def test_broken_queue_is_a_divergence_not_a_crash():
