@@ -1,6 +1,6 @@
 """The tools still run against the package: the calibration replay reads
-the tree's books, the opcode count traces its inserts and searches, and
-nothing else exercises either."""
+the tree's books, the opcode count traces its inserts, searches and
+deletes, and nothing else exercises either."""
 
 import pathlib
 import runpy
@@ -34,10 +34,13 @@ def test_opcount_repeats_and_its_parts_sum_to_the_total(capsys):
     assert first == tool["profile"](300, 200, 100, 1)
     for ops, by_name, total in first.values():
         assert total > 0 and sum(by_name.values()) == total
-    assert first["search"][0] == 200 and first["insert"][0] == 100
+    assert [(kind, ops) for kind, (ops, _, _) in first.items()] == [
+        ("insert", 100), ("search", 200), ("delete", 100)]
 
     assert tool["main"](["--n", "300", "--searches", "200", "--inserts", "100"]) == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header[-3:] == ["insert", "search", "delete"]
     *parts, (_, *total) = rows
+    assert len(total) == 3
     for col, want in enumerate(total, start=1):
         assert abs(sum(float(r[col]) for r in parts) - float(want)) < 0.05 * len(parts)

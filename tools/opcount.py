@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Count the interpreter work of the layered tree's inserts and searches.
+"""Count the layered tree's interpreter work per insert, search and delete.
 
 Preloads a ``zipf_recency`` trace into a LayeredTree without tracing,
-except for its last ``--inserts`` inserts, then runs its searches.  The
-traced inserts and searches are counted in bytecodes executed, from
-``sys.settrace`` opcode events, per function and in total.  The counts
-are exact and repeat from run to run, so they measure interpreter work
-where wall clock is too noisy to.
+except for its last ``--inserts`` inserts, then runs its searches and
+deletes the keys of the traced inserts.  The traced operations are
+counted in bytecodes executed, from ``sys.settrace`` opcode events, per
+function and in total.  The counts are exact and repeat from run to run,
+so they measure interpreter work where wall clock is too noisy to.
 
     python tools/opcount.py [--n 10000 --searches 2000 --inserts 500 --seed 1]
 """
@@ -74,7 +74,8 @@ def profile(n: int, searches: int, inserts: int, seed: int) -> dict:
         tree.insert(key)
     out = {}
     for kind, fn, keys in (("insert", tree.insert, preload[n - inserts:]),
-                           ("search", tree.search, found)):
+                           ("search", tree.search, found),
+                           ("delete", tree.delete, preload[n - inserts:])):
         by_name, total = count_opcodes(fn, keys)
         out[kind] = len(keys), by_name, total
     return out
@@ -92,7 +93,7 @@ def main(argv=None) -> int:
     result = profile(args.n, args.searches, args.inserts, args.seed)
     names = sorted(set().union(*(by_name for _, by_name, _ in result.values())),
                    key=lambda name: -sum(r[1][name] / r[0] for r in result.values()))
-    print(f"{'opcodes per op':<48}{'insert':>10}{'search':>10}")
+    print(f"{'opcodes per op':<48}" + "".join(f"{kind:>10}" for kind in result))
     for name in names:
         print(f"{name:<48}" + "".join(f"{by_name[name] / ops:>10.1f}"
                                        for ops, by_name, _ in result.values()))
