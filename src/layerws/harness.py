@@ -131,7 +131,9 @@ def compare_layers(tree: LayeredTree, ref: ReferenceStructure,
     oldest the oldest key below (a lone member names the youngest below).
     The tree's books must equal the reference's level lengths, and the key
     map must hold as many keys, so this pins every layer's members, order
-    and boundary links.  Snapshots are built only to word the error.
+    and boundary links.  Last, the pair of layer-1 ends the tree keeps with
+    its books must name the reference's oldest and youngest of level 1.
+    Snapshots are built only to word the error.
     """
     queues = ref.level_queues
     t = len(queues)
@@ -161,6 +163,13 @@ def compare_layers(tree: LayeredTree, ref: ReferenceStructure,
     total = sum(levels.values())
     if total != len(nodes):
         raise DivergenceError(f"reference holds {total} keys, tree maps {len(nodes)}")
+    old, young = tree.ends
+    kept = old[1], young[1]
+    first = queues[0] if queues else ()
+    want = (first[-1], first[0]) if first else (None, None)
+    if kept != want:
+        raise DivergenceError(f"tree's books keep layer 1's ends as {kept}, "
+                              f"the reference's oldest and youngest are {want}")
 
 
 def _key_divergence(tree: LayeredTree, ref: ReferenceStructure, j: int, key: int,

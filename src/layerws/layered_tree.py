@@ -26,22 +26,26 @@ accesses.  Insertion and deletion run through every layer and cost
 O(log n).
 
 Moving a key between layers needs the youngest and oldest keys of the
-layers it passes.  Each public operation starts with an empty record of
-these queue ends, two lists indexed by relative layer 1..MAX_LAYERS+1.
-The first lookup of an end scans layer 1 and hops the next_layer links
-down, recording every end it passes (the scan notes the other end of layer
-1 too when it walks past it); the moves then update the record
-wherever they change an end, so a later lookup is one paid ``_goto``, and
-a neighbour's queue fields are written while that lookup has the cursor on
-it.  This stays inside the one-cursor model: the record holds at most
-2*(MAX_LAYERS+1) keys, O(log log n) words of operation-local memory like
-the search key itself, and it holds keys, not node pointers, so every node
-whose fields are read or written, apart from the node being moved, is
-reached by the cursor through a paid ``_goto``.  That walk is a finger
-search along parent links: it climbs only until an ancestor brackets the
-wanted key (at most to the band root) and descends from there, and it
-costs nothing when the cursor already sits on the wanted node.  Nothing in
-the record outlives the operation.
+layers it passes.  An operation keeps them in a record of queue ends, two
+lists indexed by relative layer 1..MAX_LAYERS+1.  The tree keeps its
+layer-1 entries, the oldest and youngest key of layer 1, beside the root
+pointer with the books, and exact between operations: each plain-tree
+operation (a fresh search, an insert or a delete) starts from that pair
+with every deeper entry cleared.  The first lookup of a deeper end hops
+the next_layer links down from layer 1's end, recording every end it
+passes; the moves update the record wherever they change an end, so the
+pair is exact again when the operation returns, a later lookup is one
+paid ``_goto``, and a neighbour's queue fields are written while that
+lookup has the cursor on it.  This stays inside the one-cursor model: the
+record holds at most 2*(MAX_LAYERS+1) keys, O(log log n) words like the
+books and the search key itself, and it holds keys, not node pointers, so
+every node whose fields are read or written, apart from the node being
+moved, is reached by the cursor through a paid ``_goto``.  That walk is a
+finger search along parent links: it climbs only until an ancestor
+brackets the wanted key (at most to the band root) and descends from
+there, and it costs nothing when the cursor already sits on the wanted
+node.  Only the pair outlives an operation: the next one clears every
+deeper entry before it reads the record.
 
 A move across several layers touches only the queues it changes: a hit in
 layer j (or a fresh insert) leaves its queue once and is filed as the
@@ -76,7 +80,9 @@ band's subtree root instead of the global root.  The skip-splay
 composition stacks such bands.  Its band searches pass ``fresh=False``,
 which means the cursor is on the key: the search starts there.  It runs
 one only when that key is not already the youngest of the band's first
-layer.
+layer.  One band machine runs the searches of every auxiliary tree of its
+band, so it keeps no pair: a band search starts from an empty record and
+scans layer 1 for the first end it needs.
 """
 
 from __future__ import annotations
@@ -94,6 +100,9 @@ def _empty_ends():
     return [None] * (MAX_LAYERS + 2), [None] * (MAX_LAYERS + 2)
 
 
+_DEEPER = (None,) * MAX_LAYERS  # a record's entries for layers 2..MAX_LAYERS+1, unknown
+
+
 def capacity(j: int) -> int:
     """Key capacity of layer j: 4, 16, 256, 65536, 2**32."""
     if not 1 <= j <= MAX_LAYERS:
@@ -108,6 +117,10 @@ class LayeredTree:
         self.engine = Engine()
         self.base = base
         self.sizes: dict[int, int] = {}
+        # the record of queue ends of plain-tree operations; between them
+        # only its layer-1 entries mean anything: the pair, layer 1's oldest
+        # and youngest key (None in an empty tree)
+        self.ends = _empty_ends()
 
     @property
     def layer_count(self) -> int:
@@ -172,10 +185,20 @@ class LayeredTree:
         eng.visits += visits
         return node
 
+    def _record(self):
+        """The record of queue ends of a plain-tree operation: the tree's
+        own, holding layer 1's oldest and youngest key, with every deeper
+        entry cleared."""
+        old, young = ends = self.ends
+        old[2:] = young[2:] = _DEEPER
+        return ends
+
     def _scan_first_layer(self, youngest: bool, ends) -> Node:
         """Climb to the band root and find the queue head/tail of layer 1 by
         walking its few members, and record it in ``ends``; the other end
-        goes into the record too when the walk passes it on the way."""
+        goes into the record too when the walk passes it on the way.  Only
+        band searches get here: a plain-tree operation's record holds
+        layer 1's ends from the start."""
         eng = self.engine
         base = self.base
         root = eng.node
@@ -218,8 +241,9 @@ class LayeredTree:
 
         ``ends`` is the operation's record of queue ends.  A recorded end
         costs one paid ``_goto``; otherwise the walk starts at the deepest
-        recorded end of the same side above j, or scans layer 1, and hops
-        ``next_layer`` down, recording every end it passes.
+        recorded end of the same side above j, or scans layer 1 when none
+        is recorded (in a band search), and hops ``next_layer`` down,
+        recording every end it passes.
         """
         known = ends[youngest]
         if known[j] is not None:
@@ -424,10 +448,9 @@ class LayeredTree:
 
     # -- recency re-front for a hit already in layer 1 ---------------------------
 
-    def _refront(self, x: Node):
-        if x.younger is None:  # already the youngest: the cursor reads it free
-            return
-        ends = _empty_ends()
+    def _refront(self, x: Node, ends):
+        """File ``x``, a member of layer 1 that is not its youngest, as the
+        youngest; ``ends`` is the operation's record."""
         y_key, x_next = self._file_youngest(x, 1, ends)
         self._queue_remove(x, 1, ends)
         x.older = y_key
@@ -462,10 +485,12 @@ class LayeredTree:
         if node is None:
             return None
         j = node.layer - self.base
+        if j == 1 and node.younger is None:
+            return 1  # already the youngest: the cursor reads it free
+        ends = self._record() if fresh else _empty_ends()
         if j == 1:
-            self._refront(node)
+            self._refront(node, ends)
         else:
-            ends = _empty_ends()
             self._move_up(node, 1, ends)
             self._push_down(j, ends)
         return j
@@ -481,6 +506,8 @@ class LayeredTree:
             eng.node = node
             eng.visits += 1
             self.sizes = {1: 1}
+            old, young = self.ends
+            old[1] = young[1] = key
             return
         if eng.descend_to(key) is not None:
             raise DuplicateKeyError(key)
@@ -503,7 +530,7 @@ class LayeredTree:
         node.parent = parent
         eng.arrive(node)
         sizes[temp] = 1
-        ends = _empty_ends()
+        ends = self._record()
         self._move_up(node, 1, ends)
         self._push_down(deficit, ends)
         assert sizes[temp] == 0
@@ -520,7 +547,7 @@ class LayeredTree:
             raise MissingKeyError(key)
         t = self.layer_count
         j = node.layer - self.base
-        ends = _empty_ends()
+        ends = self._record()
         self._queue_remove(node, j, ends)
         for _ in range(t - j + 1):
             self._sink_to_boundary(node)

@@ -123,6 +123,7 @@ class SkipSplayTree:
             base += tree.layer_count
             templates.insert(0, _template(tree))
             tree.engine = self.engine
+            tree.ends = None  # a band machine's searches keep no pair of layer-1 ends
             self.bands.insert(0, tree)
         self.engine.root = self._clone(templates, self.k - 1, (self.n + 1) >> 1)
 

@@ -4,9 +4,11 @@ Every invariant the structures promise is checkable here by plain
 traversal (no cursor accounting): search-tree order, parent links, label
 monotonicity, the layer size schedule, per-layer-subtree red-black
 validity, recency queue consistency, agreement of every entry of the
-tree's books (its per-layer size record) with the walk, and the per-node
-depth bound.  Each failure is reported with a witness (a key or a layer
-index) so corruption can be pinpointed.
+tree's books (its per-layer size record) with the walk, the per-node
+depth bound, and, last, the pair of layer-1 ends a plain tree keeps beside
+its books against the oldest and youngest member of layer 1.  Each
+failure is reported with a witness (a key, a layer index or the name of
+the field of the books) so corruption can be pinpointed.
 
 ``validate_band`` applies them in one recursive walk that appends each
 violation where it finds it and hands black heights up as return values.
@@ -194,10 +196,12 @@ class _BandWalk:
 
 def validate_band(root: Node | None, base: int, sizes: dict[int, int],
                   complete: bool = False,
-                  check_queues: bool = True) -> list[Violation]:
+                  check_queues: bool = True,
+                  first_ends: tuple | None = None) -> list[Violation]:
     """Validate the band rooted at ``root`` against its books ``sizes``
     (relative layer -> key count), which must name exactly the layers
-    1..t, labels base+1..base+t.
+    1..t, labels base+1..base+t, and, when given, ``first_ends``, the
+    (oldest, youngest) keys of layer 1 that a plain tree keeps with them.
 
     ``complete`` means no deeper band may hang below this one (a plain
     standalone tree); inside a composition deeper bands are fine and are
@@ -208,14 +212,17 @@ def validate_band(root: Node | None, base: int, sizes: dict[int, int],
     parent links, left first; the per-layer counts; the first layer's
     shape; the red-black faults, per layer-subtree root in walk order (a
     red root, then the subtree's faults in left-first post-order); the
-    queue pass.  A walk past the recursion limit (a child-link cycle, or a
-    chain far past every depth limit) gives one ``depth-bound`` instead.
+    queue pass; the pair of layer-1 ends.  A walk past the recursion limit
+    (a child-link cycle, or a chain far past every depth limit) gives one
+    ``depth-bound`` instead, and faulty books end the report early.
     """
     out: list[Violation] = []
     t = len(sizes)
     if root is None:
         if t != 0:
             out.append(Violation("header", "t", f"empty tree but the books name layers {sorted(sizes)}"))
+        if first_ends is not None:
+            _check_first_ends(root, base, first_ends, out)
         return out
     if not 1 <= t <= MAX_LAYERS or sorted(sizes) != list(range(1, t + 1)):
         out.append(Violation("header", "t",
@@ -271,7 +278,25 @@ def validate_band(root: Node | None, base: int, sizes: dict[int, int],
         for m in range(1, t + 1):
             _check_queue(m, band.scans[m], band.scans[m + 1] if m < t else None,
                          band.nodes, base + m, out)
+    if first_ends is not None:
+        _check_first_ends(root, base, first_ends, out)
     return out
+
+
+def _check_first_ends(root: Node | None, base: int, first_ends: tuple, out: list[Violation]):
+    """The kept (oldest, youngest) pair must name layer 1's one member
+    without an older link and its one member without a younger link, or be
+    (None, None) when layer 1 is empty."""
+    oldest, youngest = [], []
+    for n in band_nodes(root, base, 1):
+        if n.older is None:
+            oldest.append(n.key)
+        if n.younger is None:
+            youngest.append(n.key)
+    old, young = first_ends
+    if oldest != ([] if old is None else [old]) or youngest != ([] if young is None else [young]):
+        out.append(Violation("header", "ends", f"layer 1's oldest are {oldest} and its youngest "
+                             f"{youngest}, the books keep {old} and {young}"))
 
 
 def _check_queue(m: int, scan: _LayerScan, below: _LayerScan | None,
@@ -334,8 +359,10 @@ def _check_queue(m: int, scan: _LayerScan, below: _LayerScan | None,
 
 def validate_tree(tree: LayeredTree, check_queues: bool = True) -> list[Violation]:
     """Full invariant sweep of one layered tree."""
+    old, young = tree.ends
     return validate_band(
         tree.engine.root, tree.base, tree.sizes,
         complete=True,
         check_queues=check_queues,
+        first_ends=(old[1], young[1]),
     )

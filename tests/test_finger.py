@@ -1,14 +1,16 @@
 """Finger cursor moves: ``_goto`` climbs only until an ancestor brackets
 its target, a band search with ``fresh=False`` starts on the cursor, which
-holds the key, and a layer-1 hit that is already the youngest skips the
-layer-1 scan.
+holds the key, a layer-1 hit that is already the youngest skips the
+layer-1 scan, and a plain-tree operation starts from the pair of layer-1
+ends the tree keeps with its books instead of scanning layer 1.
 
-None of the three may change the tree or make an operation dearer.  The
+None of these may change the tree or make an operation dearer.  The
 equivalence tests replay traces on a tree and on a twin that walks the
 old way (``RootWalkTree``: every ``_goto`` up to the band root and down,
 ``_refront`` always scanning layer 1, every ``fresh=False`` search
-climbing from its key to the band root and descending back to it) and
-compare the two after every operation.
+climbing from its key to the band root and descending back to it;
+``ScanTree``: every operation starting from an empty record) and compare
+the two after every operation.
 The skip-splay twin also enters every band machine on an access's root
 path (``EveryBandSkipSplay``), as the access did before it learned to pass
 over a band whose search would find the youngest of layer 1.
@@ -47,8 +49,7 @@ class RootWalkTree(LayeredTree):
             assert node is not None
         return node
 
-    def _refront(self, x):
-        ends = _empty_ends()
+    def _refront(self, x, ends):
         y0 = self._scan_first_layer(True, ends)
         if y0 is x:
             return
@@ -60,24 +61,34 @@ class RootWalkTree(LayeredTree):
         y0.younger = x.key
         if y0.older is not None:
             y0.next_layer = None
+        ends[1][1] = x.key
 
     def search(self, key, fresh=True):
         eng = self.engine
         if fresh:
             eng.begin_access()
+            ends = self._record()
         else:
             climb_to_band_root(eng, self.base)
+            ends = _empty_ends()
         node = eng.descend_to(key)
         if node is None:
             return None
         j = node.layer - self.base
         if j == 1:
-            self._refront(node)
+            self._refront(node, ends)
         else:
-            ends = _empty_ends()
             self._move_up(node, 1, ends)
             self._push_down(j, ends)
         return j
+
+
+class ScanTree(LayeredTree):
+    """Keeps no pair of layer-1 ends: every operation starts from an empty
+    record and scans layer 1 for the first end it needs."""
+
+    def _record(self):
+        return _empty_ends()
 
 
 def nodes_state(engine, cursor=True):
@@ -93,8 +104,9 @@ def nodes_state(engine, cursor=True):
 
 
 def books(tree):
-    """The tree's books: a copy of its per-layer size record."""
-    return dict(tree.sizes)
+    """The tree's books: a copy of its per-layer size record and layer 1's
+    (oldest, youngest) pair kept beside it (None for a band machine)."""
+    return dict(tree.sizes), tree.ends and tuple(side[1] for side in tree.ends)
 
 
 def assert_never_dearer(sides, readers, steps):
@@ -140,6 +152,25 @@ def test_layered_tree_never_dearer_on_golden_cells(cell):
         trees, [tree_reader(t) for t in trees],
         map(step_of, generate(GeneratorSpec(family, n, ops, seed))))
     assert finger < root_walk, "no operation got cheaper: is the twin patched?"
+
+
+def snapshot_pair(tree):
+    """Layer 1's (oldest, youngest), read off its recency order."""
+    first = tree.layer_snapshot().get(1)
+    return (first[-1], first[0]) if first else (None, None)
+
+
+@pytest.mark.parametrize("cell", GOLDEN_CELLS, ids=lambda c: "-".join(map(str, c)))
+def test_kept_pair_never_dearer_than_scanning_on_golden_cells(cell):
+    """The scanning twin keeps no pair, so its side reads layer 1's ends
+    off its queue: the tree's kept pair must name them after every step."""
+    family, n, ops, seed = cell
+    trees = kept, scan = LayeredTree(), ScanTree()
+    readers = [tree_reader(kept),
+               lambda: (nodes_state(scan.engine), (dict(scan.sizes), snapshot_pair(scan)))]
+    kept_visits, scan_visits = assert_never_dearer(
+        trees, readers, map(step_of, generate(GeneratorSpec(family, n, ops, seed))))
+    assert kept_visits < scan_visits, "no operation got cheaper: is the twin patched?"
 
 
 def skip_plan(family, n, count, rng):

@@ -30,21 +30,21 @@ COST_FIELDS = ("amortized_ratio", "max_cost", "max_cost_over_lgw", "mean_cost")
 GOLDEN = {
     ("uniform", 300, 1500, 3): (
         "ae41f1c1f5ff23611d963e4d2d08489d45d192bf85d2c6c4d314d55391b7fa7b",
-        "05b37d7d0f22b339cfdf2c4c36269f4b73498dd4b39f46aae225515b2c124f51"),
+        "e4cc7d8775cc90fd7f3277adc18855f140b40e9c163b4d105041f44a61e0c063"),
     ("uniform", 40, 1500, 11): (
         "0ae75ef02c2d90c857cbf681bce9bb342991e72b11594a7eb1cba22d53415f0d",
-        "c27b779581a3db0707da6e8662b6df28f16c26160928e5e01f21c47c8a914dc2"),
+        "d0aaa40d59c874930aa8554fd4c22fbf5bdf23627a9373ca53b34ee7b1d663ad"),
     ("zipf_recency", 200, 1500, 5): (
         "5a69a62fecee02a1a6e054c7cad3c53922b3599ee8cd41cad2c51184f76d82ac",
-        "a1d302c98c07da7597241a8682cc03da5984abc4c159a3ce18664e2b97678830"),
+        "f438aedd4d14641a7c1f59bfd9ae890739da549a25db3a00787a9c2e2d72d777"),
     ("finger_walk", 250, 1200, 7): (
         "6897e05eab13142e3f12925a79f0027d8f84ccf7e12af50f8621956d0dadf63a",
-        "59df0a94bbada7d77ffe59cb2b5646e8fadf3b786e2642c8b6232bd5a0444287"),
+        "914df3f6c9d05706a6629ee785d3ec4a8a1f6b2c8c7c1b1b98a6e7fae3492bb2"),
     # the one cell whose tree reaches layer 4: it pins the layer-4 pushes,
     # splits and refills (609 layer-4 hits among inserts and deletes)
     ("uniform", 2000, 6000, 13): (
         "20bc117f631ca68a4810a487634cc32534d81aad2058e1d2209c091993f04892",
-        "45cd49b8e196d5ab831cb143ae24ac4e956ad6d69161c78533b732ced37595f4"),
+        "39374b7ef2f596ac2bbef7742543c889170ef5f9c06d6ff48003fe40ab79daa2"),
 }
 
 

@@ -30,27 +30,28 @@ def layer_of(tree, key):
     return tree.engine.lookup(key).layer
 
 
-# One-layer moves and queue-end lookups, each a fresh access with its own
-# record of queue ends.  A lone move leaves the size schedule off by one
-# key, for the public operations to restore.
+# One-layer moves and queue-end lookups, each a fresh access in the tree's
+# record of queue ends, which keeps layer 1's pair exact.  A lone move
+# leaves the size schedule off by one key, for the public operations to
+# restore.
 
 def move_up(tree, key):
     """Move ``key`` up one layer; it becomes the youngest there."""
     tree.engine.begin_access()
     node = tree.engine.descend_to(key)
-    tree._move_up(node, node.layer - tree.base - 1, layered_tree._empty_ends())
+    tree._move_up(node, node.layer - tree.base - 1, tree._record())
 
 
 def move_down(tree, key):
     """Move ``key`` down one layer; it becomes the youngest there."""
     tree.engine.begin_access()
-    tree._move_down(tree.engine.descend_to(key), layered_tree._empty_ends())
+    tree._move_down(tree.engine.descend_to(key), tree._record())
 
 
 def layer_end(tree, j, youngest):
     """The youngest (else the oldest) key of layer ``j``."""
     tree.engine.begin_access()
-    return tree._extreme_in_layer(j, youngest, layered_tree._empty_ends()).key
+    return tree._extreme_in_layer(j, youngest, tree._record()).key
 
 
 def scenario_a():
@@ -179,7 +180,7 @@ def test_interior_queue_splice():
     node = tree.engine.root
     while node.key != 4:
         node = node.left if 4 < node.key else node.right
-    tree._queue_remove(node, 1, layered_tree._empty_ends())
+    tree._queue_remove(node, 1, tree._record())
     snap_order = []
     walk = [n for n in tree.engine.iter_nodes() if n.layer == 1 and n.younger is None]
     assert len(walk) == 1
@@ -625,20 +626,27 @@ def test_fifth_layer_opens_and_closes():
 # -- operation-local state ----------------------------------------------------------------
 
 def test_operations_leave_no_state_behind():
-    """Queue-end records live only inside an operation: the model allows
-    an operation O(log log n) words of local memory, but nothing of it may
-    outlive the operation, so a tree holds only its engine, base and books."""
+    """The model allows an operation O(log log n) words of local memory.
+    Of its record of queue ends only layer 1's pair outlives it, kept with
+    the books, so a tree holds only its engine, base, books and that
+    record, and keys planted in the record's deeper entries between
+    operations change no operation's tree or cost."""
     rng = random.Random(9)
-    tree = LayeredTree()
+    tree, planted = LayeredTree(), LayeredTree()
     keys = rng.sample(range(1000), 300)
-    for k in keys:
-        tree.insert(k)
-    for _ in range(300):
-        tree.search(rng.choice(keys))
-    for k in keys[:150]:
-        tree.delete(k)
+    steps = [(t.insert, k) for k in keys for t in (tree, planted)]
+    steps += [(t.search, k) for k in rng.choices(keys, k=300) for t in (tree, planted)]
+    steps += [(t.delete, k) for k in keys[:150] for t in (tree, planted)]
+    for i, (op, key) in enumerate(steps):
+        if i % 2:
+            for side in planted.ends:
+                side[2:] = rng.choices(keys[150:], k=len(side) - 2)
+        op(key)
+        if i % 2:
+            assert tree_reader(tree)() == tree_reader(planted)(), f"step {i // 2}"
+            assert tree.engine.visits == planted.engine.visits, f"step {i // 2}"
     move_down(tree, layer_end(tree, 1, youngest=True))
     move_up(tree, layer_end(tree, 2, youngest=True))
     layer_end(tree, 3, youngest=False)
-    assert vars(tree).keys() == vars(LayeredTree()).keys() == {"engine", "base", "sizes"}
+    assert vars(tree).keys() == vars(LayeredTree()).keys() == {"engine", "base", "sizes", "ends"}
     assert Engine.__slots__ == ("root", "node", "visits")

@@ -3,15 +3,18 @@
 A step leaves the unlink of the new oldest of its layer to the next step,
 which knows that key's final link when it gets there, and the key it
 pushes keeps its link, which names the next key pushed.  The ends a step
-reads go into the operation's record, and the layer-1 scan records the far
-end too when it passes it.
+reads go into the operation's record, and the layer-1 scan of a band
+search records the far end too when it passes it.
 
 None of this may change the tree or make an operation dearer; the cursor
 may end an operation elsewhere.  ``StepwisePushTree`` keeps the push-down
 one layer at a time that the tour replaced: each step unlinks its key,
 walks back to aim the layers above, and files it, and the layer-1 scan
-records only the end it looks for.  The tests replay traces on both, compare
-them node for node after every operation, and compare the visits.
+records only the end it looks for.  Like the tree, the twin starts its
+plain-tree operations from the pair of layer-1 ends kept with the books,
+and its steps keep that pair exact.  The tests replay traces on both,
+compare them node for node, with the books and the pair, after every
+operation, and compare the visits.
 """
 
 import random
@@ -48,7 +51,7 @@ class StepwisePushTree(LayeredTree):
         ends[youngest][1] = n.key
         return n
 
-    def _queue_remove(self, x, j, ends=None):
+    def _queue_remove(self, x, j, ends):
         xo, xy, xn = x.older, x.younger, x.next_layer
         x.older = x.younger = x.key
         if xo is None and xy is None:
@@ -68,8 +71,7 @@ class StepwisePushTree(LayeredTree):
             y = self._goto(xy)
             y.older = None
             y.next_layer = xn
-            if ends is not None:
-                ends[0][j] = xy
+            ends[0][j] = xy
             if j >= 2:
                 self._extreme_in_layer(j - 1, False, ends).next_layer = xy
             return

@@ -412,6 +412,7 @@ class InsertBuiltSkipSplay(EveryBandSkipSplay):
         self.engine.root = self.auxes[(self.n + 1) >> 1].engine.root
         for tree in self.auxes.values():
             tree.engine = self.engine
+            tree.ends = None  # band searches only from here, as a band machine's
         self.aux_of = {key: self.auxes[root] for root, keys in groups.items() for key in keys}
 
     def machine(self, key):
