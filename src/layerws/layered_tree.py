@@ -29,9 +29,9 @@ Moving a key between layers needs the youngest and oldest keys of the
 layers it passes.  An operation keeps them in a record of queue ends, two
 lists indexed by relative layer 1..MAX_LAYERS+1.  The tree keeps its
 layer-1 entries, the oldest and youngest key of layer 1, beside the root
-pointer with the books, and exact between operations: each plain-tree
-operation (a fresh search, an insert or a delete) starts from that pair
-with every deeper entry cleared.  The first lookup of a deeper end hops
+pointer with the books, and exact between operations: every operation, a
+band search too, starts from that pair with every deeper entry cleared,
+so none scans layer 1.  The first lookup of a deeper end hops
 the next_layer links down from layer 1's end, recording every end it
 passes; the moves update the record wherever they change an end, so the
 pair is exact again when the operation returns, a later lookup is one
@@ -81,8 +81,8 @@ composition stacks such bands.  Its band searches pass ``fresh=False``,
 which means the cursor is on the key: the search starts there.  It runs
 one only when that key is not already the youngest of the band's first
 layer.  One band machine runs the searches of every auxiliary tree of its
-band, so it keeps no pair: a band search starts from an empty record and
-scans layer 1 for the first end it needs.
+band, so the composition keeps each aux tree's pair and hands it to the
+band machine's record for the search.
 """
 
 from __future__ import annotations
@@ -92,12 +92,6 @@ from .errors import CapacityError, DuplicateKeyError, MissingKeyError
 from . import layer_ops as ops
 
 MAX_LAYERS = 5
-
-
-def _empty_ends():
-    """An operation's empty record of queue ends: (oldest keys, youngest
-    keys), each indexed by relative layer 1..MAX_LAYERS+1."""
-    return [None] * (MAX_LAYERS + 2), [None] * (MAX_LAYERS + 2)
 
 
 _DEEPER = (None,) * MAX_LAYERS  # a record's entries for layers 2..MAX_LAYERS+1, unknown
@@ -117,10 +111,11 @@ class LayeredTree:
         self.engine = Engine()
         self.base = base
         self.sizes: dict[int, int] = {}
-        # the record of queue ends of plain-tree operations; between them
-        # only its layer-1 entries mean anything: the pair, layer 1's oldest
-        # and youngest key (None in an empty tree)
-        self.ends = _empty_ends()
+        # the record of queue ends, (oldest keys, youngest keys) indexed by
+        # relative layer 1..MAX_LAYERS+1; between operations only its layer-1
+        # entries mean anything: the pair, layer 1's oldest and youngest key
+        # (None in an empty tree)
+        self.ends = [None] * (MAX_LAYERS + 2), [None] * (MAX_LAYERS + 2)
 
     @property
     def layer_count(self) -> int:
@@ -186,76 +181,28 @@ class LayeredTree:
         return node
 
     def _record(self):
-        """The record of queue ends of a plain-tree operation: the tree's
-        own, holding layer 1's oldest and youngest key, with every deeper
-        entry cleared."""
+        """The record of queue ends of an operation: the tree's own, holding
+        layer 1's oldest and youngest key, with every deeper entry cleared."""
         old, young = ends = self.ends
         old[2:] = young[2:] = _DEEPER
         return ends
-
-    def _scan_first_layer(self, youngest: bool, ends) -> Node:
-        """Climb to the band root and find the queue head/tail of layer 1 by
-        walking its few members, and record it in ``ends``; the other end
-        goes into the record too when the walk passes it on the way.  Only
-        band searches get here: a plain-tree operation's record holds
-        layer 1's ends from the start."""
-        eng = self.engine
-        base = self.base
-        root = eng.node
-        climbed = 0
-        # the climb to the band root
-        while True:
-            p = root.parent
-            if p is None or p.layer <= base:
-                break
-            root = p
-            climbed += 1
-        eng.visits += climbed
-        lab = base + 1
-        assert root.layer == lab, "layer 1 must hold the root"
-        stack = [root]
-        walked = 0
-        found = None
-        while stack:
-            n = stack.pop()
-            walked += 1
-            if (n.younger if youngest else n.older) is None:
-                found = n
-                break
-            if (n.older if youngest else n.younger) is None:
-                ends[not youngest][1] = n.key
-            c = n.left
-            if c is not None and c.layer == lab:
-                stack.append(c)
-            c = n.right
-            if c is not None and c.layer == lab:
-                stack.append(c)
-        eng.visits += 2 * walked
-        assert found is not None, "first layer has no recency head"
-        eng.node = found
-        ends[youngest][1] = found.key
-        return found
 
     def _extreme_in_layer(self, j: int, youngest: bool, ends) -> Node:
         """Youngest/oldest member of layer j.
 
         ``ends`` is the operation's record of queue ends.  A recorded end
         costs one paid ``_goto``; otherwise the walk starts at the deepest
-        recorded end of the same side above j, or scans layer 1 when none
-        is recorded (in a band search), and hops ``next_layer`` down,
-        recording every end it passes.
+        recorded end of the same side above j, which layer 1's always is,
+        and hops ``next_layer`` down, recording every end it passes.
         """
         known = ends[youngest]
         if known[j] is not None:
             return self._goto(known[j])
         level = j - 1
-        while level and known[level] is None:
+        while known[level] is None:
             level -= 1
-        if level:
-            node = self._goto(known[level])
-        else:
-            node = self._scan_first_layer(youngest, ends)
-            level = 1
+            assert level, "layer 1's ends are missing from the record"
+        node = self._goto(known[level])
         while level < j:
             key = node.next_layer
             assert key is not None, f"missing next-layer link under layer {level}"
@@ -487,7 +434,7 @@ class LayeredTree:
         j = node.layer - self.base
         if j == 1 and node.younger is None:
             return 1  # already the youngest: the cursor reads it free
-        ends = self._record() if fresh else _empty_ends()
+        ends = self._record()
         if j == 1:
             self._refront(node, ends)
         else:

@@ -1,16 +1,19 @@
 """Finger cursor moves: ``_goto`` climbs only until an ancestor brackets
 its target, a band search with ``fresh=False`` starts on the cursor, which
 holds the key, a layer-1 hit that is already the youngest skips the
-layer-1 scan, and a plain-tree operation starts from the pair of layer-1
-ends the tree keeps with its books instead of scanning layer 1.
+layer-1 scan, and every operation, a plain tree's or a band search in one
+aux tree of a skip-splay tree, starts from the pair of layer-1 ends kept
+with the books instead of scanning layer 1.
 
 None of these may change the tree or make an operation dearer.  The
 equivalence tests replay traces on a tree and on a twin that walks the
 old way (``RootWalkTree``: every ``_goto`` up to the band root and down,
 ``_refront`` always scanning layer 1, every ``fresh=False`` search
 climbing from its key to the band root and descending back to it;
-``ScanTree``: every operation starting from an empty record) and compare
-the two after every operation.
+``ScanTree``: every operation, or every band search when its class runs a
+skip-splay tree's bands, starting from an empty record and scanning layer
+1) and compare the two after every operation.  The twins keep the layer-1
+scan and the empty record as their own methods: the package has neither.
 The skip-splay twin also enters every band machine on an access's root
 path (``EveryBandSkipSplay``), as the access did before it learned to pass
 over a band whose search would find the youngest of layer 1.
@@ -21,7 +24,7 @@ import random
 import pytest
 
 from layerws import LayeredTree, SkipSplayTree
-from layerws.layered_tree import _empty_ends
+from layerws.layered_tree import MAX_LAYERS
 from layerws.skip_splay import _band_of_height, _height
 from layerws.workload import DELETE, INSERT, GeneratorSpec, generate
 
@@ -37,6 +40,39 @@ def climb_to_band_root(eng, base):
     return node
 
 
+def empty_record():
+    """An operation's empty record of queue ends: (oldest keys, youngest
+    keys), each indexed by relative layer 1..MAX_LAYERS+1."""
+    return [None] * (MAX_LAYERS + 2), [None] * (MAX_LAYERS + 2)
+
+
+def scan_first_layer(tree, youngest, ends):
+    """Climb to the band root and find the queue head/tail of layer 1 by
+    walking its few members, and record it in ``ends``; the other end goes
+    into the record too when the walk passes it on the way."""
+    eng = tree.engine
+    root = climb_to_band_root(eng, tree.base)
+    lab = tree.base + 1
+    assert root.layer == lab, "layer 1 must hold the root"
+    stack = [root]
+    walked = 0
+    found = None
+    while stack:
+        n = stack.pop()
+        walked += 1
+        if (n.younger if youngest else n.older) is None:
+            found = n
+            break
+        if (n.older if youngest else n.younger) is None:
+            ends[not youngest][1] = n.key
+        stack.extend(c for c in (n.left, n.right) if c is not None and c.layer == lab)
+    eng.visits += 2 * walked
+    assert found is not None, "first layer has no recency head"
+    eng.node = found
+    ends[youngest][1] = found.key
+    return found
+
+
 class RootWalkTree(LayeredTree):
     """The cursor moves every walk paid before finger search."""
 
@@ -48,6 +84,8 @@ class RootWalkTree(LayeredTree):
             node = eng.descend_to(key)
             assert node is not None
         return node
+
+    _scan_first_layer = scan_first_layer
 
     def _refront(self, x, ends):
         y0 = self._scan_first_layer(True, ends)
@@ -67,10 +105,9 @@ class RootWalkTree(LayeredTree):
         eng = self.engine
         if fresh:
             eng.begin_access()
-            ends = self._record()
         else:
             climb_to_band_root(eng, self.base)
-            ends = _empty_ends()
+        ends = self._record()
         node = eng.descend_to(key)
         if node is None:
             return None
@@ -87,8 +124,15 @@ class ScanTree(LayeredTree):
     """Keeps no pair of layer-1 ends: every operation starts from an empty
     record and scans layer 1 for the first end it needs."""
 
-    def _record(self):
-        return _empty_ends()
+    _record = staticmethod(empty_record)
+    _scan_first_layer = scan_first_layer
+
+    def _extreme_in_layer(self, j, youngest, ends):
+        # with no end of this side recorded down to layer j, scan layer 1,
+        # then hop down from its end
+        if all(key is None for key in ends[youngest][1:j + 1]):
+            self._scan_first_layer(youngest, ends)
+        return super()._extreme_in_layer(j, youngest, ends)
 
 
 def nodes_state(engine, cursor=True):
@@ -105,8 +149,31 @@ def nodes_state(engine, cursor=True):
 
 def books(tree):
     """The tree's books: a copy of its per-layer size record and layer 1's
-    (oldest, youngest) pair kept beside it (None for a band machine)."""
-    return dict(tree.sizes), tree.ends and tuple(side[1] for side in tree.ends)
+    (oldest, youngest) pair kept beside it."""
+    return dict(tree.sizes), tuple(side[1] for side in tree.ends)
+
+
+def skip_books(tree):
+    """A skip-splay tree's books: a copy of each band machine's size record,
+    and of each band's (oldest keys, youngest keys) lists that keep its aux
+    trees' pairs of layer-1 ends (None for bands 0 and 1)."""
+    return ([dict(band.sizes) for band in tree.bands],
+            [pairs and (list(pairs[0]), list(pairs[1])) for pairs in tree.aux_ends])
+
+
+def walked_aux_ends(tree):
+    """Each aux tree's layer-1 oldest and youngest key, read off the queue
+    fields of every node and laid out as ``tree.aux_ends``."""
+    out = [pairs and ([None] * len(pairs[0]), [None] * len(pairs[0])) for pairs in tree.aux_ends]
+    for n in tree.engine.iter_nodes():
+        band = _band_of_height(_height(n.key))
+        if out[band] is not None and n.layer == tree.bands[band].base + 1:
+            i = n.key >> (1 << band)
+            if n.older is None:
+                out[band][0][i] = n.key
+            if n.younger is None:
+                out[band][1][i] = n.key
+    return out
 
 
 def assert_never_dearer(sides, readers, steps):
@@ -191,7 +258,7 @@ class EveryBandSkipSplay(SkipSplayTree):
     nothing, and climbs through the engine's own walks."""
 
     def machine(self, key):
-        """The layered tree that runs the band search of ``key``."""
+        """The layered tree whose labels bound the band search of ``key``."""
         return self.bands[_band_of_height(_height(key))]
 
     def access(self, key):
@@ -199,15 +266,13 @@ class EveryBandSkipSplay(SkipSplayTree):
         start = eng.visits
         eng.begin_access()
         assert eng.descend_to(key) is not None
-        tree = self.machine(key)
-        tree.search(key, fresh=False)
         while True:
-            parent = climb_to_band_root(eng, tree.base).parent
+            self._band_search(_band_of_height(_height(key)), key)
+            parent = climb_to_band_root(eng, self.machine(key).base).parent
             if parent is None:
                 break
             eng.arrive(parent)
-            tree = self.machine(parent.key)
-            tree.search(parent.key, fresh=False)
+            key = parent.key
         return eng.visits - start
 
 
@@ -221,7 +286,7 @@ def skip_splay_pair(k, twin=RootWalkTree):
 
 
 def skip_state_reader(tree, cursor=True):
-    return lambda: (nodes_state(tree.engine, cursor), [books(band) for band in tree.bands])
+    return lambda: (nodes_state(tree.engine, cursor), skip_books(tree))
 
 
 @pytest.mark.parametrize("k,count", [(2, 200), (3, 600), (4, 1500),
@@ -237,6 +302,24 @@ def test_skip_splay_never_dearer(k, count, family):
         (lambda t, x=x: t.access(x) for x in plan for _ in range(2)))
     assert finger < root_walk, "no operation got cheaper: is the twin patched?"
     assert not pair[0].validate()
+
+
+@pytest.mark.parametrize("k,count", [(3, 600), (4, 1500)])
+@pytest.mark.parametrize("family", ["repeat_block", "uniform"])
+def test_skip_splay_aux_pairs_never_dearer_than_scanning(k, count, family):
+    """Bands that differ only by scanning: the twin's bands keep no pair, so
+    its side reads each aux tree's layer-1 ends off the queue fields."""
+    trees = kept, scan = SkipSplayTree(k), SkipSplayTree(k)
+    for band in scan.bands:
+        band.__class__ = ScanTree
+    sizes = lambda t: [dict(band.sizes) for band in t.bands]
+    readers = [lambda: (nodes_state(kept.engine), skip_books(kept)),
+               lambda: (nodes_state(scan.engine), (sizes(scan), walked_aux_ends(scan)))]
+    plan = skip_plan(family, kept.n, count, random.Random(100 * k + len(family)))
+    kept_visits, scan_visits = assert_never_dearer(
+        trees, readers, (lambda t, x=x: t.access(x) for x in plan for _ in range(2)))
+    assert kept_visits < scan_visits, "no access got cheaper: is the twin patched?"
+    assert not kept.validate()
 
 
 # -- the finger walk itself ----------------------------------------------------

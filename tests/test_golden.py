@@ -108,17 +108,20 @@ def test_cli_outputs_match_golden_digests(cell, tmp_path, capsys):
 
 
 def test_golden_cell_under_python_O(tmp_path):
-    """``python -O`` strips every assert; a golden cell still writes the
-    same bytes, so no assert carries behaviour."""
-    cell = ("uniform", 40, 1500, 11)
-    family, n, ops, seed = cell
-    flags, paths = _outputs(tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "layerws.cli", "--structure", "lws", "--gen", family,
-         "--n", str(n), "--ops", str(ops), "--seed", str(seed)] + flags,
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert _file_digests(*paths) == GOLDEN[cell]
+    """``python -O`` strips every assert; a golden cell of the plain tree
+    and one of the band searches still write the same bytes, so no assert
+    carries behaviour on either path."""
+    family, n, ops, seed = cell = ("uniform", 40, 1500, 11)
+    doubled, *doubled_golden = OTHER_GOLDEN["skip_splay_doubled"]
+    for argv, golden in (
+            (["--structure", "lws", "--gen", family, "--n", str(n), "--ops", str(ops),
+              "--seed", str(seed)], GOLDEN[cell]),
+            (["--structure", "skip_splay_doubled"] + doubled(tmp_path), tuple(doubled_golden))):
+        flags, paths = _outputs(tmp_path)
+        proc = subprocess.run([sys.executable, "-O", "-m", "layerws.cli"] + argv + flags,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert _file_digests(*paths) == golden, argv[1]
 
 
 def _band_searches(path) -> str:
@@ -142,11 +145,11 @@ OTHER_GOLDEN = {
     "skip_splay": (
         lambda tmp_path: ["--trace", _band_searches(tmp_path / "searches.txt")],
         "d52082eed6df94ee20ad811e0297c4753755d12fab9cba6ebeac32cfc2854eb5",
-        "0c74db9e9bbc43694f91d7732981da1a736ad0fb71198cd62b4213efe01b6be3"),
+        "cdcb23afefa58c3d0376ab85c24eab46992501a4bbc36917fc49005ffd06ff7a"),
     "skip_splay_doubled": (
         lambda tmp_path: ["--trace", _band_searches(tmp_path / "searches.txt")],
         "376d517618be40ab6e528d24777bd76edfa7498795dd3ec6a2263f4767fd1909",
-        "beb990ba5d6c439337b6dc75d5f67d65723fa30ac734ff78602667fb70f3962c"),
+        "02af0387d1c86d9019cbe7a0494eb3e3c2a526a51f02ab1923bc411b41635efe"),
     "ws_reference": (
         lambda tmp_path: ["--gen", "uniform", "--n", "300", "--ops", "1500", "--seed", "3"],
         "a4252fd3b33c8590ab09e5d4f8c4a54f4c139ca82809a6f6f627d177cb6fc771",

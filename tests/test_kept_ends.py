@@ -1,10 +1,11 @@
-"""The pair of layer-1 ends a plain tree keeps with its books.
+"""The pair of layer-1 ends a tree keeps with its books.
 
 Layer 1's oldest and youngest key live beside the root pointer, in the
-layer-1 entries of the tree's record of queue ends.  Every plain-tree
-operation starts from them, so none scans layer 1; band searches, run by a
-band machine that every aux tree of its band shares, keep no pair and
-scan.  The pair must be exact after every operation: the validator and the
+layer-1 entries of the tree's record of queue ends.  Every operation starts
+from them, so none scans layer 1.  In a skip-splay tree each aux tree of
+bands 2 and up keeps its own pair, and a band search hands it to the band
+machine, which every aux tree of its band shares, and takes it back.  A
+pair must be exact after every operation: the validators and the
 comparator check it, last, as they check the books.
 """
 
@@ -17,7 +18,7 @@ from layerws.errors import DivergenceError
 from layerws.harness import compare_layers
 from layerws.workload import GeneratorSpec, generate
 
-from test_finger import snapshot_pair, step_of
+from test_finger import skip_books, skip_plan, snapshot_pair, step_of, walked_aux_ends
 
 
 def kept_pair(tree):
@@ -173,38 +174,49 @@ def test_stale_pair_is_reported_after_every_other_fault():
     assert report[:-1] == faults and report[-1].startswith("header[ends]: ")
 
 
-# -- who scans layer 1 -----------------------------------------------------------
+# -- every operation keeps its pair ------------------------------------------------
 
 
-@pytest.fixture
-def scans(monkeypatch):
-    """Counts the calls of ``LayeredTree._scan_first_layer``."""
-    calls = []
-    scan = LayeredTree._scan_first_layer
-
-    def counted(tree, youngest, ends):
-        calls.append(tree)
-        return scan(tree, youngest, ends)
-    monkeypatch.setattr(LayeredTree, "_scan_first_layer", counted)
-    return calls
-
-
-def test_plain_tree_operations_never_scan(scans):
+def test_plain_tree_operations_keep_the_pair():
     tree = LayeredTree()
     kinds = set()
     for op in generate(GeneratorSpec("uniform", 300, 3000, seed=4)):
         step_of(op)(tree)
         kinds.add(op.kind)
+        assert kept_pair(tree) == snapshot_pair(tree)
     assert kinds == {"I", "S", "D"} and len(tree) > 21
-    assert scans == []
     assert not validate_tree(tree)
 
 
-def test_band_searches_still_scan(scans):
-    tree = SkipSplayTree(3)
-    assert all(band.ends is None for band in tree.bands)
-    rng = random.Random(3)
-    for _ in range(200):
-        tree.access(rng.randint(1, tree.n))
-    assert scans and set(map(id, scans)) <= set(map(id, tree.bands))
+@pytest.mark.parametrize("k,count", [(3, 300), (4, 600)])
+@pytest.mark.parametrize("family", ["repeat_block", "uniform"])
+def test_aux_pairs_follow_every_access(k, count, family):
+    tree = SkipSplayTree(k)
+    moved = set()  # the bands where some pair changed
+    before = skip_books(tree)[1]
+    for x in skip_plan(family, tree.n, count, random.Random(k + len(family))):
+        tree.access(x)
+        after = skip_books(tree)[1]
+        assert after == walked_aux_ends(tree), x
+        moved.update(band for band, pairs in enumerate(after) if pairs != before[band])
+        before = after
+    assert moved == set(range(2, k))
     assert not tree.validate()
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["oldest", "youngest"])
+def test_stale_aux_pair_is_reported(side):
+    tree = SkipSplayTree(4)
+    rng = random.Random(2)
+    for _ in range(100):
+        tree.access(rng.randint(1, tree.n))
+    root = tree.engine.root  # the one aux tree of band 3: layer 1 holds 4 keys
+    first = [n for n in tree.engine.iter_nodes() if n.layer == root.layer]
+    young = next(n.key for n in first if n.younger is None)
+    old = next(n.key for n in first if n.older is None)
+    interior = next(n.key for n in first if n.key not in (old, young))
+    tree.aux_ends[3][side][root.key >> 8] = interior
+    kept = (interior, young) if side == 0 else (old, interior)
+    assert [str(v) for v in tree.validate()] == [
+        f"header[ends]: layer 1's oldest are [{old}] and its youngest [{young}], "
+        f"the books keep {kept[0]} and {kept[1]}"]

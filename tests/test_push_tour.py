@@ -3,18 +3,16 @@
 A step leaves the unlink of the new oldest of its layer to the next step,
 which knows that key's final link when it gets there, and the key it
 pushes keeps its link, which names the next key pushed.  The ends a step
-reads go into the operation's record, and the layer-1 scan of a band
-search records the far end too when it passes it.
+reads go into the operation's record.
 
 None of this may change the tree or make an operation dearer; the cursor
 may end an operation elsewhere.  ``StepwisePushTree`` keeps the push-down
 one layer at a time that the tour replaced: each step unlinks its key,
-walks back to aim the layers above, and files it, and the layer-1 scan
-records only the end it looks for.  Like the tree, the twin starts its
-plain-tree operations from the pair of layer-1 ends kept with the books,
-and its steps keep that pair exact.  The tests replay traces on both,
-compare them node for node, with the books and the pair, after every
-operation, and compare the visits.
+walks back to aim the layers above, and files it.  Like the tree, the twin
+starts every operation, a band search too, from the pair of layer-1 ends
+kept with the books, and its steps keep that pair exact.  The tests replay
+traces on both, compare them node for node, with the books and the pair,
+after every operation, and compare the visits.
 """
 
 import random
@@ -27,29 +25,13 @@ from layerws.errors import CapacityError
 from layerws.layered_tree import MAX_LAYERS
 from layerws.workload import INSERT, SEARCH, GeneratorSpec, TraceOp, generate
 
-from test_finger import (GOLDEN_CELLS, assert_never_dearer, climb_to_band_root, skip_plan,
-                         skip_splay_pair, skip_state_reader, step_of, tree_reader)
+from test_finger import (GOLDEN_CELLS, assert_never_dearer, skip_plan, skip_splay_pair,
+                         skip_state_reader, step_of, tree_reader)
 
 
 class StepwisePushTree(LayeredTree):
     """Pushes one layer at a time, each step repairing every link it
     touches on its own."""
-
-    def _scan_first_layer(self, youngest, ends):
-        eng = self.engine
-        climb_to_band_root(eng, self.base)
-        lab = self.base + 1
-        stack, walked = [eng.node], 0
-        while stack:
-            n = stack.pop()
-            walked += 1
-            if (n.younger if youngest else n.older) is None:
-                break
-            stack.extend(c for c in (n.left, n.right) if c is not None and c.layer == lab)
-        eng.visits += 2 * walked
-        eng.node = n
-        ends[youngest][1] = n.key
-        return n
 
     def _queue_remove(self, x, j, ends):
         xo, xy, xn = x.older, x.younger, x.next_layer

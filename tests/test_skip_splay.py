@@ -378,7 +378,8 @@ class InsertBuiltSkipSplay(EveryBandSkipSplay):
     engine of its own per auxiliary tree, filled by inserting its members in
     ascending order, hung into its parent's boundary slot by a descent, and
     then moved onto the shared engine.  An access searches each auxiliary
-    tree on its root path with that tree's own books."""
+    tree on its root path with that tree's own books, its pair of layer-1
+    ends among them."""
 
     def _build(self):
         groups = {}
@@ -412,23 +413,35 @@ class InsertBuiltSkipSplay(EveryBandSkipSplay):
         self.engine.root = self.auxes[(self.n + 1) >> 1].engine.root
         for tree in self.auxes.values():
             tree.engine = self.engine
-            tree.ends = None  # band searches only from here, as a band machine's
         self.aux_of = {key: self.auxes[root] for root, keys in groups.items() for key in keys}
 
     def machine(self, key):
         return self.aux_of[key]
+
+    def _band_search(self, band, key):
+        return self.aux_of[key].search(key, fresh=False)
 
 
 def aux_band(root_key):
     return _band_of_height(_height(root_key))
 
 
+def aux_books(tree, root_key):
+    """The books of the aux tree rooted at ``root_key``: its band machine's
+    size record and the aux tree's own pair of layer-1 ends, which is its
+    one key in bands 0 and 1."""
+    band = aux_band(root_key)
+    pairs, i = tree.aux_ends[band], root_key >> (1 << band)
+    pair = (root_key, root_key) if pairs is None else (pairs[0][i], pairs[1][i])
+    return dict(tree.bands[band].sizes), pair
+
+
 def assert_same_as_per_aux(tree, ref, where):
     """Links, colours, labels, queue fields, root and cursor node for node,
-    and each aux tree's books equal to its band machine's."""
+    and each aux tree's books equal to those of its own layered tree."""
     assert nodes_state(tree.engine) == nodes_state(ref.engine), where
     for root_key, aux in ref.auxes.items():
-        assert books(tree.bands[aux_band(root_key)]) == books(aux), (where, root_key)
+        assert aux_books(tree, root_key) == books(aux), (where, root_key)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])

@@ -1,6 +1,7 @@
 """The tools still run against the package: the calibration replay reads
 the tree's books, the opcode count traces its inserts, searches and
-deletes, and nothing else exercises either."""
+deletes and doubled skip-splay accesses, and nothing else exercises
+either."""
 
 import pathlib
 import runpy
@@ -35,12 +36,12 @@ def test_opcount_repeats_and_its_parts_sum_to_the_total(capsys):
     for ops, by_name, total in first.values():
         assert total > 0 and sum(by_name.values()) == total
     assert [(kind, ops) for kind, (ops, _, _) in first.items()] == [
-        ("insert", 100), ("search", 200), ("delete", 100)]
+        ("insert", 100), ("search", 200), ("delete", 100), ("access", 200)]
 
     assert tool["main"](["--n", "300", "--searches", "200", "--inserts", "100"]) == 0
     header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert header[-3:] == ["insert", "search", "delete"]
+    assert header[-4:] == ["insert", "search", "delete", "access"]
     *parts, (_, *total) = rows
-    assert len(total) == 3
+    assert len(total) == 4
     for col, want in enumerate(total, start=1):
         assert abs(sum(float(r[col]) for r in parts) - float(want)) < 0.05 * len(parts)

@@ -177,9 +177,9 @@ def corrupted_skip_splay_bands(monkeypatch) -> _Reports:
     tree = SkipSplayTree(4)
     calls = []
 
-    def recorded(root, base, sizes, *args):
+    def recorded(root, base, sizes, *args, **kwargs):
         calls.append((root, base, sizes))
-        return validate_band(root, base, sizes, *args)
+        return validate_band(root, base, sizes, *args, **kwargs)
 
     monkeypatch.setattr(skip_splay, "validate_band", recorded)
     reports = _Reports()

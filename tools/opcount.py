@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Count the layered tree's interpreter work per insert, search and delete.
+"""Count the layered tree's interpreter work per insert, search and delete,
+and per doubled skip-splay access.
 
 Preloads a ``zipf_recency`` trace into a LayeredTree without tracing,
 except for its last ``--inserts`` inserts, then runs its searches and
-deletes the keys of the traced inserts.  The traced operations are
-counted in bytecodes executed, from ``sys.settrace`` opcode events, per
-function and in total.  The counts are exact and repeat from run to run,
-so they measure interpreter work where wall clock is too noisy to.
+deletes the keys of the traced inserts.  The ``access`` column runs as many
+doubled accesses as there are searches on a k = 4 SkipSplayTree, keyed by
+a width-4 ``repeat_block`` stream over its 255 keys: the band searches.
+The traced operations are counted in bytecodes executed, from
+``sys.settrace`` opcode events, per function and in total.  The counts are
+exact and repeat from run to run, so they measure interpreter work where
+wall clock is too noisy to.
 
     python tools/opcount.py [--n 10000 --searches 2000 --inserts 500 --seed 1]
 """
@@ -22,6 +26,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from layerws.layered_tree import LayeredTree
+from layerws.skip_splay import SkipSplayTree
 from layerws.workload import GeneratorSpec, generate
 
 
@@ -66,16 +71,20 @@ def count_opcodes(fn, keys) -> tuple[Counter, int]:
 
 
 def profile(n: int, searches: int, inserts: int, seed: int) -> dict:
-    """op kind -> (operations, opcodes by function, total opcodes)."""
+    """op kind -> (operations, opcodes by function, total opcodes); an
+    ``access`` operation is a doubled pair."""
     trace = generate(GeneratorSpec("zipf_recency", n, n + searches, seed=seed, theta=1.0))
     preload, found = [op.key for op in trace[:n]], [op.key for op in trace[n:]]
     tree = LayeredTree()
     for key in preload[:n - inserts]:
         tree.insert(key)
+    skip = SkipSplayTree(4)
+    stream = generate(GeneratorSpec("repeat_block", skip.n, skip.n + searches, seed=seed, width=4))
     out = {}
     for kind, fn, keys in (("insert", tree.insert, preload[n - inserts:]),
                            ("search", tree.search, found),
-                           ("delete", tree.delete, preload[n - inserts:])):
+                           ("delete", tree.delete, preload[n - inserts:]),
+                           ("access", skip.access_doubled, [op.key for op in stream[skip.n:]])):
         by_name, total = count_opcodes(fn, keys)
         out[kind] = len(keys), by_name, total
     return out
@@ -84,7 +93,7 @@ def profile(n: int, searches: int, inserts: int, seed: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--n", type=int, default=10_000, help="keys preloaded")
-    ap.add_argument("--searches", type=int, default=2000, help="searches traced")
+    ap.add_argument("--searches", type=int, default=2000, help="searches and doubled accesses traced")
     ap.add_argument("--inserts", type=int, default=500, help="last preload inserts traced")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
