@@ -15,15 +15,18 @@ A search that finds its key in layer j costs O(2^j) cursor visits: the key
 is moved up to layer 1 and the oldest resident of each layer 1..j-1 is
 pushed down one layer to restore the size schedule, the paper's own order
 of steps.  A hit that is already the youngest of layer 1 changes nothing
-and pays only its descent.  On a stream of searches and inserts every key
-of layers 1..j-1 is newer than every key of layer j, so a key only reaches
-layer j after 2^(2^(j-1)) distinct newer accesses and the search cost is
-logarithmic in the key's working-set number.  Deletes break that order: a
-delete refills the drained layer with the youngest key of the layer below
-and files it as the youngest of its new layer, so afterwards a search can
-find a key in layer j >= 2 with fewer than 2^(2^(j-1)) distinct newer
-accesses.  Insertion and deletion run through every layer and cost
-O(log n).
+and pays only its descent.  An insert is a hit in the deepest layer: the
+new key hangs as a leaf of layer t, or of a new layer t+1 when layer t is
+full, is counted there, and takes the hit's path from there, so the books
+never name a layer below the one the push-down opens.  On a stream of
+searches and inserts every key of layers 1..j-1 is newer than every key of
+layer j, so a key only reaches layer j after 2^(2^(j-1)) distinct newer
+accesses and the search cost is logarithmic in the key's working-set
+number.  Deletes break that order: a delete refills the drained layer with
+the youngest key of the layer below and files it as the youngest of its
+new layer, so afterwards a search can find a key in layer j >= 2 with
+fewer than 2^(2^(j-1)) distinct newer accesses.  Insertion and deletion
+run through every layer and cost O(log n).
 
 Moving a key between layers needs the youngest and oldest keys of the
 layers it passes.  An operation keeps them in a record of queue ends, two
@@ -48,13 +51,15 @@ node.  Only the pair outlives an operation: the next one clears every
 deeper entry before it reads the record.
 
 A move across several layers touches only the queues it changes: a hit in
-layer j (or a fresh insert) leaves its queue once and is filed as the
-youngest of layer 1 once, and a delete leaves its queue once before
-sinking below the deepest layer; each layer crossed gets only the
-structural step (split, relabel, fixup going up; sink, join going down).
-Filing the key into a crossed layer m and unlinking it again would be a
-round trip: it restores m's queue and the next_layer links of layer m-1,
-and split, join and the fixups never read queue fields.  So the tree after
+layer j leaves its queue once and is filed as the youngest of layer 1
+once, and a delete leaves its queue once before sinking below the deepest
+layer.  A fresh leaf is in no queue: its recency fields hold the sentinel
+older == younger == key, so its move up only files it.  Each layer
+crossed gets only the structural step (split, relabel, fixup going up;
+sink, join going down).  Filing the key into a crossed layer m and
+unlinking it again would be a round trip: it restores m's queue and the
+next_layer links of layer m-1, and split, join and the fixups never read
+queue fields.  So the tree after
 every operation is node for node the one a move of one layer at a time
 gives; only the cursor walks less.
 
@@ -280,34 +285,41 @@ class LayeredTree:
         ``x`` leaves its queue once and is filed into layer ``to`` once;
         each layer it crosses on the way gets only the structural step
         (split, relabel, fixup).  A fresh insert, marked by the sentinel
-        ``younger == key``, is in no queue to leave.
+        ``younger == key``, is in no queue to leave.  ``to == j`` happens
+        only in layer 1 and crosses nothing: a fresh leaf of a one-layer
+        tree is just filed, and a search hit is filed before it is
+        unlinked, so the walk to layer 1's youngest starts from the key.
         """
         j = x.layer - self.base
         sizes = self.sizes
-        assert 1 <= to < j, f"no upward move from layer {j} to {to}"
+        assert 1 <= to <= j, f"no upward move from layer {j} to {to}"
         assert sizes.get(to, 0) > 0, "moving up into an empty layer"
-        if x.younger != x.key:
+        queued = x.younger != x.key
+        if queued and to < j:
             self._queue_remove(x, j, ends)
         y_key, x_next = self._file_youngest(x, to, ends)
-        if to >= 2:
-            self._extreme_in_layer(to - 1, True, ends).next_layer = x.key
-
-        eng = self.engine
-        lab = x.layer
-        for _ in range(j - to):
-            ops.split(eng, x)
-            x.layer = lab = lab - 1
-            p = x.parent
-            if p is not None and p.layer == lab:
-                ops.insert_fixup(eng, x)
-            else:
-                x.red = False
+        if to == j:
+            if queued:
+                self._queue_remove(x, j, ends)
+        else:
+            if to >= 2:
+                self._extreme_in_layer(to - 1, True, ends).next_layer = x.key
+            eng = self.engine
+            lab = x.layer
+            for _ in range(j - to):
+                ops.split(eng, x)
+                x.layer = lab = lab - 1
+                p = x.parent
+                if p is not None and p.layer == lab:
+                    ops.insert_fixup(eng, x)
+                else:
+                    x.red = False
+            sizes[j] -= 1
+            sizes[to] += 1
 
         x.older = y_key
         x.younger = None
         x.next_layer = x_next
-        sizes[j] -= 1
-        sizes[to] += 1
 
     def _sink_to_boundary(self, x: Node):
         """Turn ``x`` into a boundary leaf of its layer-subtree, relabel it
@@ -393,17 +405,6 @@ class LayeredTree:
         sizes[j] -= 1
         sizes[recv] = sizes.get(recv, 0) + 1
 
-    # -- recency re-front for a hit already in layer 1 ---------------------------
-
-    def _refront(self, x: Node, ends):
-        """File ``x``, a member of layer 1 that is not its youngest, as the
-        youngest; ``ends`` is the operation's record."""
-        y_key, x_next = self._file_youngest(x, 1, ends)
-        self._queue_remove(x, 1, ends)
-        x.older = y_key
-        x.younger = None
-        x.next_layer = x_next
-
     # -- restoring the size schedule ----------------------------------------------
 
     def _push_down(self, deficit: int, ends):
@@ -435,16 +436,15 @@ class LayeredTree:
         if j == 1 and node.younger is None:
             return 1  # already the youngest: the cursor reads it free
         ends = self._record()
-        if j == 1:
-            self._refront(node, ends)
-        else:
-            self._move_up(node, 1, ends)
-            self._push_down(j, ends)
+        self._move_up(node, 1, ends)
+        self._push_down(j, ends)
         return j
 
     def insert(self, key: int):
-        """Add ``key``; it enters as the youngest of layer 1 and the size
-        schedule is restored by pushing the oldest keys down."""
+        """Add ``key`` as a hit in the deepest layer: hang it as a leaf of
+        layer t, or of a new layer t+1 when layer t is full, count it there,
+        then move it up to layer 1 and push the oldest keys down, as
+        ``search`` does with a hit in that layer."""
         eng = self.engine
         eng.begin_access()
         if eng.root is None:
@@ -459,16 +459,14 @@ class LayeredTree:
         if eng.descend_to(key) is not None:
             raise DuplicateKeyError(key)
         sizes = self.sizes
-        deficit = t = len(sizes)
-        if sizes[t] == capacity(t):
-            if t >= MAX_LAYERS:
+        j = len(sizes)
+        if sizes[j] == capacity(j):
+            if j >= MAX_LAYERS:
                 raise CapacityError(f"tree is full at {MAX_LAYERS} layers")
-            deficit = t + 1
-            sizes[deficit] = 0  # the push-down opens it
-        temp = deficit + 1
-
+            j += 1  # the key opens layer j; the push-down fills it
+        lab = self.base + j
         parent = eng.node
-        node = Node(key, self.base + temp, red=False)
+        node = Node(key, lab)
         node.older = node.younger = key  # sentinel: in no queue yet
         if key < parent.key:
             parent.left = node
@@ -476,12 +474,12 @@ class LayeredTree:
             parent.right = node
         node.parent = parent
         eng.arrive(node)
-        sizes[temp] = 1
+        if parent.layer == lab:
+            ops.insert_fixup(eng, node)
+        sizes[j] = sizes.get(j, 0) + 1
         ends = self._record()
         self._move_up(node, 1, ends)
-        self._push_down(deficit, ends)
-        assert sizes[temp] == 0
-        del sizes[temp]
+        self._push_down(j, ends)
 
     def delete(self, key: int):
         """Remove ``key``: unlink it from its queue, sink it below the

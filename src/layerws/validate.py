@@ -334,22 +334,17 @@ def _check_queue(m: int, scan: _LayerScan, below: _LayerScan | None,
         out.append(Violation("queue-chain", m,
                              f"layer {m} queue covers {seen} of {scan.count}"))
         return
-    if below is not None and below.count:
-        want_old = below.oldest[0].key if len(below.oldest) == 1 else None
-        want_young = below.youngest[0].key if len(below.youngest) == 1 else None
-        if oldest.next_layer != want_old:
-            out.append(Violation("queue-nextlayer", oldest.key,
-                                 f"oldest of layer {m} names {oldest.next_layer}, below's oldest is {want_old}"))
-        if youngest.next_layer != want_young:
-            out.append(Violation("queue-nextlayer", youngest.key,
-                                 f"youngest of layer {m} names {youngest.next_layer}, below's youngest is {want_young}"))
-    else:
-        if oldest.next_layer is not None:
-            out.append(Violation("queue-nextlayer", oldest.key,
-                                 f"oldest of layer {m} names {oldest.next_layer} but nothing is below"))
-        if youngest.next_layer is not None:
-            out.append(Violation("queue-nextlayer", youngest.key,
-                                 f"youngest of layer {m} names {youngest.next_layer} but nothing is below"))
+    # each end names the same end of the layer below, or nothing without one
+    for side, end in (("oldest", oldest), ("youngest", youngest)):
+        if below is not None and below.count:
+            ends = getattr(below, side)
+            want = ends[0].key if len(ends) == 1 else None
+            says = f", below's {side} is {want}"
+        else:
+            want, says = None, " but nothing is below"
+        if end.next_layer != want:
+            out.append(Violation("queue-nextlayer", end.key,
+                                 f"{side} of layer {m} names {end.next_layer}{says}"))
     for n in scan.carriers:
         if n is oldest or n is youngest:
             continue

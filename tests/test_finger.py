@@ -3,17 +3,21 @@ its target, a band search with ``fresh=False`` starts on the cursor, which
 holds the key, a layer-1 hit that is already the youngest skips the
 layer-1 scan, and every operation, a plain tree's or a band search in one
 aux tree of a skip-splay tree, starts from the pair of layer-1 ends kept
-with the books instead of scanning layer 1.
+with the books instead of scanning layer 1.  An insert hangs its key in the
+deepest layer and promotes it as a search hit there.
 
 None of these may change the tree or make an operation dearer.  The
 equivalence tests replay traces on a tree and on a twin that walks the
 old way (``RootWalkTree``: every ``_goto`` up to the band root and down,
-``_refront`` always scanning layer 1, every ``fresh=False`` search
-climbing from its key to the band root and descending back to it;
-``ScanTree``: every operation, or every band search when its class runs a
-skip-splay tree's bands, starting from an empty record and scanning layer
-1) and compare the two after every operation.  The twins keep the layer-1
-scan and the empty record as their own methods: the package has neither.
+a layer-1 hit re-fronted by its own ``_refront``, which always scans
+layer 1, every ``fresh=False`` search climbing from its key to the band
+root and descending back to it; ``ScanTree``: every operation, or every
+band search when its class runs a skip-splay tree's bands, starting from
+an empty record and scanning layer 1; ``TemporaryLayerTree``: every
+insert through a temporary layer below the deepest, and every layer-1 hit
+through ``_refront``) and compare the two after every operation.  The
+twins keep the layer-1 scan, the empty record, ``_refront`` and the
+temporary layer as their own code: the package has none of them.
 The skip-splay twin also enters every band machine on an access's root
 path (``EveryBandSkipSplay``), as the access did before it learned to pass
 over a band whose search would find the youngest of layer 1.
@@ -24,7 +28,9 @@ import random
 import pytest
 
 from layerws import LayeredTree, SkipSplayTree
-from layerws.layered_tree import MAX_LAYERS
+from layerws.engine import Node
+from layerws.errors import DuplicateKeyError
+from layerws.layered_tree import MAX_LAYERS, capacity
 from layerws.skip_splay import _band_of_height, _height
 from layerws.workload import DELETE, INSERT, GeneratorSpec, generate
 
@@ -135,6 +141,56 @@ class ScanTree(LayeredTree):
         return super()._extreme_in_layer(j, youngest, ends)
 
 
+class TemporaryLayerTree(LayeredTree):
+    """Inserts through a temporary layer: the new key hangs one layer below
+    the deepest, counted in the books as a layer of its own until the move
+    up lifts it, and a layer-1 hit is re-fronted by ``_refront``."""
+
+    def _refront(self, x, ends):
+        y_key, x_next = self._file_youngest(x, 1, ends)
+        self._queue_remove(x, 1, ends)
+        x.older = y_key
+        x.younger = None
+        x.next_layer = x_next
+
+    def _move_up(self, x, to, ends):
+        # only a search's layer-1 hit moves from a layer to itself here:
+        # the temporary layer puts every insert below layer 1
+        if to == x.layer - self.base:
+            self._refront(x, ends)
+        else:
+            super()._move_up(x, to, ends)
+
+    def insert(self, key):
+        eng = self.engine
+        if eng.root is None:
+            return super().insert(key)
+        eng.begin_access()
+        if eng.descend_to(key) is not None:
+            raise DuplicateKeyError(key)
+        sizes = self.sizes
+        deficit = t = len(sizes)
+        if sizes[t] == capacity(t):
+            deficit = t + 1
+            sizes[deficit] = 0  # the push-down opens it
+        temp = deficit + 1
+        parent = eng.node
+        node = Node(key, self.base + temp, red=False)
+        node.older = node.younger = key  # sentinel: in no queue yet
+        if key < parent.key:
+            parent.left = node
+        else:
+            parent.right = node
+        node.parent = parent
+        eng.arrive(node)
+        sizes[temp] = 1
+        ends = self._record()
+        self._move_up(node, 1, ends)
+        self._push_down(deficit, ends)
+        assert sizes[temp] == 0
+        del sizes[temp]
+
+
 def nodes_state(engine, cursor=True):
     """Every node's key, colour, label, links and queue fields, the root
     and (with ``cursor``) the cursor: all an engine holds apart from its
@@ -219,6 +275,37 @@ def test_layered_tree_never_dearer_on_golden_cells(cell):
         trees, [tree_reader(t) for t in trees],
         map(step_of, generate(GeneratorSpec(family, n, ops, seed))))
     assert finger < root_walk, "no operation got cheaper: is the twin patched?"
+
+
+@pytest.mark.parametrize("cell", GOLDEN_CELLS + [("uniform", 2000, 6000, 13)],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_insert_as_deepest_hit_never_dearer_than_temporary_layer(cell):
+    """An insert hangs its key in the deepest layer and promotes it as a hit
+    there: the same nodes, books and cursor as the temporary layer after
+    every operation, no insert dearer, and every search and delete exactly
+    as dear.  Only the uniform cells insert out of key order, where the
+    leaf's fixup runs before the walk to layer 1's youngest and can shorten
+    it."""
+    family, n, ops, seed = cell
+    trace = generate(GeneratorSpec(family, n, ops, seed))
+    costs = []  # each operation's cost on one side, then on the other
+
+    def costed(op):
+        step = step_of(op)
+
+        def run(tree):
+            before = tree.engine.visits
+            step(tree)
+            costs.append(tree.engine.visits - before)
+        return run
+
+    trees = (LayeredTree(), TemporaryLayerTree())
+    deepest, temporary = assert_never_dearer(
+        trees, [tree_reader(t) for t in trees], map(costed, trace))
+    assert all(costs[2 * i] == costs[2 * i + 1]
+               for i, op in enumerate(trace) if op.kind != INSERT)
+    if family == "uniform":
+        assert deepest < temporary, "no insert got cheaper: is the twin patched?"
 
 
 def snapshot_pair(tree):

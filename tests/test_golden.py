@@ -30,10 +30,10 @@ COST_FIELDS = ("amortized_ratio", "max_cost", "max_cost_over_lgw", "mean_cost")
 GOLDEN = {
     ("uniform", 300, 1500, 3): (
         "ae41f1c1f5ff23611d963e4d2d08489d45d192bf85d2c6c4d314d55391b7fa7b",
-        "e4cc7d8775cc90fd7f3277adc18855f140b40e9c163b4d105041f44a61e0c063"),
+        "155bba47bf6ce4ae0f28a7a905a959037294b57d28bd5b91ebf2134b4b496f6c"),
     ("uniform", 40, 1500, 11): (
         "0ae75ef02c2d90c857cbf681bce9bb342991e72b11594a7eb1cba22d53415f0d",
-        "d0aaa40d59c874930aa8554fd4c22fbf5bdf23627a9373ca53b34ee7b1d663ad"),
+        "a3499fb565bf8ec6794bb91e3410f32c91462dbc07a69c639b3f9e21123a916b"),
     ("zipf_recency", 200, 1500, 5): (
         "5a69a62fecee02a1a6e054c7cad3c53922b3599ee8cd41cad2c51184f76d82ac",
         "f438aedd4d14641a7c1f59bfd9ae890739da549a25db3a00787a9c2e2d72d777"),
@@ -44,7 +44,7 @@ GOLDEN = {
     # splits and refills (609 layer-4 hits among inserts and deletes)
     ("uniform", 2000, 6000, 13): (
         "20bc117f631ca68a4810a487634cc32534d81aad2058e1d2209c091993f04892",
-        "39374b7ef2f596ac2bbef7742543c889170ef5f9c06d6ff48003fe40ab79daa2"),
+        "0cbafef8009aec9a1dcb6e76a3e749caba09b154f03c8e0c73f3a10fdc186626"),
 }
 
 

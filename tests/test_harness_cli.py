@@ -12,7 +12,8 @@ from layerws.engine import Node
 from layerws.errors import DivergenceError, IncompatibleTraceError
 from layerws.faults import (_find, corrupt_color, corrupt_layer, corrupt_next_layer,
                             corrupt_queue_swap, corrupt_sizes)
-from layerws.harness import RunConfig, compare_layers, run, verify_structure
+from layerws.harness import (UB_AUTO_KEY_LIMIT, UB_AUTO_OP_LIMIT, RunConfig, compare_layers,
+                             run, verify_structure)
 from layerws.workload import GeneratorSpec, TraceOp, parse
 
 SCENARIO_A = "I 1\nI 2\nI 3\nI 4\nI 5\nS 1\n"
@@ -61,6 +62,32 @@ def test_run_skip_splay_searches(tmp_path):
     assert result.exit_code == 0
     assert result.summary["ops"] == 60
     assert result.summary["max_cost"] > 0
+
+
+@pytest.mark.parametrize("keys,ops", [
+    (UB_AUTO_KEY_LIMIT + 1, UB_AUTO_OP_LIMIT + 1),
+    (UB_AUTO_KEY_LIMIT, UB_AUTO_OP_LIMIT + 1),
+    (UB_AUTO_KEY_LIMIT + 1, UB_AUTO_OP_LIMIT),
+], ids=["both-over", "keys-at-limit", "ops-at-limit"])
+def test_run_drops_the_unified_bound_only_past_both_limits(keys, ops, tmp_path):
+    """``keys`` inserts, then searches up to ``ops`` operations: the
+    unified bound is left out, every ``ub`` cell blank and
+    ``amortized_ratio`` null, only when the trace both peaks above the key
+    limit and runs past the operation limit.  Otherwise every row has it
+    but the first insert's, which finds no key to measure from."""
+    trace = [TraceOp("I", key) for key in range(1, keys + 1)]
+    trace += [TraceOp("S", 1 + i % keys) for i in range(ops - keys)]
+    rows_path = tmp_path / "rows.csv"
+    result = run(RunConfig(structure="redblack_baseline", trace=trace, csv_path=str(rows_path)))
+    with open(rows_path, newline="") as fh:
+        filled = [bool(row["ub"]) for row in csv.DictReader(fh)]
+    assert len(filled) == ops
+    if keys > UB_AUTO_KEY_LIMIT and ops > UB_AUTO_OP_LIMIT:
+        assert not any(filled)
+        assert result.summary["amortized_ratio"] is None
+    else:
+        assert filled == [False] + [True] * (ops - 1)
+        assert result.summary["amortized_ratio"] is not None
 
 
 def test_verify_empty_tree_is_clean():

@@ -55,5 +55,5 @@ def test_tracer_counts_the_balance_steps():
     calls = tracer.records["run"]["calls"]
     assert {name: calls.get(name, 0) for name in
             ("split", "join_at", "insert_fixup", "delete_fixup", "Engine.rotate")} == {
-        "split": 3986, "join_at": 3559, "insert_fixup": 8343, "delete_fixup": 1422,
+        "split": 3317, "join_at": 3559, "insert_fixup": 8343, "delete_fixup": 1422,
         "Engine.rotate": 3716}
