@@ -4,7 +4,7 @@
 The reference keeps the same size schedule as plain (set, queue) pairs and
 no tree mechanics, so its state transitions are easy to trust.  Running a
 random mixed trace on both and comparing every layer's members, recency
-order and next-layer keys after every operation is the backbone of the
+order and queue ends after every operation is the backbone of the
 verification story.
 """
 

@@ -8,8 +8,8 @@ performing it, including every walk back toward the root.  Entering the
 tree at the root costs one arrival.
 
 Nodes carry, besides the three links and the key: one color bit, a layer
-label, and three key-valued recency fields (older/younger/next_layer).
-A structure's own books (a layered tree's per-layer sizes) live beside
+label, and two key-valued recency fields (older/younger).  A structure's
+own books (a layered tree's per-layer sizes and queue ends) live beside
 the engine's root pointer, not on any node, so a rotation or splice that
 changes the root moves nothing but links.
 """
@@ -23,7 +23,7 @@ class Node:
     __slots__ = (
         "key", "parent", "left", "right",
         "red", "layer",
-        "older", "younger", "next_layer",
+        "older", "younger",
     )
 
     def __init__(self, key: int, layer: int, red: bool = False):
@@ -35,7 +35,6 @@ class Node:
         self.layer = layer
         self.older: Optional[int] = None
         self.younger: Optional[int] = None
-        self.next_layer: Optional[int] = None
 
     def __repr__(self):
         color = "r" if self.red else "b"

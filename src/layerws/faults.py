@@ -23,9 +23,10 @@ def corrupt_queue_swap(tree: LayeredTree, key: int):
     node.older, node.younger = node.younger, node.older
 
 
-def corrupt_next_layer(tree: LayeredTree, key: int, value):
-    node = _find(tree, key)
-    node.next_layer = value
+def corrupt_ends(tree: LayeredTree, layer: int, youngest: bool, value):
+    """Plant ``value`` in the record of queue ends kept with the books: the
+    youngest (else the oldest) entry of relative layer ``layer``."""
+    tree.ends[youngest][layer] = value
 
 
 def corrupt_parent(tree: LayeredTree, key: int, parent):

@@ -9,9 +9,10 @@ other place that costs a trace operation by operation.
 Layered-tree runs execute the reference structure as a shadow and compare
 the two with ``compare_layers`` after every operation, stopping at the
 first divergence.  The comparator pins every queue field of every key
-(label, both recency links, and the next-layer key), so the cadence
-validator skips its own queue pass (``check_queues=False``); one full
-sweep with the queue pass ends every run.  Violations and divergences are
+(label and both recency links) and every entry of the record of queue
+ends, so the cadence validator skips its own queue pass
+(``check_queues=False``); one full sweep with the queue pass ends every
+run.  Violations and divergences are
 reported with the index of the operation after which they were found, or
 ``end`` for the final sweep.
 """
@@ -121,19 +122,18 @@ def _verify_reference(ref: ReferenceStructure) -> list[Violation]:
 def compare_layers(tree: LayeredTree, ref: ReferenceStructure,
                    nodes: dict[int, Node]):
     """Raise DivergenceError naming the first layer whose members, recency
-    order or next-layer keys differ from the reference.
+    order or queue ends differ from the reference.
 
     ``nodes`` maps each key the tree holds to its node.  Every reference
     queue is checked key by key: the key's node holds the key and carries
     the queue's label, its younger link names the previous key and its
-    older link the next, and an interior key names no next-layer key.  The
-    queue's youngest names the youngest key of the layer below and its
-    oldest the oldest key below (a lone member names the youngest below).
-    The tree's books must equal the reference's level lengths, and the key
-    map must hold as many keys, so this pins every layer's members, order
-    and boundary links.  Last, the pair of layer-1 ends the tree keeps with
-    its books must name the reference's oldest and youngest of level 1.
-    Snapshots are built only to word the error.
+    older link the next.  The tree's books must equal the reference's
+    level lengths, and the key map must hold as many keys, so this pins
+    every layer's members and order.  Last, each layer's entries in the
+    record of queue ends the tree keeps with its books must name the
+    reference's oldest and youngest of that level, and every entry beyond
+    the deepest level must be None.  Snapshots are built only to word the
+    error.
     """
     queues = ref.level_queues
     t = len(queues)
@@ -146,43 +146,29 @@ def compare_layers(tree: LayeredTree, ref: ReferenceStructure,
         for key, older in zip(q, chain(islice(q, 1, None), (None,))):
             node = get(key)
             if (node is None or node.key != key or node.layer != j
-                    or node.younger != younger or node.older != older
-                    or node.next_layer is not None and younger is not None
-                    and older is not None):
+                    or node.younger != younger or node.older != older):
                 raise _key_divergence(tree, ref, j, key, node, younger, older)
             younger = key
-        if not q:
-            continue
-        below = queues[j] if j < t and queues[j] else [None]
-        # a lone member is its queue's youngest, so the second entry wins
-        for key, want in {q[-1]: below[-1], q[0]: below[0]}.items():
-            if nodes[key].next_layer != want:
-                raise _divergence(
-                    tree, ref, j,
-                    f"key {key}, naming next-layer {nodes[key].next_layer} (expected {want})")
     total = sum(levels.values())
     if total != len(nodes):
         raise DivergenceError(f"reference holds {total} keys, tree maps {len(nodes)}")
     old, young = tree.ends
-    kept = old[1], young[1]
-    first = queues[0] if queues else ()
-    want = (first[-1], first[0]) if first else (None, None)
-    if kept != want:
-        raise DivergenceError(f"tree's books keep layer 1's ends as {kept}, "
-                              f"the reference's oldest and youngest are {want}")
+    for j in range(1, len(old)):
+        q = queues[j - 1] if j <= t else ()
+        want = (q[-1], q[0]) if q else (None, None)
+        if (old[j], young[j]) != want:
+            raise DivergenceError(f"tree's books keep layer {j}'s ends as {(old[j], young[j])}, "
+                                  f"the reference's oldest and youngest are {want}")
 
 
 def _key_divergence(tree: LayeredTree, ref: ReferenceStructure, j: int, key: int,
                     node: Node | None, younger, older) -> DivergenceError:
     if node is None or node.key != key:
         return _divergence(tree, ref, j, f"key {key}, missing from the tree")
-    if node.layer != j or node.younger != younger or node.older != older:
-        return _divergence(
-            tree, ref, j,
-            f"key {key}, labeled {node.layer} with younger={node.younger} "
-            f"older={node.older} (expected younger={younger} older={older})")
     return _divergence(
-        tree, ref, j, f"key {key}, naming next-layer {node.next_layer} (expected None)")
+        tree, ref, j,
+        f"key {key}, labeled {node.layer} with younger={node.younger} "
+        f"older={node.older} (expected younger={younger} older={older})")
 
 
 def _divergence(tree: LayeredTree, ref: ReferenceStructure, j: int,

@@ -4,8 +4,8 @@ One binary search tree whose nodes carry layer labels 1..t, non-decreasing
 along every root-to-leaf path.  Layer j holds exactly 2^(2^j) keys for
 j < t; the deepest layer holds the remainder.  Each layer is a forest of
 independently balanced red-black layer-subtrees, and an implicit recency
-queue threads through each layer via the older/younger/next_layer key
-fields stored in the nodes.  The tree's books are one record, ``sizes``:
+queue threads through each layer via the older/younger key fields stored
+in the nodes.  The tree's books are one record, ``sizes``:
 relative layer -> key count, naming exactly the layers 1..t between
 operations, so t is its length and n its sum.  It is O(log log n) words
 kept beside the root pointer, so a rotation that changes the root moves
@@ -29,26 +29,20 @@ fewer than 2^(2^(j-1)) distinct newer accesses.  Insertion and deletion
 run through every layer and cost O(log n).
 
 Moving a key between layers needs the youngest and oldest keys of the
-layers it passes.  An operation keeps them in a record of queue ends, two
-lists indexed by relative layer 1..MAX_LAYERS+1.  The tree keeps its
-layer-1 entries, the oldest and youngest key of layer 1, beside the root
-pointer with the books, and exact between operations: every operation, a
-band search too, starts from that pair with every deeper entry cleared,
-so none scans layer 1.  The first lookup of a deeper end hops
-the next_layer links down from layer 1's end, recording every end it
-passes; the moves update the record wherever they change an end, so the
-pair is exact again when the operation returns, a later lookup is one
-paid ``_goto``, and a neighbour's queue fields are written while that
-lookup has the cursor on it.  This stays inside the one-cursor model: the
-record holds at most 2*(MAX_LAYERS+1) keys, O(log log n) words like the
-books and the search key itself, and it holds keys, not node pointers, so
-every node whose fields are read or written, apart from the node being
-moved, is reached by the cursor through a paid ``_goto``.  That walk is a
-finger search along parent links: it climbs only until an ancestor
-brackets the wanted key (at most to the band root) and descends from
-there, and it costs nothing when the cursor already sits on the wanted
-node.  Only the pair outlives an operation: the next one clears every
-deeper entry before it reads the record.
+layers it passes.  The tree keeps them with the books, in a record of
+queue ends: two lists indexed by relative layer 1..MAX_LAYERS, holding the
+oldest and the youngest key of each layer 1..t and None beyond.  The moves
+write the record wherever they change an end, so it is exact between
+operations, a lookup of any end is one paid ``_goto``, and a neighbour's
+queue fields are written while that lookup has the cursor on it.  This
+stays inside the one-cursor model: the record holds at most 2*MAX_LAYERS
+keys, O(log log n) words like the books and the search key itself, and it
+holds keys, not node pointers, so every node whose fields are read or
+written, apart from the node being moved, is reached by the cursor
+through a paid ``_goto``.  That walk is a finger search along parent
+links: it climbs only until an ancestor brackets the wanted key (at most
+to the band root) and descends from there, and it costs nothing when the
+cursor already sits on the wanted node.
 
 A move across several layers touches only the queues it changes: a hit in
 layer j leaves its queue once and is filed as the youngest of layer 1
@@ -57,27 +51,16 @@ layer.  A fresh leaf is in no queue: its recency fields hold the sentinel
 older == younger == key, so its move up only files it.  Each layer
 crossed gets only the structural step (split, relabel, fixup going up;
 sink, join going down).  Filing the key into a crossed layer m and
-unlinking it again would be a round trip: it restores m's queue and the
-next_layer links of layer m-1, and split, join and the fixups never read
-queue fields.  So the tree after
-every operation is node for node the one a move of one layer at a time
-gives; only the cursor walks less.
+unlinking it again would be a round trip: it restores m's queue and m's
+entries in the record, and split, join and the fixups never read queue
+fields.  So the tree after every operation is node for node the one a
+move of one layer at a time gives; only the cursor walks less.
 
-The push-down after a hit in layer j is one tour of the queue ends that
-visits each end it writes once.  The step that pushes o_m, the oldest of
-layer m, reaches it through the record, files it as the youngest of layer
-m+1 and sinks it.  Two links it cannot know yet are left to the step after
-it.  The pushed key keeps its next_layer: as the oldest of m it names o_m+1,
-which the next step makes the youngest of layer m+2.  And the unlink of
-o_m's younger neighbour, the new oldest of m, waits for the next step,
-which reads the final link off o_m+1 (its younger neighbour) and writes
-both fields of the neighbour in the one visit that aims the oldest of m.
-Until then the pushed key names a key still one layer up, and the new
-oldest of m still names o_m as older.  That is exact: the next step finds
-both ends it needs, the oldest of m+1 and the youngest of m+2, in the
-record, where the step before put the keys it read, so no lookup hops
-through a link in flux, and split, join and the fixups never read queue
-fields.  The last step writes everything at once.
+The push-down after a hit in layer j is one plain ``_move_down`` per layer
+1..j-1: the step for layer m reaches o_m, the oldest of layer m, through
+the record, unlinks it, which makes its younger neighbour the oldest of m,
+files it as the youngest of layer m+1 behind the youngest the record
+names, and sinks it.  Each step writes every link and entry it changes.
 
 The tree can also operate as a band inside a larger tree (``base`` label
 offset); labels then run base+1..base+t and the machinery anchors at the
@@ -86,8 +69,8 @@ composition stacks such bands.  Its band searches pass ``fresh=False``,
 which means the cursor is on the key: the search starts there.  It runs
 one only when that key is not already the youngest of the band's first
 layer.  One band machine runs the searches of every auxiliary tree of its
-band, so the composition keeps each aux tree's pair and hands it to the
-band machine's record for the search.
+band, so the composition keeps each aux tree's record of queue ends and
+hands it to the band machine for the search.
 """
 
 from __future__ import annotations
@@ -97,9 +80,6 @@ from .errors import CapacityError, DuplicateKeyError, MissingKeyError
 from . import layer_ops as ops
 
 MAX_LAYERS = 5
-
-
-_DEEPER = (None,) * MAX_LAYERS  # a record's entries for layers 2..MAX_LAYERS+1, unknown
 
 
 def capacity(j: int) -> int:
@@ -117,10 +97,9 @@ class LayeredTree:
         self.base = base
         self.sizes: dict[int, int] = {}
         # the record of queue ends, (oldest keys, youngest keys) indexed by
-        # relative layer 1..MAX_LAYERS+1; between operations only its layer-1
-        # entries mean anything: the pair, layer 1's oldest and youngest key
-        # (None in an empty tree)
-        self.ends = [None] * (MAX_LAYERS + 2), [None] * (MAX_LAYERS + 2)
+        # relative layer 1..MAX_LAYERS: exact for the layers the books name,
+        # None for every other
+        self.ends = [None] * (MAX_LAYERS + 1), [None] * (MAX_LAYERS + 1)
 
     @property
     def layer_count(self) -> int:
@@ -185,99 +164,42 @@ class LayeredTree:
         eng.visits += visits
         return node
 
-    def _record(self):
-        """The record of queue ends of an operation: the tree's own, holding
-        layer 1's oldest and youngest key, with every deeper entry cleared."""
-        old, young = ends = self.ends
-        old[2:] = young[2:] = _DEEPER
-        return ends
-
-    def _extreme_in_layer(self, j: int, youngest: bool, ends) -> Node:
-        """Youngest/oldest member of layer j.
-
-        ``ends`` is the operation's record of queue ends.  A recorded end
-        costs one paid ``_goto``; otherwise the walk starts at the deepest
-        recorded end of the same side above j, which layer 1's always is,
-        and hops ``next_layer`` down, recording every end it passes.
-        """
-        known = ends[youngest]
-        if known[j] is not None:
-            return self._goto(known[j])
-        level = j - 1
-        while known[level] is None:
-            level -= 1
-            assert level, "layer 1's ends are missing from the record"
-        node = self._goto(known[level])
-        while level < j:
-            key = node.next_layer
-            assert key is not None, f"missing next-layer link under layer {level}"
-            node = self._goto(key)
-            level += 1
-            assert node.layer - self.base == level, "next-layer link strayed"
-            known[level] = key
-        return node
-
     # -- implicit queue maintenance -------------------------------------------
 
-    def _queue_remove(self, x: Node, j: int, ends, ahead: bool = False):
-        """Unlink ``x`` from layer j's recency queue, repairing neighbours
-        and the boundary pointers held one layer up.
-
-        ``ahead``: ``x`` is the oldest of j in a push-down step followed by
-        one from layer j+1, which is left the unlink of x's younger
-        neighbour (see the module docstring)."""
-        xo, xy, xn = x.older, x.younger, x.next_layer
+    def _queue_remove(self, x: Node, j: int, ends):
+        """Unlink ``x`` from layer j's recency queue, repairing its
+        neighbours and the record."""
+        xo, xy = x.older, x.younger
         x.older = x.younger = x.key  # sentinel: not a queue member right now
-        if xo is None and xy is None:
-            ends[0][j] = ends[1][j] = None
-            if j >= 2 and self.sizes.get(j - 1, 0) > 0:
-                self._extreme_in_layer(j - 1, True, ends).next_layer = None
-                self._extreme_in_layer(j - 1, False, ends).next_layer = None
-            return
         if xy is None:
-            o = self._goto(xo)
-            o.younger = None
-            o.next_layer = xn
             ends[1][j] = xo
-            if j >= 2:
-                self._extreme_in_layer(j - 1, True, ends).next_layer = xo
-            return
-        if xo is None:
-            if not ahead:
-                y = self._goto(xy)
-                y.older = None
-                y.next_layer = xn
+            if xo is None:
+                ends[0][j] = None
+            else:
+                self._goto(xo).younger = None
+        elif xo is None:
             ends[0][j] = xy
-            ends[0][j + 1] = xn
-            if j >= 2:
-                o = self._extreme_in_layer(j - 1, False, ends)
-                o.older = None  # in a tour, o's unlink was left to this step
-                o.next_layer = xy
-            return
-        self._goto(xo).younger = xy
-        self._goto(xy).older = xo
+            self._goto(xy).older = None
+        else:
+            self._goto(xo).younger = xy
+            self._goto(xy).older = xo
 
     # -- inter-layer moves ------------------------------------------------------
 
     def _file_youngest(self, x: Node, recv: int, ends):
-        """Record ``x`` as the youngest of layer ``recv`` and write that into
-        the queue fields of its new older neighbour while the lookup holds
-        the cursor there; that neighbour's next key, the youngest of layer
-        recv+1, goes into the record.  Returns the (older, next_layer) pair
-        ``x`` takes."""
+        """Record ``x`` as the youngest of layer ``recv``, and write that
+        into the queue fields of its new older neighbour, the youngest so
+        far, which the record names.  Returns that neighbour's key, the
+        older link ``x`` takes: None when ``x`` opens the layer."""
+        young = ends[1]
         key = x.key
-        if not self.sizes.get(recv):
-            ends[0][recv] = ends[1][recv] = key
-            return None, None
-        y = self._extreme_in_layer(recv, True, ends)
-        ends[1][recv] = key
-        x_next = y.next_layer
-        if x_next is not None:
-            ends[1][recv + 1] = x_next
-        y.younger = key
-        if y.older is not None:
-            y.next_layer = None
-        return y.key, x_next
+        y_key = young[recv]
+        young[recv] = key
+        if y_key is None:
+            ends[0][recv] = key
+        else:
+            self._goto(y_key).younger = key
+        return y_key
 
     def _move_up(self, x: Node, to: int, ends):
         """Move ``x`` up to layer ``to``; it becomes the youngest there.
@@ -297,13 +219,11 @@ class LayeredTree:
         queued = x.younger != x.key
         if queued and to < j:
             self._queue_remove(x, j, ends)
-        y_key, x_next = self._file_youngest(x, to, ends)
+        y_key = self._file_youngest(x, to, ends)
         if to == j:
             if queued:
                 self._queue_remove(x, j, ends)
         else:
-            if to >= 2:
-                self._extreme_in_layer(to - 1, True, ends).next_layer = x.key
             eng = self.engine
             lab = x.layer
             for _ in range(j - to):
@@ -319,7 +239,6 @@ class LayeredTree:
 
         x.older = y_key
         x.younger = None
-        x.next_layer = x_next
 
     def _sink_to_boundary(self, x: Node):
         """Turn ``x`` into a boundary leaf of its layer-subtree, relabel it
@@ -373,45 +292,27 @@ class LayeredTree:
         if short is not None:
             ops.delete_fixup(eng, *short)
 
-    def _move_down(self, x: Node, ends, ahead: bool | None = None):
-        """Move ``x`` one layer down; it becomes the youngest there.
-
-        ``ahead`` is None outside a push-down tour, and in one says whether
-        a step from the layer below follows (see ``_queue_remove``).  Only a
-        tour's first step, from layer 1, aims the youngest of x's layer at
-        ``x``: later, that youngest is the key the step before pushed, and
-        its kept link names ``x`` already."""
+    def _move_down(self, x: Node, ends):
+        """Move ``x`` one layer down; it becomes the youngest there."""
         j = x.layer - self.base
         recv = j + 1
-        if recv > MAX_LAYERS + 1:
-            raise CapacityError(f"no layer below {MAX_LAYERS}")
-        sizes = self.sizes
-        self._queue_remove(x, j, ends, ahead)
-        y_key, x_next = self._file_youngest(x, recv, ends)
-        if sizes[j] > 1:  # layer j keeps members once x is gone
-            key = x.key
-            if ahead is None or j == 1:
-                self._extreme_in_layer(j, True, ends).next_layer = key
-            if y_key is None:  # x opens layer recv: it is its oldest too
-                self._extreme_in_layer(j, False, ends).next_layer = key
-
+        self._queue_remove(x, j, ends)
+        y_key = self._file_youngest(x, recv, ends)
         self._sink_to_boundary(x)
         ops.join_at(self.engine, x)
-
         x.older = y_key
         x.younger = None
-        if not ahead:  # ahead, x keeps its link: see the module docstring
-            x.next_layer = x_next
+        sizes = self.sizes
         sizes[j] -= 1
         sizes[recv] = sizes.get(recv, 0) + 1
 
     # -- restoring the size schedule ----------------------------------------------
 
     def _push_down(self, deficit: int, ends):
-        """Push the oldest key of each layer 1..deficit-1 down one layer, in
-        one tour of the queue ends that visits each end it writes once."""
+        """Push the oldest key of each layer 1..deficit-1 down one layer."""
+        oldest = ends[0]
         for m in range(1, deficit):
-            self._move_down(self._extreme_in_layer(m, False, ends), ends, m + 1 < deficit)
+            self._move_down(self._goto(oldest[m]), ends)
 
     # -- public operations -----------------------------------------------------------
 
@@ -435,7 +336,7 @@ class LayeredTree:
         j = node.layer - self.base
         if j == 1 and node.younger is None:
             return 1  # already the youngest: the cursor reads it free
-        ends = self._record()
+        ends = self.ends
         self._move_up(node, 1, ends)
         self._push_down(j, ends)
         return j
@@ -477,7 +378,7 @@ class LayeredTree:
         if parent.layer == lab:
             ops.insert_fixup(eng, node)
         sizes[j] = sizes.get(j, 0) + 1
-        ends = self._record()
+        ends = self.ends
         self._move_up(node, 1, ends)
         self._push_down(j, ends)
 
@@ -492,7 +393,7 @@ class LayeredTree:
             raise MissingKeyError(key)
         t = self.layer_count
         j = node.layer - self.base
-        ends = self._record()
+        ends = self.ends
         self._queue_remove(node, j, ends)
         for _ in range(t - j + 1):
             self._sink_to_boundary(node)
@@ -502,8 +403,9 @@ class LayeredTree:
         eng.visits += 1
         eng.node = node.parent  # None once the lone key is gone
         self.sizes[j] -= 1
+        youngest = ends[1]
         for m in range(j, t):
-            self._move_up(self._extreme_in_layer(m + 1, True, ends), m, ends)
+            self._move_up(self._goto(youngest[m + 1]), m, ends)
         if self.sizes[t] == 0:  # layer t drained
             del self.sizes[t]
 

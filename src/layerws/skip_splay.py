@@ -36,17 +36,18 @@ so the walk enters a band machine only when the key it holds is elsewhere
 in its band.  Keys never move between auxiliary trees.  Insertions and
 deletions are not supported.
 
-Each aux tree of bands 2 and up keeps its own pair of layer-1 ends, the
-oldest and youngest key of its first layer, in two flat key lists per
-band indexed by root_key >> 2**band; an aux tree of bands 0 and 1 is its
-one key.  A band search copies its aux tree's pair into the band
-machine's record of queue ends and copies it back after, so it starts
-from the pair as a plain tree does and scans no layer.  This stays inside
-the one-cursor model: an access descends through the root of every aux
-tree on its key's root path, which is where it reads that tree's pair,
-and after a band search it climbs to the band root, which is where it
-writes the pair back.  At most k pairs are held at once, O(log log n)
-keys like the record.
+Each aux tree of bands 2 and up keeps its own record of queue ends, the
+oldest and youngest key of each of its layers, in flat key lists per band
+and layer indexed by root_key >> 2**band; an aux tree of bands 0 and 1 is
+its one key.  A band search copies its aux tree's record into the band
+machine's and copies it back after, so it starts from exact ends as a
+plain tree does and scans no layer.  This stays inside the one-cursor
+model: an access descends through the root of every aux tree on its key's
+root path, which is where it reads that tree's record, and after a band
+search it climbs to the band root, which is where it writes the record
+back.  An access holds at most the sum over bands b >= 2 of 2*t_b keys of
+records at once, t_b being band b's layer count: 12 at k = 5, O(log log n)
+words like a plain tree's record.
 """
 
 from __future__ import annotations
@@ -93,19 +94,21 @@ def _members(root_key: int) -> range:
 def _template(tree: LayeredTree):
     """A band's clone plan, by rank (the node of rank r holds key r): each
     node's (label, colour); its child links as (parent, child) rank pairs,
-    left and right; its queue fields as (rank, older, younger, next_layer);
-    the boundary slot of each gap, left to right, as (rank, right side); the
-    root's rank; and the ranks of layer 1's oldest and youngest key."""
+    left and right; its queue fields as (rank, older, younger); the
+    boundary slot of each gap, left to right, as (rank, right side); the
+    root's rank; and its record of queue ends, the ranks of each layer's
+    oldest and of each layer's youngest key, layer 1 first."""
     nodes = list(tree.engine.iter_nodes())
     shape = [(t.layer, t.red) for t in nodes]
     lefts = [(t.key, t.left.key) for t in nodes if t.left is not None]
     rights = [(t.key, t.right.key) for t in nodes if t.right is not None]
-    queues = [(t.key, t.older, t.younger, t.next_layer) for t in nodes
-              if (t.older, t.younger, t.next_layer) != (None, None, None)]
+    queues = [(t.key, t.older, t.younger) for t in nodes
+              if (t.older, t.younger) != (None, None)]
     slots = [(t.key, right) for t in nodes
              for right, c in ((False, t.left), (True, t.right)) if c is None]
+    t = tree.layer_count
     old, young = tree.ends
-    return shape, lefts, rights, queues, slots, tree.engine.root.key, (old[1], young[1])
+    return shape, lefts, rights, queues, slots, tree.engine.root.key, (old[1:t + 1], young[1:t + 1])
 
 
 class SkipSplayTree:
@@ -116,9 +119,10 @@ class SkipSplayTree:
         self.n = (1 << (1 << (k - 1))) - 1
         self.engine = Engine()
         self.bands: list[LayeredTree] = []  # band machines, bottom band first
-        # each aux tree's pair of layer-1 ends, by band: (oldest keys, youngest
-        # keys), indexed by root_key >> 2**band; bands 0 and 1, whose aux
-        # trees hold one key each, keep none
+        # each aux tree's record of queue ends, by band: (oldest, youngest),
+        # each indexed by relative layer from 1 and holding a list of keys
+        # indexed by root_key >> 2**band; bands 0 and 1, whose aux trees
+        # hold one key each, keep none
         self.aux_ends: list[tuple[list, list] | None] = [None, None]
         # the build's new nodes would set off collections that walk them all
         collecting = gc.isenabled()
@@ -132,9 +136,6 @@ class SkipSplayTree:
     # -- construction -------------------------------------------------------
 
     def _build(self):
-        for band in range(2, self.k):
-            count = (self.n >> (1 << band)) + 1
-            self.aux_ends.append(([None] * count, [None] * count))
         base, templates = 0, []  # peel label ranges off the top band downward
         for band in range(self.k - 1, -1, -1):
             tree = LayeredTree(base=base)
@@ -144,6 +145,10 @@ class SkipSplayTree:
             templates.insert(0, _template(tree))
             tree.engine = self.engine
             self.bands.insert(0, tree)
+        for band in range(2, self.k):
+            count = (self.n >> (1 << band)) + 1
+            layers = range(self.bands[band].layer_count)
+            self.aux_ends.append(tuple([None] + [[None] * count for _ in layers] for _ in range(2)))
         self.engine.root = self._clone(templates, self.k - 1, (self.n + 1) >> 1)
 
     def _clone(self, templates, band: int, root_key: int) -> Node:
@@ -152,7 +157,7 @@ class SkipSplayTree:
         return its root node.  The aux trees of bands 1 and 0 hold one key
         each, so a band-2 clone hangs them itself, each a fresh node with
         its band's label and colour, instead of cloning them one call each."""
-        shape, lefts, rights, queues, slots, root_rank, (old, young) = templates[band]
+        shape, lefts, rights, queues, slots, root_rank, record = templates[band]
         keys = _members(root_key)
         nodes = [Node(key, layer, red) for key, (layer, red) in zip(keys, shape)]
         for p, c in lefts:
@@ -163,15 +168,15 @@ class SkipSplayTree:
             parent, child = nodes[p], nodes[c]
             parent.right = child
             child.parent = parent
-        for r, older, younger, next_layer in queues:
+        for r, older, younger in queues:
             node = nodes[r]
             node.older = None if older is None else keys[older]
             node.younger = None if younger is None else keys[younger]
-            node.next_layer = None if next_layer is None else keys[next_layer]
         if band >= 2:
-            oldest, youngest = self.aux_ends[band]
             i = root_key >> (1 << band)
-            oldest[i], youngest[i] = nodes[old].key, nodes[young].key
+            for kept, ranks in zip(self.aux_ends[band], record):
+                for m, rank in enumerate(ranks, start=1):
+                    kept[m][i] = keys[rank]
         if band:  # a child aux root sits halfway between two members
             step = keys.step
             children = range(keys.start - (step >> 1), keys.stop, step)
@@ -232,18 +237,23 @@ class SkipSplayTree:
 
     def _band_search(self, band: int, key: int) -> int:
         """Search ``key``, on which the cursor sits, in its aux tree of
-        ``band``: the band machine starts from the aux tree's pair of layer-1
-        ends, and the pair it leaves goes back to the aux tree."""
+        ``band``: the band machine starts from the aux tree's record of
+        queue ends, and the record it leaves goes back to the aux tree."""
         tree = self.bands[band]
-        pairs = self.aux_ends[band]
-        if pairs is None:  # a one-key aux tree: the search finds the youngest
+        records = self.aux_ends[band]
+        if records is None:  # a one-key aux tree: the search finds the youngest
             return tree.search(key, fresh=False)
-        oldest, youngest = pairs
+        oldest, youngest = records
         i = key >> (1 << band)  # a member shares these bits with its aux root
         old, young = tree.ends
-        old[1], young[1] = oldest[i], youngest[i]
+        layers = range(1, len(oldest))
+        for m in layers:
+            old[m] = oldest[m][i]
+            young[m] = youngest[m][i]
         layer = tree.search(key, fresh=False)
-        oldest[i], youngest[i] = old[1], young[1]
+        for m in layers:
+            oldest[m][i] = old[m]
+            youngest[m][i] = young[m]
         return layer
 
     def access_doubled(self, key: int) -> int:
@@ -314,11 +324,11 @@ class SkipSplayTree:
         out.extend(membership)
 
         # each auxiliary tree passes the full layered-tree suite
-        # and keeps its pair of layer-1 ends
+        # and keeps its record of queue ends
         for aux_key, node in roots.items():
             b = _band_of_height(_height(aux_key))
-            band, pairs = self.bands[b], self.aux_ends[b]
+            band, records = self.bands[b], self.aux_ends[b]
             i = aux_key >> (1 << b)
-            out.extend(validate_band(node, band.base, band.sizes,
-                                     first_ends=pairs and (pairs[0][i], pairs[1][i])))
+            ends = records and tuple([None] + [kept[i] for kept in side[1:]] for side in records)
+            out.extend(validate_band(node, band.base, band.sizes, ends=ends))
         return out

@@ -5,16 +5,18 @@ traversal (no cursor accounting): search-tree order, parent links, label
 monotonicity, the layer size schedule, per-layer-subtree red-black
 validity, recency queue consistency, agreement of every entry of the
 tree's books (its per-layer size record) with the walk, the per-node
-depth bound, and, last, the pair of layer-1 ends a plain tree keeps beside
-its books against the oldest and youngest member of layer 1.  Each
+depth bound, and, last, the record of queue ends a tree keeps beside its
+books against the oldest and youngest member of every layer.  Each
 failure is reported with a witness (a key, a layer index or the name of
 the field of the books) so corruption can be pinpointed.
 
 ``validate_band`` applies them in one recursive walk that appends each
-violation where it finds it and hands black heights up as return values.
-A clean band, which is what every passing operation leaves, costs that
-one recursion (and the queue pass, when asked for); only a faulty one
-gets a second, short pass over its layer-subtree roots.
+violation where it finds it and hands black heights up as return values;
+the same walk lists each layer's members without an older and without a
+younger link, which the record check reads.  A clean band, which is what
+every passing operation leaves, costs that one recursion (and the queue
+pass, when asked for); only a faulty one gets a second, short pass over
+its layer-subtree roots.
 """
 
 from __future__ import annotations
@@ -41,14 +43,14 @@ class Violation:
 
 
 class _LayerScan:
-    """What the walk gathers about one layer of a band for the queue pass:
-    its count, its members without an older link and without a younger
-    link, and its members holding a next_layer key."""
+    """What the walk gathers about one layer of a band for the queue pass
+    and the record check: its count, and its members without an older link
+    and without a younger link."""
 
-    __slots__ = ("count", "oldest", "youngest", "carriers")
+    __slots__ = ("count", "oldest", "youngest")
 
     def __init__(self):
-        self.count, self.oldest, self.youngest, self.carriers = 0, [], [], []
+        self.count, self.oldest, self.youngest = 0, [], []
 
 
 def _outside(key: int, lo, hi) -> Violation:
@@ -93,14 +95,16 @@ class _BandWalk:
 
     __slots__ = ("base", "top", "complete", "out", "limits", "counts", "faults", "nodes", "scans")
 
-    def __init__(self, base: int, t: int, complete: bool, out: list[Violation], check_queues: bool):
+    def __init__(self, base: int, t: int, complete: bool, out: list[Violation],
+                 check_queues: bool, scan: bool):
         self.base, self.top, self.complete, self.out = base, base + t, complete, out
         self.limits = [0] * base + DEPTH_LIMITS  # by label
         self.counts = [0] * (base + t + 1)  # by label
         # red-black faults by node, as found ([] for a red node where a label begins)
         self.faults: dict[Node, list[Violation]] = {}
-        self.nodes: dict[int, Node] = {}  # key -> node, for following the queues
-        self.scans = [_LayerScan() for _ in range(t + 1)] if check_queues else None
+        # key -> node, for following the queues
+        self.nodes: dict[int, Node] | None = {} if check_queues else None
+        self.scans = [_LayerScan() for _ in range(t + 1)] if scan else None
 
     def walk(self, n: Node, plab: int | None, room: int, lo, hi) -> int:
         """Check ``n`` and the band below it.  ``n`` hangs from a node labelled
@@ -144,14 +148,13 @@ class _BandWalk:
                                       f"exceeds limit for layer {lab - self.base}"))
         self.counts[lab] += 1
         if self.scans:
-            self.nodes[key] = n
             scan = self.scans[lab - self.base]
             if n.older is None:
                 scan.oldest.append(n)
             if n.younger is None:
                 scan.youngest.append(n)
-            if n.next_layer is not None:
-                scan.carriers.append(n)
+            if self.nodes is not None:
+                self.nodes[key] = n
         left = n.left
         right = n.right
         # both parent links are checked before the right subtree is walked
@@ -197,11 +200,13 @@ class _BandWalk:
 def validate_band(root: Node | None, base: int, sizes: dict[int, int],
                   complete: bool = False,
                   check_queues: bool = True,
-                  first_ends: tuple | None = None) -> list[Violation]:
+                  ends: tuple | None = None) -> list[Violation]:
     """Validate the band rooted at ``root`` against its books ``sizes``
     (relative layer -> key count), which must name exactly the layers
-    1..t, labels base+1..base+t, and, when given, ``first_ends``, the
-    (oldest, youngest) keys of layer 1 that a plain tree keeps with them.
+    1..t, labels base+1..base+t, and, when given, ``ends``, the record of
+    queue ends kept with them: (oldest keys, youngest keys), each indexed
+    by relative layer from 1, naming layer m's oldest and youngest key for
+    m <= t and None beyond.
 
     ``complete`` means no deeper band may hang below this one (a plain
     standalone tree); inside a composition deeper bands are fine and are
@@ -212,7 +217,7 @@ def validate_band(root: Node | None, base: int, sizes: dict[int, int],
     parent links, left first; the per-layer counts; the first layer's
     shape; the red-black faults, per layer-subtree root in walk order (a
     red root, then the subtree's faults in left-first post-order); the
-    queue pass; the pair of layer-1 ends.  A walk past the recursion limit
+    queue pass; the record, layer by layer.  A walk past the recursion limit
     (a child-link cycle, or a chain far past every depth limit) gives one
     ``depth-bound`` instead, and faulty books end the report early.
     """
@@ -221,8 +226,8 @@ def validate_band(root: Node | None, base: int, sizes: dict[int, int],
     if root is None:
         if t != 0:
             out.append(Violation("header", "t", f"empty tree but the books name layers {sorted(sizes)}"))
-        if first_ends is not None:
-            _check_first_ends(root, base, first_ends, out)
+        if ends is not None:
+            _check_ends(None, ends, out)
         return out
     if not 1 <= t <= MAX_LAYERS or sorted(sizes) != list(range(1, t + 1)):
         out.append(Violation("header", "t",
@@ -237,7 +242,7 @@ def validate_band(root: Node | None, base: int, sizes: dict[int, int],
     if complete and root.parent is not None:
         out.append(Violation("parent-link", root.key, f"tree root {root.key} names parent {root.parent.key}"))
 
-    band = _BandWalk(base, t, complete, out, check_queues)
+    band = _BandWalk(base, t, complete, out, check_queues, check_queues or ends is not None)
     try:
         band.walk(root, None, 0, -float("inf"), float("inf"))
     except RecursionError:
@@ -246,7 +251,7 @@ def validate_band(root: Node | None, base: int, sizes: dict[int, int],
 
     for m in range(1, t + 1):
         got, cap = band.counts[base + m], capacity(m)
-        if check_queues:
+        if band.scans:
             band.scans[m].count = got
         if m < t and got != cap:
             out.append(Violation("layer-size", m, f"layer {m} holds {got}, schedule wants {cap}"))
@@ -276,42 +281,38 @@ def validate_band(root: Node | None, base: int, sizes: dict[int, int],
 
     if check_queues:
         for m in range(1, t + 1):
-            _check_queue(m, band.scans[m], band.scans[m + 1] if m < t else None,
-                         band.nodes, base + m, out)
-    if first_ends is not None:
-        _check_first_ends(root, base, first_ends, out)
+            _check_queue(m, band.scans[m], band.nodes, base + m, out)
+    if ends is not None:
+        _check_ends(band.scans, ends, out)
     return out
 
 
-def _check_first_ends(root: Node | None, base: int, first_ends: tuple, out: list[Violation]):
-    """The kept (oldest, youngest) pair must name layer 1's one member
-    without an older link and its one member without a younger link, or be
-    (None, None) when layer 1 is empty."""
-    oldest, youngest = [], []
-    for n in band_nodes(root, base, 1):
-        if n.older is None:
-            oldest.append(n.key)
-        if n.younger is None:
-            youngest.append(n.key)
-    old, young = first_ends
-    if oldest != ([] if old is None else [old]) or youngest != ([] if young is None else [young]):
-        out.append(Violation("header", "ends", f"layer 1's oldest are {oldest} and its youngest "
-                             f"{youngest}, the books keep {old} and {young}"))
+def _check_ends(scans: list[_LayerScan] | None, ends: tuple, out: list[Violation]):
+    """Each entry of the record must name its layer's one member without an
+    older link (the oldest) or without a younger link (the youngest), or be
+    None for a layer with no members: beyond the books, or in an empty band
+    (``scans`` None)."""
+    nothing = _LayerScan()
+    for m, old, young in zip(range(1, len(ends[0])), ends[0][1:], ends[1][1:]):
+        scan = scans[m] if scans and m < len(scans) else nothing
+        oldest = [n.key for n in scan.oldest]
+        youngest = [n.key for n in scan.youngest]
+        if oldest != ([] if old is None else [old]) or youngest != ([] if young is None else [young]):
+            out.append(Violation("header", "ends", f"layer {m}'s oldest are {oldest} and its youngest "
+                                 f"{youngest}, the books keep {old} and {young}"))
 
 
-def _check_queue(m: int, scan: _LayerScan, below: _LayerScan | None,
-                 nodes: dict[int, Node], lab: int, out: list[Violation]):
+def _check_queue(m: int, scan: _LayerScan, nodes: dict[int, Node], lab: int, out: list[Violation]):
     if not scan.count:
         return
     if len(scan.oldest) != 1 or len(scan.youngest) != 1:
         out.append(Violation("queue-chain", m,
                              f"layer {m} has {len(scan.oldest)} oldest and {len(scan.youngest)} youngest"))
         return
-    oldest, youngest = scan.oldest[0], scan.youngest[0]
     # walk oldest -> youngest; it can end only on a member of this layer
     # with no younger link, which the band walk listed as the one youngest
     seen = 0
-    n = oldest
+    n = scan.oldest[0]
     while True:
         seen += 1
         if seen > scan.count:
@@ -333,31 +334,13 @@ def _check_queue(m: int, scan: _LayerScan, below: _LayerScan | None,
     if seen != scan.count:
         out.append(Violation("queue-chain", m,
                              f"layer {m} queue covers {seen} of {scan.count}"))
-        return
-    # each end names the same end of the layer below, or nothing without one
-    for side, end in (("oldest", oldest), ("youngest", youngest)):
-        if below is not None and below.count:
-            ends = getattr(below, side)
-            want = ends[0].key if len(ends) == 1 else None
-            says = f", below's {side} is {want}"
-        else:
-            want, says = None, " but nothing is below"
-        if end.next_layer != want:
-            out.append(Violation("queue-nextlayer", end.key,
-                                 f"{side} of layer {m} names {end.next_layer}{says}"))
-    for n in scan.carriers:
-        if n is oldest or n is youngest:
-            continue
-        out.append(Violation("queue-nextlayer", n.key,
-                             f"interior member {n.key} carries a next-layer key"))
 
 
 def validate_tree(tree: LayeredTree, check_queues: bool = True) -> list[Violation]:
     """Full invariant sweep of one layered tree."""
-    old, young = tree.ends
     return validate_band(
         tree.engine.root, tree.base, tree.sizes,
         complete=True,
         check_queues=check_queues,
-        first_ends=(old[1], young[1]),
+        ends=tree.ends,
     )

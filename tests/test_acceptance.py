@@ -4,8 +4,9 @@ PASS/FLAG line.
 Criteria 1-3 share one 50-trace replay through ``harness.run`` (session
 fixture, two worker processes), the same loop the command runs.  After
 every single operation the layered tree is compared exactly against the
-reference structure by ``compare_layers`` (every key's label, both
-recency links and next-layer key, the per-layer sizes and the key count), and
+reference structure by ``compare_layers`` (every key's label and both
+recency links, the per-layer sizes, the key count and the record of queue
+ends), and
 the structural suite runs (red-black validity of every layer-subtree,
 label monotonicity, parent links, the size schedule, header agreement, and
 the per-node depth bound).  The comparator pins every queue field, so the
@@ -33,8 +34,8 @@ import pytest
 from layerws import (LayeredTree, SkipSplayTree, UnifiedBoundTracker,
                      WorkingSetTracker, lg, validate_tree)
 from layerws.constants import load_constants
-from layerws.faults import (corrupt_color, corrupt_layer, corrupt_next_layer,
-                            corrupt_parent, corrupt_queue_swap, corrupt_sizes)
+from layerws.faults import (corrupt_color, corrupt_ends, corrupt_layer, corrupt_parent,
+                            corrupt_queue_swap, corrupt_sizes)
 from layerws.harness import RunConfig, cost_rows, run, verify_structure
 from layerws.workload import GeneratorSpec, TraceOp, generate
 
@@ -451,17 +452,14 @@ def _queue_case(key, layer):
     @_case(f"queue-swap-{key}")
     def inject(tree):
         corrupt_queue_swap(tree, key)
-        return ({"queue-chain", "queue-nextlayer"}, {layer, key})
+        return ({"queue-chain"}, {layer, key})
 
 
-def _nextlayer_case(pick, value, layer):
-    @_case(f"next-layer-{pick}-{value}")
+def _ends_case(layer, side, value):
+    @_case(f"ends-{layer}:{side}-{value}")
     def inject(tree):
-        snap = tree.layer_snapshot()
-        which, idx = pick.split(":")
-        key = snap[int(which)][0 if idx == "young" else -1]
-        corrupt_next_layer(tree, key, value)
-        return ({"queue-nextlayer"}, {key, layer})
+        corrupt_ends(tree, layer, side == "young", value)
+        return {"header"}, {"ends"}
 
 
 def _parent_case(key, to):
@@ -486,10 +484,10 @@ for _k, _lay in ((20, 2), (5, 4), (33, 1), (12, 5)):
     _layer_case(_k, _lay)
 for _k, _lay in ((38, 1), (37, 1), (8, 3), (20, 3)):
     _queue_case(_k, _lay)
-_nextlayer_case("1:young", 999, 1)
-_nextlayer_case("1:old", None, 1)
-_nextlayer_case("2:young", 7, 2)
-_nextlayer_case("2:old", -1, 2)
+_ends_case(1, "young", 999)
+_ends_case(1, "old", None)
+_ends_case(2, "young", 7)
+_ends_case(2, "old", -1)
 _parent_case(10, "grandparent")
 _parent_case(10, None)
 _header_case("t-up", layers=4)

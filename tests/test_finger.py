@@ -2,7 +2,7 @@
 its target, a band search with ``fresh=False`` starts on the cursor, which
 holds the key, a layer-1 hit that is already the youngest skips the
 layer-1 scan, and every operation, a plain tree's or a band search in one
-aux tree of a skip-splay tree, starts from the pair of layer-1 ends kept
+aux tree of a skip-splay tree, starts from the record of queue ends kept
 with the books instead of scanning layer 1.  An insert hangs its key in the
 deepest layer and promotes it as a search hit there.
 
@@ -12,12 +12,13 @@ old way (``RootWalkTree``: every ``_goto`` up to the band root and down,
 a layer-1 hit re-fronted by its own ``_refront``, which always scans
 layer 1, every ``fresh=False`` search climbing from its key to the band
 root and descending back to it; ``ScanTree``: every operation, or every
-band search when its class runs a skip-splay tree's bands, starting from
-an empty record and scanning layer 1; ``TemporaryLayerTree``: every
-insert through a temporary layer below the deepest, and every layer-1 hit
-through ``_refront``) and compare the two after every operation.  The
-twins keep the layer-1 scan, the empty record, ``_refront`` and the
-temporary layer as their own code: the package has none of them.
+band search when its class runs a skip-splay tree's bands, starting with
+layer 1's entries of the record cleared and scanning layer 1 for the
+first of them it needs; ``TemporaryLayerTree``: every insert through a
+temporary layer below the deepest, and every layer-1 hit through
+``_refront``) and compare the two after every operation.  The twins keep
+the layer-1 scan, the cleared entries, ``_refront`` and the temporary
+layer as their own code: the package has none of them.
 The skip-splay twin also enters every band machine on an access's root
 path (``EveryBandSkipSplay``), as the access did before it learned to pass
 over a band whose search would find the youngest of layer 1.
@@ -44,12 +45,6 @@ def climb_to_band_root(eng, base):
         eng.visits += 1
     eng.node = node
     return node
-
-
-def empty_record():
-    """An operation's empty record of queue ends: (oldest keys, youngest
-    keys), each indexed by relative layer 1..MAX_LAYERS+1."""
-    return [None] * (MAX_LAYERS + 2), [None] * (MAX_LAYERS + 2)
 
 
 def scan_first_layer(tree, youngest, ends):
@@ -97,14 +92,10 @@ class RootWalkTree(LayeredTree):
         y0 = self._scan_first_layer(True, ends)
         if y0 is x:
             return
-        y0_next = y0.next_layer
         self._queue_remove(x, 1, ends)
         x.older = y0.key
         x.younger = None
-        x.next_layer = y0_next
         y0.younger = x.key
-        if y0.older is not None:
-            y0.next_layer = None
         ends[1][1] = x.key
 
     def search(self, key, fresh=True):
@@ -113,7 +104,7 @@ class RootWalkTree(LayeredTree):
             eng.begin_access()
         else:
             climb_to_band_root(eng, self.base)
-        ends = self._record()
+        ends = self.ends
         node = eng.descend_to(key)
         if node is None:
             return None
@@ -126,19 +117,36 @@ class RootWalkTree(LayeredTree):
         return j
 
 
-class ScanTree(LayeredTree):
-    """Keeps no pair of layer-1 ends: every operation starts from an empty
-    record and scans layer 1 for the first end it needs."""
+def clearing_first_layer(op):
+    """The operation ``op``, run with layer 1's entries of the record cleared."""
+    def run(self, *args, **kwargs):
+        old, young = self.ends
+        old[1] = young[1] = None
+        return op(self, *args, **kwargs)
+    return run
 
-    _record = staticmethod(empty_record)
+
+class ScanTree(LayeredTree):
+    """Keeps no pair of layer-1 ends: every operation starts with layer 1's
+    entries of the record cleared and scans layer 1 for the first of them
+    it reads.  Only a filing into layer 1 and a push-down from it read one
+    there; the deeper entries are kept as the tree keeps them."""
+
     _scan_first_layer = scan_first_layer
 
-    def _extreme_in_layer(self, j, youngest, ends):
-        # with no end of this side recorded down to layer j, scan layer 1,
-        # then hop down from its end
-        if all(key is None for key in ends[youngest][1:j + 1]):
-            self._scan_first_layer(youngest, ends)
-        return super()._extreme_in_layer(j, youngest, ends)
+    search = clearing_first_layer(LayeredTree.search)
+    insert = clearing_first_layer(LayeredTree.insert)
+    delete = clearing_first_layer(LayeredTree.delete)
+
+    def _file_youngest(self, x, recv, ends):
+        if recv == 1 and ends[1][1] is None:  # layer 1 is never empty here
+            self._scan_first_layer(True, ends)
+        return super()._file_youngest(x, recv, ends)
+
+    def _push_down(self, deficit, ends):
+        if deficit > 1 and ends[0][1] is None:
+            self._scan_first_layer(False, ends)
+        super()._push_down(deficit, ends)
 
 
 class TemporaryLayerTree(LayeredTree):
@@ -147,11 +155,10 @@ class TemporaryLayerTree(LayeredTree):
     up lifts it, and a layer-1 hit is re-fronted by ``_refront``."""
 
     def _refront(self, x, ends):
-        y_key, x_next = self._file_youngest(x, 1, ends)
+        y_key = self._file_youngest(x, 1, ends)
         self._queue_remove(x, 1, ends)
         x.older = y_key
         x.younger = None
-        x.next_layer = x_next
 
     def _move_up(self, x, to, ends):
         # only a search's layer-1 hit moves from a layer to itself here:
@@ -184,7 +191,7 @@ class TemporaryLayerTree(LayeredTree):
         node.parent = parent
         eng.arrive(node)
         sizes[temp] = 1
-        ends = self._record()
+        ends = self.ends
         self._move_up(node, 1, ends)
         self._push_down(deficit, ends)
         assert sizes[temp] == 0
@@ -197,38 +204,50 @@ def nodes_state(engine, cursor=True):
     visit counter."""
     # ``a and a.key`` reads None for a missing link: nodes are always true
     nodes = [(n.key, n.red, n.layer, n.parent and n.parent.key, n.left and n.left.key,
-              n.right and n.right.key, n.older, n.younger, n.next_layer)
+              n.right and n.right.key, n.older, n.younger)
              for n in engine.iter_nodes()]
     root = engine.root and engine.root.key
     return (nodes, root, engine.node and engine.node.key) if cursor else (nodes, root)
 
 
 def books(tree):
-    """The tree's books: a copy of its per-layer size record and layer 1's
-    (oldest, youngest) pair kept beside it."""
-    return dict(tree.sizes), tuple(side[1] for side in tree.ends)
+    """The tree's books: a copy of its per-layer size record and of the
+    record of queue ends kept beside it, (oldest keys, youngest keys) of
+    layers 1..MAX_LAYERS."""
+    return dict(tree.sizes), tuple(tuple(side[1:]) for side in tree.ends)
+
+
+def snapshot_ends(tree):
+    """The record of queue ends as ``books`` lays it out, read off every
+    layer's recency order."""
+    snap = tree.layer_snapshot()
+    return tuple(tuple(snap[m][end] if m in snap else None for m in range(1, MAX_LAYERS + 1))
+                 for end in (-1, 0))
 
 
 def skip_books(tree):
     """A skip-splay tree's books: a copy of each band machine's size record,
-    and of each band's (oldest keys, youngest keys) lists that keep its aux
-    trees' pairs of layer-1 ends (None for bands 0 and 1)."""
+    and of each band's records of queue ends, as (oldest, youngest), each a
+    list per layer of keys by aux index (None for bands 0 and 1)."""
     return ([dict(band.sizes) for band in tree.bands],
-            [pairs and (list(pairs[0]), list(pairs[1])) for pairs in tree.aux_ends])
+            [records and tuple([list(kept) for kept in side[1:]] for side in records)
+             for records in tree.aux_ends])
 
 
 def walked_aux_ends(tree):
-    """Each aux tree's layer-1 oldest and youngest key, read off the queue
-    fields of every node and laid out as ``tree.aux_ends``."""
-    out = [pairs and ([None] * len(pairs[0]), [None] * len(pairs[0])) for pairs in tree.aux_ends]
+    """Each aux tree's oldest and youngest key of every layer, read off the
+    queue fields of every node and laid out as ``skip_books`` lays out the
+    records."""
+    out = [records and tuple([[None] * len(side[1]) for _ in side[1:]] for side in records)
+           for records in tree.aux_ends]
     for n in tree.engine.iter_nodes():
         band = _band_of_height(_height(n.key))
-        if out[band] is not None and n.layer == tree.bands[band].base + 1:
-            i = n.key >> (1 << band)
+        if out[band] is not None:
+            m, i = n.layer - tree.bands[band].base - 1, n.key >> (1 << band)
             if n.older is None:
-                out[band][0][i] = n.key
+                out[band][0][m][i] = n.key
             if n.younger is None:
-                out[band][1][i] = n.key
+                out[band][1][m][i] = n.key
     return out
 
 
@@ -308,20 +327,14 @@ def test_insert_as_deepest_hit_never_dearer_than_temporary_layer(cell):
         assert deepest < temporary, "no insert got cheaper: is the twin patched?"
 
 
-def snapshot_pair(tree):
-    """Layer 1's (oldest, youngest), read off its recency order."""
-    first = tree.layer_snapshot().get(1)
-    return (first[-1], first[0]) if first else (None, None)
-
-
 @pytest.mark.parametrize("cell", GOLDEN_CELLS, ids=lambda c: "-".join(map(str, c)))
 def test_kept_pair_never_dearer_than_scanning_on_golden_cells(cell):
-    """The scanning twin keeps no pair, so its side reads layer 1's ends
-    off its queue: the tree's kept pair must name them after every step."""
+    """The scanning twin keeps no pair, so its side reads every layer's ends
+    off its queues: the tree's kept record must name them after every step."""
     family, n, ops, seed = cell
     trees = kept, scan = LayeredTree(), ScanTree()
     readers = [tree_reader(kept),
-               lambda: (nodes_state(scan.engine), (dict(scan.sizes), snapshot_pair(scan)))]
+               lambda: (nodes_state(scan.engine), (dict(scan.sizes), snapshot_ends(scan)))]
     kept_visits, scan_visits = assert_never_dearer(
         trees, readers, map(step_of, generate(GeneratorSpec(family, n, ops, seed))))
     assert kept_visits < scan_visits, "no operation got cheaper: is the twin patched?"
@@ -395,7 +408,7 @@ def test_skip_splay_never_dearer(k, count, family):
 @pytest.mark.parametrize("family", ["repeat_block", "uniform"])
 def test_skip_splay_aux_pairs_never_dearer_than_scanning(k, count, family):
     """Bands that differ only by scanning: the twin's bands keep no pair, so
-    its side reads each aux tree's layer-1 ends off the queue fields."""
+    its side reads each aux tree's ends off the queue fields."""
     trees = kept, scan = SkipSplayTree(k), SkipSplayTree(k)
     for band in scan.bands:
         band.__class__ = ScanTree

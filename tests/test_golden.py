@@ -30,21 +30,21 @@ COST_FIELDS = ("amortized_ratio", "max_cost", "max_cost_over_lgw", "mean_cost")
 GOLDEN = {
     ("uniform", 300, 1500, 3): (
         "ae41f1c1f5ff23611d963e4d2d08489d45d192bf85d2c6c4d314d55391b7fa7b",
-        "155bba47bf6ce4ae0f28a7a905a959037294b57d28bd5b91ebf2134b4b496f6c"),
+        "2e169e924d9bd203a5ca5b211de0fd64abb7d9d11d393a187bf060954630ea74"),
     ("uniform", 40, 1500, 11): (
         "0ae75ef02c2d90c857cbf681bce9bb342991e72b11594a7eb1cba22d53415f0d",
-        "a3499fb565bf8ec6794bb91e3410f32c91462dbc07a69c639b3f9e21123a916b"),
+        "41296c9e3923a1255a9d3e6a001cd632ab8ffc63d0cc405d70eaef3f4f5f10fe"),
     ("zipf_recency", 200, 1500, 5): (
         "5a69a62fecee02a1a6e054c7cad3c53922b3599ee8cd41cad2c51184f76d82ac",
-        "f438aedd4d14641a7c1f59bfd9ae890739da549a25db3a00787a9c2e2d72d777"),
+        "cd730080010abaefb7781567ac96d90a3c4610c225d49f7e45a4c181e2dd74eb"),
     ("finger_walk", 250, 1200, 7): (
         "6897e05eab13142e3f12925a79f0027d8f84ccf7e12af50f8621956d0dadf63a",
-        "914df3f6c9d05706a6629ee785d3ec4a8a1f6b2c8c7c1b1b98a6e7fae3492bb2"),
+        "c97e30c505cc9ff777430eeefa3c55f553b332379fba0e6c9f3b1eb254d91a97"),
     # the one cell whose tree reaches layer 4: it pins the layer-4 pushes,
     # splits and refills (609 layer-4 hits among inserts and deletes)
     ("uniform", 2000, 6000, 13): (
         "20bc117f631ca68a4810a487634cc32534d81aad2058e1d2209c091993f04892",
-        "0cbafef8009aec9a1dcb6e76a3e749caba09b154f03c8e0c73f3a10fdc186626"),
+        "5e6891b5459d8a8726976c130dda87244ce67daab0b04add433c46b7744a5140"),
 }
 
 
@@ -145,11 +145,11 @@ OTHER_GOLDEN = {
     "skip_splay": (
         lambda tmp_path: ["--trace", _band_searches(tmp_path / "searches.txt")],
         "d52082eed6df94ee20ad811e0297c4753755d12fab9cba6ebeac32cfc2854eb5",
-        "cdcb23afefa58c3d0376ab85c24eab46992501a4bbc36917fc49005ffd06ff7a"),
+        "ee095faadae7c48d353ce1d583376613cb3296e6774f89b9a2d792aaab14bddc"),
     "skip_splay_doubled": (
         lambda tmp_path: ["--trace", _band_searches(tmp_path / "searches.txt")],
         "376d517618be40ab6e528d24777bd76edfa7498795dd3ec6a2263f4767fd1909",
-        "02af0387d1c86d9019cbe7a0494eb3e3c2a526a51f02ab1923bc411b41635efe"),
+        "b83142a98fc5d3ddad2a4d16c5417cdba805551f6cb05d5e8d9b1bd08530ed8e"),
     "ws_reference": (
         lambda tmp_path: ["--gen", "uniform", "--n", "300", "--ops", "1500", "--seed", "3"],
         "a4252fd3b33c8590ab09e5d4f8c4a54f4c139ca82809a6f6f627d177cb6fc771",

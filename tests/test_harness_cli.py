@@ -10,7 +10,7 @@ from layerws import LayeredTree, RedBlackBaseline, ReferenceStructure
 from layerws.cli import main
 from layerws.engine import Node
 from layerws.errors import DivergenceError, IncompatibleTraceError
-from layerws.faults import (_find, corrupt_color, corrupt_layer, corrupt_next_layer,
+from layerws.faults import (_find, corrupt_color, corrupt_ends, corrupt_layer,
                             corrupt_queue_swap, corrupt_sizes)
 from layerws.harness import (UB_AUTO_KEY_LIMIT, UB_AUTO_OP_LIMIT, RunConfig, compare_layers,
                              run, verify_structure)
@@ -165,9 +165,9 @@ def _set_size(tree, layer, value):
 
 # Each fault is planted by the search for key 1 (operation PLANT_AT), after
 # which the 40-key tree holds [1, 40, 39, 38], [37..22] and [21..2].  The
-# comparator reports a wrong key, label, queue field or entry of the books
-# as a divergence; the per-operation validator reports a colour fault as a
-# violation.
+# comparator reports a wrong key, label, queue field or entry of the books,
+# the record of queue ends among them, as a divergence; the per-operation
+# validator reports a colour fault as a violation.
 PLANT_TRACE = "".join(f"I {k}\n" for k in range(1, 41)) + "S 40\nS 1\nS 2\nS 3\n"
 PLANT_AT = 41
 PLANTED = {
@@ -176,9 +176,9 @@ PLANTED = {
     "queue-swap": (lambda t: corrupt_queue_swap(t, 33), "divergence"),
     "interior-older": (lambda t: _set_field(t, 33, "older", 20), "divergence"),
     "node-key": (lambda t: _set_field(t, 30, "key", 1000), "divergence"),
-    "next-layer-youngest": (lambda t: corrupt_next_layer(t, 1, 999), "divergence"),
-    "next-layer-oldest": (lambda t: corrupt_next_layer(t, 22, None), "divergence"),
-    "next-layer-interior": (lambda t: corrupt_next_layer(t, 30, 7), "divergence"),
+    "ends-layer-1-youngest": (lambda t: corrupt_ends(t, 1, True, 999), "divergence"),
+    "ends-layer-2-oldest": (lambda t: corrupt_ends(t, 2, False, None), "divergence"),
+    "ends-below-the-deepest": (lambda t: corrupt_ends(t, 4, False, 7), "divergence"),
     "header-layer-count": (lambda t: corrupt_sizes(t, layers=4), "divergence"),
     "header-last-size": (lambda t: corrupt_sizes(t, deepest=t.sizes[3] + 1), "divergence"),
     "header-middle-size": (lambda t: _set_size(t, 2, 1), "divergence"),
@@ -284,7 +284,7 @@ def test_queue_swap_detected():
     victim = tree.layer_snapshot()[2][3]
     corrupt_queue_swap(tree, victim)
     found = verify_structure(tree)
-    assert any(v.kind in ("queue-chain", "queue-nextlayer") for v in found)
+    assert any(v.kind == "queue-chain" for v in found)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -408,12 +408,19 @@ def test_queue_that_returns_to_a_key_it_passed_cycles():
         "queue-chain[1]: layer 1 queue cycles"]
 
 
-def test_next_layer_corruption_detected():
-    tree = fresh_tree()
-    youngest = tree.layer_snapshot()[1][0]
-    corrupt_next_layer(tree, youngest, 999)
-    found = verify_structure(tree)
-    assert any(v.kind == "queue-nextlayer" for v in found)
+@pytest.mark.parametrize("layer,youngest,value", [(1, True, 999), (2, False, None), (3, True, 7),
+                                                  (4, False, 7)])
+def test_ends_corruption_detected(layer, youngest, value):
+    """A key planted in one entry of the record of queue ends: the 40-key
+    tree holds three layers, so layer 4's entries must be None."""
+    tree, ref = fresh_tree(), ReferenceStructure()
+    for k in range(1, 41):
+        ref.insert(k)
+    compare_layers(tree, ref, node_map(tree))
+    corrupt_ends(tree, layer, youngest, value)
+    assert [(v.kind, v.witness) for v in verify_structure(tree)] == [("header", "ends")]
+    with pytest.raises(DivergenceError, match=f"layer {layer}'s ends"):
+        compare_layers(tree, ref, node_map(tree))
 
 
 def node_map(tree):

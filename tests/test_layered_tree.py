@@ -16,7 +16,8 @@ from layerws import (CapacityError, DuplicateKeyError, LayeredTree,
                      validate_tree)
 from layerws import layered_tree
 from layerws.engine import Engine, Node
-from layerws.harness import RunConfig, run
+from layerws.errors import DivergenceError
+from layerws.harness import RunConfig, compare_layers, run
 from layerws.workload import TraceOp
 from test_finger import tree_reader
 
@@ -31,27 +32,26 @@ def layer_of(tree, key):
 
 
 # One-layer moves and queue-end lookups, each a fresh access in the tree's
-# record of queue ends, which keeps layer 1's pair exact.  A lone move
-# leaves the size schedule off by one key, for the public operations to
-# restore.
+# record of queue ends, which the moves keep exact.  A lone move leaves the
+# size schedule off by one key, for the public operations to restore.
 
 def move_up(tree, key):
     """Move ``key`` up one layer; it becomes the youngest there."""
     tree.engine.begin_access()
     node = tree.engine.descend_to(key)
-    tree._move_up(node, node.layer - tree.base - 1, tree._record())
+    tree._move_up(node, node.layer - tree.base - 1, tree.ends)
 
 
 def move_down(tree, key):
     """Move ``key`` down one layer; it becomes the youngest there."""
     tree.engine.begin_access()
-    tree._move_down(tree.engine.descend_to(key), tree._record())
+    tree._move_down(tree.engine.descend_to(key), tree.ends)
 
 
 def layer_end(tree, j, youngest):
-    """The youngest (else the oldest) key of layer ``j``."""
+    """The youngest (else the oldest) key of layer ``j``, by a paid walk."""
     tree.engine.begin_access()
-    return tree._extreme_in_layer(j, youngest, tree._record()).key
+    return tree._goto(tree.ends[youngest][j]).key
 
 
 def scenario_a():
@@ -94,7 +94,7 @@ def test_scenario_a_search_promotes():
 def test_scenario_a_miss_changes_nothing():
     tree = scenario_a()
     def state():
-        return [(n.key, n.red, n.layer, n.older, n.younger, n.next_layer,
+        return [(n.key, n.red, n.layer, n.older, n.younger,
                  None if n.parent is None else n.parent.key)
                 for n in tree.engine.iter_nodes()]
     before = state()
@@ -180,7 +180,7 @@ def test_interior_queue_splice():
     node = tree.engine.root
     while node.key != 4:
         node = node.left if 4 < node.key else node.right
-    tree._queue_remove(node, 1, tree._record())
+    tree._queue_remove(node, 1, tree.ends)
     snap_order = []
     walk = [n for n in tree.engine.iter_nodes() if n.layer == 1 and n.younger is None]
     assert len(walk) == 1
@@ -350,11 +350,14 @@ def forty_with_chain(length):
 
 def test_chain_the_walk_can_follow_keeps_its_report():
     """A 60-node chain gets the report, byte for byte, that the validator
-    wrote while it checked a faulty band in a second walk (pinned then)."""
+    wrote while it checked a faulty band in a second walk (pinned then),
+    less its two next-layer lines, the layer-2 ends naming no layer-3 ends,
+    and with the record's line for layer 3 last: the chain's 60 keys join
+    layer 3's one oldest and one youngest."""
     report = "".join(f"{v}\n" for v in validate_tree(forty_with_chain(60)))
-    assert report.count("\n") == 91
+    assert report.count("\n") == 90
     assert hashlib.sha256(report.encode()).hexdigest() == \
-        "c72bd11ea7006a60f00e58f7ff7571736a0afd5eb0a9100a32852cd9f94ee68f"
+        "a0c8524c4a3d7eed15b92eda18dd705d5f0bb9a7a06ea06fabf6b8ecf5649db9"
 
 
 def test_chain_deeper_than_the_recursion_limit_is_reported():
@@ -627,24 +630,36 @@ def test_fifth_layer_opens_and_closes():
 
 def test_operations_leave_no_state_behind():
     """The model allows an operation O(log log n) words of local memory.
-    Of its record of queue ends only layer 1's pair outlives it, kept with
-    the books, so a tree holds only its engine, base, books and that
-    record, and keys planted in the record's deeper entries between
-    operations change no operation's tree or cost."""
+    A tree holds only its engine, base, books and the record of queue ends
+    kept with them, and every entry of that record is part of the books:
+    after an operation each is exact, and a key planted in any one of them
+    is reported by the validator and by the comparator."""
     rng = random.Random(9)
-    tree, planted = LayeredTree(), LayeredTree()
+    tree, ref = LayeredTree(), ReferenceStructure()
     keys = rng.sample(range(1000), 300)
-    steps = [(t.insert, k) for k in keys for t in (tree, planted)]
-    steps += [(t.search, k) for k in rng.choices(keys, k=300) for t in (tree, planted)]
-    steps += [(t.delete, k) for k in keys[:150] for t in (tree, planted)]
-    for i, (op, key) in enumerate(steps):
-        if i % 2:
-            for side in planted.ends:
-                side[2:] = rng.choices(keys[150:], k=len(side) - 2)
-        op(key)
-        if i % 2:
-            assert tree_reader(tree)() == tree_reader(planted)(), f"step {i // 2}"
-            assert tree.engine.visits == planted.engine.visits, f"step {i // 2}"
+    steps = [("insert", k) for k in keys]
+    steps += [("search", k) for k in rng.choices(keys, k=300)]
+    steps += [("delete", k) for k in keys[:150]]
+    planted = 0
+    for i, (kind, key) in enumerate(steps):
+        assert getattr(tree, kind)(key) == getattr(ref, kind)(key)
+        if i % 10:
+            continue
+        nodes = {n.key: n for n in tree.engine.iter_nodes()}
+        assert_clean(tree, f"step {i}")
+        compare_layers(tree, ref, nodes)
+        for side in tree.ends:
+            for m in range(1, layered_tree.MAX_LAYERS + 1):
+                kept = side[m]
+                side[m] = rng.choice([k for k in keys + [None] if k != kept])
+                report = [str(v) for v in validate_tree(tree, check_queues=False)]
+                assert len(report) == 1 and report[0].startswith(f"header[ends]: layer {m}'s "), \
+                    (i, m, report)
+                with pytest.raises(DivergenceError, match=f"layer {m}'s ends"):
+                    compare_layers(tree, ref, nodes)
+                side[m] = kept
+                planted += 1
+    assert planted == 2 * layered_tree.MAX_LAYERS * len(range(0, len(steps), 10))
     move_down(tree, layer_end(tree, 1, youngest=True))
     move_up(tree, layer_end(tree, 2, youngest=True))
     layer_end(tree, 3, youngest=False)

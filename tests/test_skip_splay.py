@@ -8,7 +8,7 @@ import pytest
 
 from layerws import LayeredTree, SkipSplayTree
 from layerws.errors import DictError, MissingKeyError
-from layerws.layered_tree import capacity
+from layerws.layered_tree import MAX_LAYERS, capacity
 from layerws.skip_splay import _ancestor_at, _aux_root_key, _band_of_height, _band_size, _height
 from test_finger import (EveryBandSkipSplay, books, nodes_state, skip_plan, skip_splay_pair,
                          skip_state_reader)
@@ -259,7 +259,7 @@ def _plant_one(rng, nodes):
         new = None if _reaches(other, n) or rng.random() < 0.3 else other
         changes = [(n, rng.choice(("left", "right")), new)]
     else:
-        changes = [(n, rng.choice(("older", "younger", "next_layer")), rng.choice((None, other.key)))]
+        changes = [(n, rng.choice(("older", "younger")), rng.choice((None, other.key)))]
     undo = [(obj, field, getattr(obj, field)) for obj, field, _ in changes]
     for obj, field, value in changes:
         setattr(obj, field, value)
@@ -378,7 +378,7 @@ class InsertBuiltSkipSplay(EveryBandSkipSplay):
     engine of its own per auxiliary tree, filled by inserting its members in
     ascending order, hung into its parent's boundary slot by a descent, and
     then moved onto the shared engine.  An access searches each auxiliary
-    tree on its root path with that tree's own books, its pair of layer-1
+    tree on its root path with that tree's own books, its record of queue
     ends among them."""
 
     def _build(self):
@@ -427,13 +427,15 @@ def aux_band(root_key):
 
 
 def aux_books(tree, root_key):
-    """The books of the aux tree rooted at ``root_key``: its band machine's
-    size record and the aux tree's own pair of layer-1 ends, which is its
-    one key in bands 0 and 1."""
+    """The books of the aux tree rooted at ``root_key`` as ``books`` lays out
+    a plain tree's: its band machine's size record and the aux tree's own
+    record of queue ends, which is its one key in bands 0 and 1."""
     band = aux_band(root_key)
-    pairs, i = tree.aux_ends[band], root_key >> (1 << band)
-    pair = (root_key, root_key) if pairs is None else (pairs[0][i], pairs[1][i])
-    return dict(tree.bands[band].sizes), pair
+    records, i = tree.aux_ends[band], root_key >> (1 << band)
+    sides = ([[root_key]] * 2 if records is None
+             else [[kept[i] for kept in side[1:]] for side in records])
+    return dict(tree.bands[band].sizes), tuple(
+        tuple(side + [None] * (MAX_LAYERS - len(side))) for side in sides)
 
 
 def assert_same_as_per_aux(tree, ref, where):
@@ -456,10 +458,12 @@ def test_band_build_equals_per_aux_inserts(k):
 def test_k5_build_digest():
     """The k = 5 build node for node, as the per-aux inserts build it (the
     ``slow`` case above): a sha256 of every node's key, colour, label,
-    parent, child and queue fields, the root and the cursor."""
+    parent, child and queue fields, the root and the cursor.  Taken, with
+    the two queue fields nodes now carry, from the build that also kept a
+    next-layer key on each node."""
     state = repr(nodes_state(SkipSplayTree(5).engine)).encode()
     assert hashlib.sha256(state).hexdigest() == (
-        "0dc78736572069329a686d97b2e0a5f5b73390d2a287c039cfd9207cd4a78c43")
+        "45c4de9372fec210df3f73e34f9fcaa9ea88250a0d986150c43cda70399f49a4")
 
 
 @pytest.mark.parametrize("k,count", [(2, 200), (3, 600), (4, 1500),

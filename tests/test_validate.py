@@ -21,18 +21,19 @@ from layerws import skip_splay, validate
 from layerws.engine import band_nodes
 from layerws.validate import validate_band
 
+# "ends" is an entry of the record of queue ends kept with the books
 FIELDS = ("red", "layer", "key", "left", "right", "parent",
-          "older", "younger", "next_layer", "sizes")
+          "older", "younger", "sizes", "ends")
 _ABSENT = object()
 
 # case -> (sha256 of every report in order, bands found clean, bands found faulty)
 PINNED = {
-    "trees-1": ("f2c563a5144d9ef29ecff27ec9af04fff55166397662ff6a76d98d6cfd07c9b8", 139, 160),
-    "trees-2": ("84ee08a3c218b5fc49c01e6feeca268ea64a5ed96a08ccc766762c7447056a4e", 121, 179),
-    "trees-3": ("8f018ce4e8c9d32bc86c99200e297b35bb1ba4d1e65cbbd42f10e7c5600496f4", 123, 177),
-    "trees-4": ("db6b3963939042c55bf5b3de28d5d9edb06ace4aff660165ea26a284b42a60e1", 81, 219),
-    "skip-splay": ("7d40df3d3b6f8971ba84047730f1da89c89d471693adb83888d97b5dad7e1b5c", 139, 101),
-    "alone": ("abde33022dc4b07b8fc1f4095a746516effec81b8aea058f8b4121a9f8d2befe", 160, 791),
+    "trees-1": ("8d6f122f5cc6ac6da0b4dda97b3144acd7bc565163ab97ee6d19aae566bafdfe", 90, 209),
+    "trees-2": ("4b92fd4889c75e759211610cae3628f298e662fb5ae269d29a4b636aa9163d5f", 81, 219),
+    "trees-3": ("ca095b301c949faa90336f4a5d1eec8ebcbfd275eea4e56637ea923e53b8dbed", 101, 199),
+    "trees-4": ("b8bcac2894f4a8da560bbb5a7c20b7fd0213ee0e69a8b9013c78350b6b435188", 76, 224),
+    "skip-splay": ("aa4b411cba13fe6613f41533478264fd693e8c92be8444a6901b25eb6aa7812f", 90, 150),
+    "alone": ("6aaa03093c7c086c0338e4f1021af1cab5378b56b276bb5cd21b759fd03e5647", 160, 791),
 }
 
 
@@ -45,10 +46,10 @@ class _Reports:
         self.clean = self.faulty = 0
         self.fields: set[str] = set()
 
-    def check(self, root, base, sizes, complete) -> list:
+    def check(self, root, base, sizes, complete, ends=None) -> list:
         """The band's structural report; both reports go into the digest."""
         for check_queues in (True, False):
-            report = validate_band(root, base, sizes, complete, check_queues)
+            report = validate_band(root, base, sizes, complete, check_queues, ends)
             self.sha.update("".join(f"{v}\n" for v in report).encode() + b"--\n")
         return report
 
@@ -75,7 +76,7 @@ def _reaches(src, dst) -> bool:
     return False
 
 
-def _plant(rng, nodes, sizes, undo, planted):
+def _plant(rng, nodes, sizes, ends, undo, planted):
     """One random corruption of one field, logged in ``undo``.  A child link
     never closes a cycle: a cycle's report is one ``depth-bound`` violation
     (``test_child_link_cycle_is_reported`` in ``tests/test_layered_tree.py``),
@@ -94,6 +95,11 @@ def _plant(rng, nodes, sizes, undo, planted):
             sizes[t + 1] = rng.choice((0, 1))
         else:
             undo.append((sizes, t, sizes.pop(t)))
+        return
+    if field == "ends":
+        side, m = rng.choice(ends), rng.randrange(1, len(ends[0]))
+        undo.append((side, m, side[m]))
+        side[m] = rng.choice((None, rng.choice(nodes).key, -1))
         return
     n = nodes[0] if rng.random() < 0.1 else rng.choice(nodes)  # the band root, often
     old = getattr(n, field)
@@ -123,7 +129,9 @@ def _plant(rng, nodes, sizes, undo, planted):
 
 def _undo(undo):
     for obj, field, old in reversed(undo):
-        if isinstance(obj, dict):
+        if isinstance(obj, list):
+            obj[field] = old
+        elif isinstance(obj, dict):
             if old is _ABSENT:
                 del obj[field]
             else:
@@ -133,15 +141,15 @@ def _undo(undo):
     undo.clear()
 
 
-def _corrupt_and_check(rng, root, base, sizes, complete, reports):
-    before = reports.check(root, base, sizes, complete)
+def _corrupt_and_check(rng, root, base, sizes, ends, complete, reports):
+    before = reports.check(root, base, sizes, complete, ends)
     nodes = list(band_nodes(root, base, len(sizes)))
     undo = []
     for _ in range(rng.randint(0, 3)):
-        _plant(rng, nodes, sizes, undo, reports.fields)
-    reports.tally(reports.check(root, base, sizes, complete))
+        _plant(rng, nodes, sizes, ends, undo, reports.fields)
+    reports.tally(reports.check(root, base, sizes, complete, ends))
     _undo(undo)
-    assert bool(reports.check(root, base, sizes, complete)) == bool(before)
+    assert bool(reports.check(root, base, sizes, complete, ends)) == bool(before)
 
 
 def corrupted_trees(seed, preload, universe, limits) -> _Reports:
@@ -168,7 +176,7 @@ def corrupted_trees(seed, preload, universe, limits) -> _Reports:
             continue
         if limits is None:
             assert not validate_tree(tree)
-        _corrupt_and_check(rng, root, tree.base, tree.sizes, True, reports)
+        _corrupt_and_check(rng, root, tree.base, tree.sizes, tree.ends, True, reports)
     return reports
 
 
@@ -178,7 +186,7 @@ def corrupted_skip_splay_bands(monkeypatch) -> _Reports:
     calls = []
 
     def recorded(root, base, sizes, *args, **kwargs):
-        calls.append((root, base, sizes))
+        calls.append((root, base, sizes, kwargs.get("ends")))
         return validate_band(root, base, sizes, *args, **kwargs)
 
     monkeypatch.setattr(skip_splay, "validate_band", recorded)
@@ -188,11 +196,13 @@ def corrupted_skip_splay_bands(monkeypatch) -> _Reports:
         calls.clear()
         assert not tree.validate()
         by_base = {}
-        for root, base, sizes in calls:
-            by_base.setdefault(base, []).append((root, sizes))
+        for root, base, sizes, ends in calls:
+            by_base.setdefault(base, []).append((root, sizes, ends))
         for base, bands in sorted(by_base.items()):  # one aux tree of each band
-            root, sizes = rng.choice(bands)
-            _corrupt_and_check(rng, root, base, sizes, False, reports)
+            root, sizes, ends = rng.choice(bands)
+            if ends is None:  # a one-key aux tree keeps no record: it is its key
+                ends = [None, root.key], [None, root.key]
+            _corrupt_and_check(rng, root, base, sizes, ends, False, reports)
     return reports
 
 
