@@ -166,19 +166,20 @@ class LayeredTree:
 
     # -- implicit queue maintenance -------------------------------------------
 
-    def _queue_remove(self, x: Node, j: int, ends):
+    def _queue_remove(self, x: Node, j: int):
         """Unlink ``x`` from layer j's recency queue, repairing its
         neighbours and the record."""
+        old, young = self.ends
         xo, xy = x.older, x.younger
         x.older = x.younger = x.key  # sentinel: not a queue member right now
         if xy is None:
-            ends[1][j] = xo
+            young[j] = xo
             if xo is None:
-                ends[0][j] = None
+                old[j] = None
             else:
                 self._goto(xo).younger = None
         elif xo is None:
-            ends[0][j] = xy
+            old[j] = xy
             self._goto(xy).older = None
         else:
             self._goto(xo).younger = xy
@@ -186,22 +187,22 @@ class LayeredTree:
 
     # -- inter-layer moves ------------------------------------------------------
 
-    def _file_youngest(self, x: Node, recv: int, ends):
+    def _file_youngest(self, x: Node, recv: int):
         """Record ``x`` as the youngest of layer ``recv``, and write that
         into the queue fields of its new older neighbour, the youngest so
         far, which the record names.  Returns that neighbour's key, the
         older link ``x`` takes: None when ``x`` opens the layer."""
-        young = ends[1]
+        old, young = self.ends
         key = x.key
         y_key = young[recv]
         young[recv] = key
         if y_key is None:
-            ends[0][recv] = key
+            old[recv] = key
         else:
             self._goto(y_key).younger = key
         return y_key
 
-    def _move_up(self, x: Node, to: int, ends):
+    def _move_up(self, x: Node, to: int):
         """Move ``x`` up to layer ``to``; it becomes the youngest there.
 
         ``x`` leaves its queue once and is filed into layer ``to`` once;
@@ -218,11 +219,11 @@ class LayeredTree:
         assert sizes.get(to, 0) > 0, "moving up into an empty layer"
         queued = x.younger != x.key
         if queued and to < j:
-            self._queue_remove(x, j, ends)
-        y_key = self._file_youngest(x, to, ends)
+            self._queue_remove(x, j)
+        y_key = self._file_youngest(x, to)
         if to == j:
             if queued:
-                self._queue_remove(x, j, ends)
+                self._queue_remove(x, j)
         else:
             eng = self.engine
             lab = x.layer
@@ -292,12 +293,12 @@ class LayeredTree:
         if short is not None:
             ops.delete_fixup(eng, *short)
 
-    def _move_down(self, x: Node, ends):
+    def _move_down(self, x: Node):
         """Move ``x`` one layer down; it becomes the youngest there."""
         j = x.layer - self.base
         recv = j + 1
-        self._queue_remove(x, j, ends)
-        y_key = self._file_youngest(x, recv, ends)
+        self._queue_remove(x, j)
+        y_key = self._file_youngest(x, recv)
         self._sink_to_boundary(x)
         ops.join_at(self.engine, x)
         x.older = y_key
@@ -308,11 +309,11 @@ class LayeredTree:
 
     # -- restoring the size schedule ----------------------------------------------
 
-    def _push_down(self, deficit: int, ends):
+    def _push_down(self, deficit: int):
         """Push the oldest key of each layer 1..deficit-1 down one layer."""
-        oldest = ends[0]
+        oldest = self.ends[0]
         for m in range(1, deficit):
-            self._move_down(self._goto(oldest[m]), ends)
+            self._move_down(self._goto(oldest[m]))
 
     # -- public operations -----------------------------------------------------------
 
@@ -336,9 +337,8 @@ class LayeredTree:
         j = node.layer - self.base
         if j == 1 and node.younger is None:
             return 1  # already the youngest: the cursor reads it free
-        ends = self.ends
-        self._move_up(node, 1, ends)
-        self._push_down(j, ends)
+        self._move_up(node, 1)
+        self._push_down(j)
         return j
 
     def insert(self, key: int):
@@ -378,9 +378,8 @@ class LayeredTree:
         if parent.layer == lab:
             ops.insert_fixup(eng, node)
         sizes[j] = sizes.get(j, 0) + 1
-        ends = self.ends
-        self._move_up(node, 1, ends)
-        self._push_down(j, ends)
+        self._move_up(node, 1)
+        self._push_down(j)
 
     def delete(self, key: int):
         """Remove ``key``: unlink it from its queue, sink it below the
@@ -393,8 +392,7 @@ class LayeredTree:
             raise MissingKeyError(key)
         t = self.layer_count
         j = node.layer - self.base
-        ends = self.ends
-        self._queue_remove(node, j, ends)
+        self._queue_remove(node, j)
         for _ in range(t - j + 1):
             self._sink_to_boundary(node)
             ops.join_at(eng, node)
@@ -403,9 +401,9 @@ class LayeredTree:
         eng.visits += 1
         eng.node = node.parent  # None once the lone key is gone
         self.sizes[j] -= 1
-        youngest = ends[1]
+        youngest = self.ends[1]
         for m in range(j, t):
-            self._move_up(self._goto(youngest[m + 1]), m, ends)
+            self._move_up(self._goto(youngest[m + 1]), m)
         if self.sizes[t] == 0:  # layer t drained
             del self.sizes[t]
 

@@ -47,10 +47,12 @@ def climb_to_band_root(eng, base):
     return node
 
 
-def scan_first_layer(tree, youngest, ends):
+def scan_first_layer(tree, youngest):
     """Climb to the band root and find the queue head/tail of layer 1 by
-    walking its few members, and record it in ``ends``; the other end goes
-    into the record too when the walk passes it on the way."""
+    walking its few members, and record it in the tree's record of queue
+    ends; the other end goes into the record too when the walk passes it on
+    the way."""
+    ends = tree.ends
     eng = tree.engine
     root = climb_to_band_root(eng, tree.base)
     lab = tree.base + 1
@@ -88,15 +90,15 @@ class RootWalkTree(LayeredTree):
 
     _scan_first_layer = scan_first_layer
 
-    def _refront(self, x, ends):
-        y0 = self._scan_first_layer(True, ends)
+    def _refront(self, x):
+        y0 = self._scan_first_layer(True)
         if y0 is x:
             return
-        self._queue_remove(x, 1, ends)
+        self._queue_remove(x, 1)
         x.older = y0.key
         x.younger = None
         y0.younger = x.key
-        ends[1][1] = x.key
+        self.ends[1][1] = x.key
 
     def search(self, key, fresh=True):
         eng = self.engine
@@ -104,16 +106,15 @@ class RootWalkTree(LayeredTree):
             eng.begin_access()
         else:
             climb_to_band_root(eng, self.base)
-        ends = self.ends
         node = eng.descend_to(key)
         if node is None:
             return None
         j = node.layer - self.base
         if j == 1:
-            self._refront(node, ends)
+            self._refront(node)
         else:
-            self._move_up(node, 1, ends)
-            self._push_down(j, ends)
+            self._move_up(node, 1)
+            self._push_down(j)
         return j
 
 
@@ -138,15 +139,15 @@ class ScanTree(LayeredTree):
     insert = clearing_first_layer(LayeredTree.insert)
     delete = clearing_first_layer(LayeredTree.delete)
 
-    def _file_youngest(self, x, recv, ends):
-        if recv == 1 and ends[1][1] is None:  # layer 1 is never empty here
-            self._scan_first_layer(True, ends)
-        return super()._file_youngest(x, recv, ends)
+    def _file_youngest(self, x, recv):
+        if recv == 1 and self.ends[1][1] is None:  # layer 1 is never empty here
+            self._scan_first_layer(True)
+        return super()._file_youngest(x, recv)
 
-    def _push_down(self, deficit, ends):
-        if deficit > 1 and ends[0][1] is None:
-            self._scan_first_layer(False, ends)
-        super()._push_down(deficit, ends)
+    def _push_down(self, deficit):
+        if deficit > 1 and self.ends[0][1] is None:
+            self._scan_first_layer(False)
+        super()._push_down(deficit)
 
 
 class TemporaryLayerTree(LayeredTree):
@@ -154,19 +155,19 @@ class TemporaryLayerTree(LayeredTree):
     the deepest, counted in the books as a layer of its own until the move
     up lifts it, and a layer-1 hit is re-fronted by ``_refront``."""
 
-    def _refront(self, x, ends):
-        y_key = self._file_youngest(x, 1, ends)
-        self._queue_remove(x, 1, ends)
+    def _refront(self, x):
+        y_key = self._file_youngest(x, 1)
+        self._queue_remove(x, 1)
         x.older = y_key
         x.younger = None
 
-    def _move_up(self, x, to, ends):
+    def _move_up(self, x, to):
         # only a search's layer-1 hit moves from a layer to itself here:
         # the temporary layer puts every insert below layer 1
         if to == x.layer - self.base:
-            self._refront(x, ends)
+            self._refront(x)
         else:
-            super()._move_up(x, to, ends)
+            super()._move_up(x, to)
 
     def insert(self, key):
         eng = self.engine
@@ -191,9 +192,8 @@ class TemporaryLayerTree(LayeredTree):
         node.parent = parent
         eng.arrive(node)
         sizes[temp] = 1
-        ends = self.ends
-        self._move_up(node, 1, ends)
-        self._push_down(deficit, ends)
+        self._move_up(node, 1)
+        self._push_down(deficit)
         assert sizes[temp] == 0
         del sizes[temp]
 

@@ -39,13 +39,13 @@ def move_up(tree, key):
     """Move ``key`` up one layer; it becomes the youngest there."""
     tree.engine.begin_access()
     node = tree.engine.descend_to(key)
-    tree._move_up(node, node.layer - tree.base - 1, tree.ends)
+    tree._move_up(node, node.layer - tree.base - 1)
 
 
 def move_down(tree, key):
     """Move ``key`` down one layer; it becomes the youngest there."""
     tree.engine.begin_access()
-    tree._move_down(tree.engine.descend_to(key), tree.ends)
+    tree._move_down(tree.engine.descend_to(key))
 
 
 def layer_end(tree, j, youngest):
@@ -180,7 +180,7 @@ def test_interior_queue_splice():
     node = tree.engine.root
     while node.key != 4:
         node = node.left if 4 < node.key else node.right
-    tree._queue_remove(node, 1, tree.ends)
+    tree._queue_remove(node, 1)
     snap_order = []
     walk = [n for n in tree.engine.iter_nodes() if n.layer == 1 and n.younger is None]
     assert len(walk) == 1
