@@ -1,20 +1,23 @@
-"""The tree node for node.
+"""The push-down, one step per layer, against the tour it replaced.
 
-After every operation of each case, every node's key, colour, label,
-parent, left and right keys, and older and younger keys go into one
-digest, in key order, together with the books (the per-layer size record
-of the tree, or of each band machine of a skip-splay tree).  The digests
-were taken from the layered tree as it stood before its queue ends moved
-into the record kept with the books, when each layer's ends named the
-next layer's through a key on the node.  So these tests pin that keeping
-the ends with the books changed where the cursor walks and nothing else.
+A hit in layer j pushes the oldest key of each layer 1..j-1 down one
+layer.  The tree once did this as one tour of the queue ends, which left
+each step's unlink to the next and kept the next layer's ends in a key on
+the node.  Now that every layer's ends are kept with the books, each step
+unlinks and files its own key.  After every operation of each case, every
+node's key, colour, label, parent, left and right keys, and older and
+younger keys go into one digest, in key order, together with the books
+(the per-layer size record of the tree, or of each band machine of a
+skip-splay tree).  The digests were taken from the tree with the tour, so
+these tests pin that the stepwise push-down leaves every node as the tour
+did: only where the cursor walks changed.
 
 The cases are the five golden cells of ``tests/test_golden.py``, inserts
 that open layers 2, 3 and 4, the band searches of the k = 4 skip-splay
 golden cell as doubled accesses, and doubled accesses of two families on
 skip-splay trees of k = 2, 3 and 4.
 
-    PYTHONPATH=src python tests/test_node_pins.py   # print the digests
+    PYTHONPATH=src python tests/test_push_tour.py   # print the digests
 """
 
 import hashlib
@@ -123,14 +126,14 @@ def digest(case: str) -> str:
 
 @pytest.mark.parametrize("cell", GOLDEN_CELLS + ["opening-runs"],
                          ids=lambda c: c if isinstance(c, str) else "-".join(map(str, c)))
-def test_tree_matches_pinned_nodes(cell):
+def test_tour_matches_stepwise_push_on_traces(cell):
     case = cell if isinstance(cell, str) else "-".join(map(str, cell))
     assert digest(case) == PINNED[case]
 
 
 @pytest.mark.parametrize("plan", SKIP_PLANS + ["golden"],
                          ids=lambda p: p if isinstance(p, str) else "-".join(map(str, p)))
-def test_skip_splay_matches_pinned_nodes(plan):
+def test_tour_matches_stepwise_push_on_skip_splay(plan):
     case = "skip_splay_doubled-golden" if plan == "golden" else "-".join(map(str, plan))
     assert digest(case) == PINNED[case]
 
