@@ -199,7 +199,10 @@ def join3(eng: Engine, left_root, left_bh: int, mid: Node, right_root, right_bh:
     Fragments are as ``_detach`` leaves them: within-layer red-black trees
     with a detached black root, deeper-layer subtrees (black height 0), or
     absent.  Returns (root, black height); the returned root is detached
-    (parent None) and always black.
+    (parent None) and always black.  It is found without a climb: the
+    fixup after hanging ``mid`` in the tall fragment can replace that
+    fragment's root only by a rotation at it, so the root is ``mid``
+    itself, or the tall root or the parent the rotation gave it.
     """
     mid.parent = None
     walked = 0
@@ -244,11 +247,10 @@ def join3(eng: Engine, left_root, left_bh: int, mid: Node, right_root, right_bh:
         slot_parent.left = mid
     grew = insert_fixup(eng, mid)
     top = mid
-    climbed = 0
-    while top.parent is not None:
-        top = top.parent
-        climbed += 1
-    eng.visits += climbed
+    if mid.parent is not None:
+        tall = left_root if tall_left else right_root
+        top = tall.parent or tall
+        eng.visits += 1
     return top, (left_bh if tall_left else right_bh) + (1 if grew else 0)
 
 

@@ -26,15 +26,21 @@ the boundary slots of the band-2 aux tree being cloned.
 
 An access descends to the key, searches it inside its auxiliary tree, then
 repeatedly skips to the parent of the just-rearranged band and searches
-that parent in its own band, the next band up, to the root.  It is one
-walk: each band search starts at the cursor, which already sits on the key
-it looks for, so it pays no climb to the band root and no descent back,
-and the climb from where the search leaves the cursor to the band root and
-one step out pays one visit per node.  A band search that finds the
-youngest key of the band's first layer changes nothing and costs nothing,
-so the walk enters a band machine only when the key it holds is elsewhere
-in its band.  Keys never move between auxiliary trees.  Insertions and
-deletions are not supported.
+that parent in its own band, the next band up.  It is one walk: each band
+search starts at the cursor, which already sits on the key it looks for,
+so it pays no climb to the band root and no descent back, and the climb
+from where the search leaves the cursor to the band root and one step out
+pays one visit per node.  A band search that finds the youngest key of the
+band's first layer changes nothing and costs nothing, so the walk enters a
+band machine only when the key it holds is elsewhere in its band.  The
+descent reads the last node of each band on the key's root path, which is
+the key that band would search; a band search restructures only its own
+aux tree, which keeps its slot, so the node is still there when the walk
+climbs to it.  So the descent notes the topmost band whose search would
+move its key, and the access climbs no further than the root of that
+band's aux tree; when no band's search would, it ends at the key.  Keys
+never move between auxiliary trees.  Insertions and deletions are not
+supported.
 
 Each aux tree of bands 2 and up keeps its own record of queue ends, the
 oldest and youngest key of each of its layers, in flat key lists per band
@@ -45,7 +51,8 @@ plain tree does and scans no layer.  This stays inside the one-cursor
 model: an access descends through the root of every aux tree on its key's
 root path, which is where it reads that tree's record, and after a band
 search it climbs to the band root, which is where it writes the record
-back.  An access holds at most the sum over bands b >= 2 of 2*t_b keys of
+back; the root of the topmost aux tree it searches is where the climb
+ends.  An access holds at most the sum over bands b >= 2 of 2*t_b keys of
 records at once, t_b being band b's layer count: 12 at k = 5, O(log log n)
 words like a plain tree's record.
 """
@@ -150,6 +157,8 @@ class SkipSplayTree:
             layers = range(self.bands[band].layer_count)
             self.aux_ends.append(tuple([None] + [[None] * count for _ in layers] for _ in range(2)))
         self.engine.root = self._clone(templates, self.k - 1, (self.n + 1) >> 1)
+        # each band's first and last label, bottom band first
+        self.labels = [(t.base + 1, t.base + t.layer_count) for t in self.bands]
 
     def _clone(self, templates, band: int, root_key: int) -> Node:
         """Clone the auxiliary tree rooted at ``root_key`` from its band's
@@ -200,33 +209,58 @@ class SkipSplayTree:
     # -- access -----------------------------------------------------------------
 
     def access(self, key: int) -> int:
-        """One skip-splay access; returns its cursor cost."""
+        """One skip-splay access; returns its cursor cost.
+
+        The descent reads the last node of each band on the key's root path,
+        the key that band would search, and stops its own loop at the
+        topmost band whose search would move that key; ``Engine.descend_to``
+        takes it on to the key.  The bands are then searched bottom up, and
+        the access ends at the root of the topmost searched aux tree, or at
+        the key when no band needs a search."""
         if not 1 <= key <= self.n:
             raise MissingKeyError(key)
         eng = self.engine
         start = eng.visits
-        eng.begin_access()
-        node = eng.descend_to(key)
-        assert node is not None
-        bands = self.bands
+        node = eng.begin_access()
+        labels = self.labels
+        top = self.k - 1
+        first, last = labels[top]
+        steps = 0
+        while True:
+            k = node.key
+            if k == key:
+                break
+            nxt = node.left if key < k else node.right
+            if nxt.layer > last:  # node is its band's last on the path
+                # the youngest of layer 1 is a band search that changes nothing
+                if node.layer != first or node.younger is not None:
+                    break
+                top -= 1
+                first, last = labels[top]
+            node = nxt
+            steps += 1
+        eng.node = node
+        eng.visits += steps
+        if k != key:
+            node = eng.descend_to(key)
+        elif node.layer == first and node.younger is None:
+            return eng.visits - start  # no band's search would move its key
         band = ((key & -key).bit_length() - 1).bit_length()
         climbed = 0  # visits of the climbs the engine has not been charged yet
         while True:
-            tree = bands[band]
-            base = tree.base
-            # the youngest of layer 1 is a band search that changes nothing
-            if node.layer != base + 1 or node.younger is not None:
+            first = labels[band][0]
+            if node.layer != first or node.younger is not None:
                 eng.node = node
                 eng.visits += climbed
                 climbed = 0
                 self._band_search(band, node.key)
                 node = eng.node
             parent = node.parent  # climb to the band root, then one step out
-            while parent is not None and parent.layer > base:
+            while parent is not None and parent.layer >= first:
                 node = parent
                 parent = node.parent
                 climbed += 1
-            if parent is None:
+            if band == top:
                 break
             node = parent
             climbed += 1

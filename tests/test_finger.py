@@ -20,7 +20,8 @@ temporary layer below the deepest, and every layer-1 hit through
 the layer-1 scan, the cleared entries, ``_refront`` and the temporary
 layer as their own code: the package has none of them.
 The skip-splay twin also enters every band machine on an access's root
-path (``EveryBandSkipSplay``), as the access did before it learned to pass
+path from the key's own up to the topmost band whose search would move its
+key (``EveryBandSkipSplay``), as the access did before it learned to pass
 over a band whose search would find the youngest of layer 1.
 """
 
@@ -354,25 +355,46 @@ def skip_plan(family, n, count, rng):
 
 class EveryBandSkipSplay(SkipSplayTree):
     """The access that enters the band machine of every band on the root
-    path, also where its search finds the youngest of layer 1 and changes
-    nothing, and climbs through the engine's own walks."""
+    path from the key's own up to the topmost whose search would move its
+    key, also where its search finds the youngest of layer 1 and changes
+    nothing, and climbs through the engine's own walks.  It ends where the
+    access does: at the root of that topmost band's aux tree, or at the key,
+    after entering only the key's own band machine, when no band's search
+    would move its key."""
 
     def machine(self, key):
         """The layered tree whose labels bound the band search of ``key``."""
         return self.bands[_band_of_height(_height(key))]
 
+    def topmost_moving(self, node):
+        """The key that the topmost band on ``node``'s root path would search
+        and move, or None when no band's search would move its key; read up
+        the parent links, not by the cursor."""
+        top = None
+        while node is not None:
+            base = self.machine(node.key).base
+            if node.layer != base + 1 or node.younger is not None:
+                top = node.key
+            while node.parent is not None and node.parent.layer > base:
+                node = node.parent
+            node = node.parent
+        return top
+
     def access(self, key):
         eng = self.engine
         start = eng.visits
         eng.begin_access()
-        assert eng.descend_to(key) is not None
+        node = eng.descend_to(key)
+        assert node is not None
+        top = self.topmost_moving(node)
         while True:
             self._band_search(_band_of_height(_height(key)), key)
-            parent = climb_to_band_root(eng, self.machine(key).base).parent
-            if parent is None:
+            if top is None:
                 break
-            eng.arrive(parent)
-            key = parent.key
+            root = climb_to_band_root(eng, self.machine(key).base)
+            if key == top:
+                break
+            key = eng.arrive(root.parent).key
         return eng.visits - start
 
 

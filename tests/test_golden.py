@@ -30,21 +30,21 @@ COST_FIELDS = ("amortized_ratio", "max_cost", "max_cost_over_lgw", "mean_cost")
 GOLDEN = {
     ("uniform", 300, 1500, 3): (
         "ae41f1c1f5ff23611d963e4d2d08489d45d192bf85d2c6c4d314d55391b7fa7b",
-        "2e169e924d9bd203a5ca5b211de0fd64abb7d9d11d393a187bf060954630ea74"),
+        "828ee9bb19399ab179a35dd657a2d927e7a7f5013ede98d5970015b2b18072da"),
     ("uniform", 40, 1500, 11): (
         "0ae75ef02c2d90c857cbf681bce9bb342991e72b11594a7eb1cba22d53415f0d",
-        "41296c9e3923a1255a9d3e6a001cd632ab8ffc63d0cc405d70eaef3f4f5f10fe"),
+        "210b9e0dc2ed1fa0ed63a78d0923bc68359f51e67f29d65da40f8526e347866a"),
     ("zipf_recency", 200, 1500, 5): (
         "5a69a62fecee02a1a6e054c7cad3c53922b3599ee8cd41cad2c51184f76d82ac",
-        "cd730080010abaefb7781567ac96d90a3c4610c225d49f7e45a4c181e2dd74eb"),
+        "d6b6a36ab901d8a925276d5f3283e372788a9d3d43caf0bb4c2359445cd2545f"),
     ("finger_walk", 250, 1200, 7): (
         "6897e05eab13142e3f12925a79f0027d8f84ccf7e12af50f8621956d0dadf63a",
-        "c97e30c505cc9ff777430eeefa3c55f553b332379fba0e6c9f3b1eb254d91a97"),
+        "94bb96df8e04e9d4c85c41866f65d0d154592e27a984d6ab4300e2b41685c8af"),
     # the one cell whose tree reaches layer 4: it pins the layer-4 pushes,
     # splits and refills (609 layer-4 hits among inserts and deletes)
     ("uniform", 2000, 6000, 13): (
         "20bc117f631ca68a4810a487634cc32534d81aad2058e1d2209c091993f04892",
-        "5e6891b5459d8a8726976c130dda87244ce67daab0b04add433c46b7744a5140"),
+        "68c276c2a5e908728003f1d9b10e78fae31bdc60e720a7e137ebccb708d0c855"),
 }
 
 
@@ -145,11 +145,11 @@ OTHER_GOLDEN = {
     "skip_splay": (
         lambda tmp_path: ["--trace", _band_searches(tmp_path / "searches.txt")],
         "d52082eed6df94ee20ad811e0297c4753755d12fab9cba6ebeac32cfc2854eb5",
-        "ee095faadae7c48d353ce1d583376613cb3296e6774f89b9a2d792aaab14bddc"),
+        "5ecf95d273b49f9699a19d38ea3faf99dc402e6c26f658c3ff40d12895da6bc0"),
     "skip_splay_doubled": (
         lambda tmp_path: ["--trace", _band_searches(tmp_path / "searches.txt")],
         "376d517618be40ab6e528d24777bd76edfa7498795dd3ec6a2263f4767fd1909",
-        "b83142a98fc5d3ddad2a4d16c5417cdba805551f6cb05d5e8d9b1bd08530ed8e"),
+        "1ee0059bfc97fe3d46c3a50eb1ffb844e127040d0571ec787a71588164377b5a"),
     "ws_reference": (
         lambda tmp_path: ["--gen", "uniform", "--n", "300", "--ops", "1500", "--seed", "3"],
         "a4252fd3b33c8590ab09e5d4f8c4a54f4c139ca82809a6f6f627d177cb6fc771",

@@ -10,8 +10,8 @@ from layerws import LayeredTree, SkipSplayTree
 from layerws.errors import DictError, MissingKeyError
 from layerws.layered_tree import MAX_LAYERS, capacity
 from layerws.skip_splay import _ancestor_at, _aux_root_key, _band_of_height, _band_size, _height
-from test_finger import (EveryBandSkipSplay, books, nodes_state, skip_plan, skip_splay_pair,
-                         skip_state_reader)
+from test_finger import (EveryBandSkipSplay, band_path, books, nodes_state, skip_plan,
+                         skip_splay_pair, skip_state_reader)
 from test_validate import _reaches
 
 
@@ -360,6 +360,75 @@ def test_a_passed_band_search_is_one_that_changes_nothing(k, count, family, monk
                     paid += visits > 0
     assert passed and paid
     assert skip_state_reader(tree, cursor=False)() == twin_state()
+
+
+class ClimbToRootSkipSplay(SkipSplayTree):
+    """The access before it learned to end at its topmost band search that
+    moves a key: it climbs from the key's band to the global root, searching
+    each band on the way whose search would move its key."""
+
+    def access(self, key):
+        eng = self.engine
+        start = eng.visits
+        eng.begin_access()
+        node = eng.descend_to(key)
+        band = _band_of_height(_height(key))
+        while True:
+            base = self.bands[band].base
+            if node.layer != base + 1 or node.younger is not None:
+                eng.node = node
+                self._band_search(band, node.key)
+                node = eng.node
+            while node.parent is not None and node.parent.layer > base:
+                node = eng.arrive(node.parent)
+            if node.parent is None:
+                break
+            node = eng.arrive(node.parent)
+            band += 1
+        eng.node = node
+        return eng.visits - start
+
+
+@pytest.mark.parametrize("k,count", [(2, 200), (3, 600), (4, 1500),
+                                     pytest.param(5, 60, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("family", ["repeat_block", "uniform"])
+def test_an_access_ends_at_its_topmost_band_search(k, count, family, monkeypatch):
+    """Against a twin that climbs to the global root after every access,
+    each access leaves every node, the root and the books as the twin's,
+    costs its cursor's visits and no more than the twin's, and leaves the
+    cursor on the key when it searched no band, else on the root of the
+    topmost aux tree it searched."""
+    tree, twin = SkipSplayTree(k), ClimbToRootSkipSplay(k)
+    searched = []  # (band, key) of each band search the tree runs, bottom up
+    band_search = SkipSplayTree._band_search
+
+    def logged(self, band, key):
+        if self is tree:
+            searched.append((band, key))
+        return band_search(self, band, key)
+
+    monkeypatch.setattr(SkipSplayTree, "_band_search", logged)
+    states = [skip_state_reader(t, cursor=False) for t in (tree, twin)]
+    plan = skip_plan(family, tree.n, count, random.Random(5 * k + len(family)))
+    totals = [0, 0]
+    for i, x in enumerate(plan):
+        for _ in range(2):
+            searched.clear()
+            before = tree.engine.visits
+            cost, twin_cost = tree.access(x), twin.access(x)
+            assert cost == tree.engine.visits - before, (i, x)
+            assert cost <= twin_cost, (i, x)
+            assert states[0]() == states[1](), (i, x)
+            if searched:
+                band, key = searched[-1]
+                end = band_path(tree.engine.lookup(key), tree.bands[band].base)[-1]
+            else:
+                end = tree.engine.lookup(x)
+            assert tree.engine.node is end, (i, x, searched)
+            totals[0] += cost
+            totals[1] += twin_cost
+    assert totals[0] < totals[1]
+    assert not tree.validate()
 
 
 # -- band machines against one layered tree per auxiliary tree ------------------
